@@ -1,7 +1,6 @@
-// Flat aggregation sink benchmark: the open-addressing group table + SoA
-// scatter-accumulate path (engine/agg_table.h, FlatAggregator) against the
-// per-group accumulator-object reference sink, swept across group counts
-// and thread counts.
+// Grouped-aggregation benchmark: the open-addressing group table + SoA
+// scatter-accumulate lanes (engine/agg_table.h, FlatAggregator), swept
+// across group counts and thread counts.
 //
 // Two shapes:
 //   - group-count sweep: GROUP BY g, sum+count over 10 / 1K / 100K / 1M
@@ -12,8 +11,8 @@
 //     path the VerdictDB rewriter emits (Figure 7's inner loop), with its
 //     Double sid key and 1000-group (10 x 100) product.
 //
-// Both sinks produce bit-identical results (pinned by FlatAggTest); only
-// the execution strategy differs. --smoke shrinks rows/reps for the
+// Results are bit-identical at every thread count (pinned by FlatAggTest);
+// speedups are against the 1-thread run. --smoke shrinks rows/reps for the
 // sanitizer CI jobs; --json writes BENCH_agg.json.
 
 #include <cstdio>
@@ -23,7 +22,7 @@
 
 #include "bench_util.h"
 #include "common/random.h"
-#include "engine/planner.h"
+#include "engine/database.h"
 
 namespace {
 
@@ -34,7 +33,7 @@ using engine::Table;
 using engine::TablePtr;
 
 /// Rows with `g` uniform over [0, groups) in random order plus a double
-/// measure; the same data for every sink and thread count.
+/// measure; the same data for every thread count.
 TablePtr BuildTable(size_t rows, size_t groups, uint64_t seed) {
   Rng rng(seed);
   std::vector<int64_t> g(rows);
@@ -58,26 +57,18 @@ struct SweepPoint {
 
 void RunCase(Database* db, const std::string& sql, const std::string& op,
              size_t rows, int reps) {
-  // Reference sink first (serial; the object path has no parallel merge for
-  // comparison parity — flat is what the planner actually runs).
   db->set_num_threads(1);
   (void)db->Execute(sql);  // warm-up: thread pool, faults, allocator
-  engine::SetFlatAggSinkForTest(false);
-  const double ref =
-      bench::TimeMedianMs(reps, [&] { (void)db->Execute(sql); });
-  engine::SetFlatAggSinkForTest(true);
-  std::printf("%-34s %10.1f %11.2fM %9s\n", "reference (object sink) @1",
-              ref, static_cast<double>(rows) / ref / 1e3, "1.00x");
-  bench::BenchJsonRecord(op, "reference", ref, 1);
-
+  double serial = 0.0;
   for (int threads : {1, 2, 4, 8}) {
     db->set_num_threads(threads);
     const double ms =
         bench::TimeMedianMs(reps, [&] { (void)db->Execute(sql); });
+    if (threads == 1) serial = ms;
     char label[64];
     std::snprintf(label, sizeof(label), "flat sink @%d", threads);
     std::printf("%-34s %10.1f %11.2fM %8.2fx\n", label, ms,
-                static_cast<double>(rows) / ms / 1e3, ref / ms);
+                static_cast<double>(rows) / ms / 1e3, serial / ms);
     bench::BenchJsonRecord(op, "flat", ms, threads);
   }
   db->set_num_threads(1);

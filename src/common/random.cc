@@ -1,7 +1,6 @@
 #include "common/random.h"
 
 #include <cmath>
-#include <atomic>
 
 namespace vdb {
 
@@ -10,10 +9,6 @@ inline uint64_t SplitMix64(uint64_t& x) {
   return SplitMix64Finalize(x += 0x9E3779B97F4A7C15ull);
 }
 inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-// Test hook: atomic (relaxed) — tests write between queries while pool
-// workers may still read; see docs/INVARIANTS.md (test-hook contract).
-std::atomic<bool> g_biased_bounded_for_test{false};
 }  // namespace
 
 int PoissonOneFromUniform(double u) {
@@ -52,14 +47,7 @@ double Rng::NextDouble() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
-void Rng::SetBiasedNextBoundedForTest(bool biased) {
-  g_biased_bounded_for_test.store(biased, std::memory_order_relaxed);
-}
-
 uint64_t Rng::NextBounded(uint64_t bound) {
-  if (g_biased_bounded_for_test.load(std::memory_order_relaxed)) {
-    return Next() % bound;
-  }
   // Lemire multiply-shift: (x * bound) >> 64 maps uniformly onto [0, bound)
   // except for the 2^64 mod bound lowest fractional values, which are
   // rejected and redrawn.

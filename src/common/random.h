@@ -106,11 +106,6 @@ class Rng {
   /// Bernoulli trial with probability p.
   bool NextBernoulli(double p) { return NextDouble() < p; }
 
-  /// Test hook: process-wide switch restoring the pre-Lemire `Next() %
-  /// bound` path (one draw per call, modulo-biased) for tests that pinned
-  /// draw sequences against it. false restores the unbiased default.
-  static void SetBiasedNextBoundedForTest(bool biased);
-
  private:
   uint64_t s_[4];
   bool has_gauss_ = false;

@@ -139,14 +139,12 @@ std::vector<Slot> ParallelMorselMap(size_t total, int max_threads,
 /// every morsel claim: body(slot, begin, end) -> Status. Returns the filled
 /// slots, or the first failure in morsel order (see ParallelForStatus).
 /// Slots of skipped/failed morsels stay default-constructed; callers only
-/// see them on the error path, which discards the vector.
+/// see them on the error path, which discards the vector. `morsel_rows`
+/// overrides the decomposition (e.g. one morsel covering the whole input).
 template <typename Slot, typename Body>
-Result<std::vector<Slot>> ParallelMorselMapStatus(size_t total,
-                                                  int max_threads,
-                                                  const ExecGuard* guard,
-                                                  const char* site,
-                                                  Body&& body) {
-  const size_t morsel_rows = MorselRows();
+Result<std::vector<Slot>> ParallelMorselMapStatus(
+    size_t total, int max_threads, const ExecGuard* guard, const char* site,
+    Body&& body, size_t morsel_rows = MorselRows()) {
   std::vector<Slot> slots((total + morsel_rows - 1) / morsel_rows);
   Status st = ThreadPool::Global().ParallelForStatus(
       total, morsel_rows, max_threads, guard, site,

@@ -30,7 +30,8 @@ namespace vdb::engine {
 /// flat DISTINCT set) with `mask` after mixing, forcing distinct keys into
 /// shared 64-bit hashes so collision handling is exercised
 /// deterministically. ~0ull (the default) disables. The group-side sibling
-/// of SetJoinKeyHashMaskForTest; plain global, set outside parallel regions.
+/// of SetJoinKeyHashMaskForTest; a relaxed atomic (docs/INVARIANTS.md,
+/// test-hook contract), set between statements.
 void SetGroupHashMaskForTest(uint64_t mask);
 uint64_t GroupHashMaskForTest();
 

@@ -482,7 +482,7 @@ class FlatCountAgg : public FlatAggregator {
                   uint32_t src) override {
     counts_[dst] += static_cast<const FlatCountAgg&>(other).counts_[src];
   }
-  void CopyGroup(const FlatAggregator& other, uint32_t dst,
+  void MoveGroup(FlatAggregator& other, uint32_t dst,
                  uint32_t src) override {
     counts_[dst] = static_cast<const FlatCountAgg&>(other).counts_[src];
   }
@@ -521,7 +521,7 @@ class FlatSumAgg : public FlatAggregator {
     any_[dst] |= o.any_[src];
     nonint_[dst] |= o.nonint_[src];
   }
-  void CopyGroup(const FlatAggregator& other, uint32_t dst,
+  void MoveGroup(FlatAggregator& other, uint32_t dst,
                  uint32_t src) override {
     const auto& o = static_cast<const FlatSumAgg&>(other);
     sums_[dst] = o.sums_[src];
@@ -606,7 +606,7 @@ class FlatAvgAgg : public FlatAggregator {
     NeumaierAdd(sums_[dst], comps_[dst], o.comps_[src]);
     ns_[dst] += o.ns_[src];
   }
-  void CopyGroup(const FlatAggregator& other, uint32_t dst,
+  void MoveGroup(FlatAggregator& other, uint32_t dst,
                  uint32_t src) override {
     const auto& o = static_cast<const FlatAvgAgg&>(other);
     sums_[dst] = o.sums_[src];
@@ -680,7 +680,7 @@ class FlatMinMaxAgg : public FlatAggregator {
     const auto& o = static_cast<const FlatMinMaxAgg&>(other);
     if (o.any_[src]) Fold(dst, o.best_[src]);
   }
-  void CopyGroup(const FlatAggregator& other, uint32_t dst,
+  void MoveGroup(FlatAggregator& other, uint32_t dst,
                  uint32_t src) override {
     const auto& o = static_cast<const FlatMinMaxAgg&>(other);
     best_[dst] = o.best_[src];
@@ -803,7 +803,9 @@ class FlatVarAgg : public FlatAggregator {
     const auto& o = static_cast<const FlatVarAgg&>(other);
     if (o.ns_[src] == 0) return;
     if (ns_[dst] == 0) {
-      CopyGroup(other, dst, src);
+      ns_[dst] = o.ns_[src];
+      means_[dst] = o.means_[src];
+      m2s_[dst] = o.m2s_[src];
       return;
     }
     const double na = static_cast<double>(ns_[dst]);
@@ -814,7 +816,7 @@ class FlatVarAgg : public FlatAggregator {
     means_[dst] += delta * (nb / total);
     ns_[dst] += o.ns_[src];
   }
-  void CopyGroup(const FlatAggregator& other, uint32_t dst,
+  void MoveGroup(FlatAggregator& other, uint32_t dst,
                  uint32_t src) override {
     const auto& o = static_cast<const FlatVarAgg&>(other);
     ns_[dst] = o.ns_[src];
@@ -875,6 +877,88 @@ class FlatVarAgg : public FlatAggregator {
   std::vector<double> m2s_;
 };
 
+/// Object lane: one AggAccumulator per gid, for the aggregates without an
+/// SoA form. A scatter call buckets its rows by gid, keeping row order, and
+/// hands each touched group one AddBatch — exactly the batch the group's
+/// accumulator would get over the morsel's compacted rows. Groups hold null
+/// until first touched; a null group is an empty accumulator. `first` is the
+/// accumulator CreateFlatAggregator built to learn Mergeable(); it becomes
+/// the first group created (or stands in for a never-touched group).
+class ObjectLaneAgg : public FlatAggregator {
+ public:
+  ObjectLaneAgg(const AggSpec& spec, std::unique_ptr<AggAccumulator> first)
+      : spec_(spec), mergeable_(first->Mergeable()), spare_(std::move(first)) {}
+  bool Mergeable() const override { return mergeable_; }
+  void ResizeGroups(size_t n) override { accs_.resize(n); }
+  void AddScatter(const Column* col, size_t base, const uint32_t* gids,
+                  size_t n) override {
+    Scatter(col, base, nullptr, gids, n);
+  }
+  void AddScatterSelected(const Column* col, size_t base, const uint32_t* rows,
+                          const uint32_t* gids, size_t n) override {
+    Scatter(col, base, rows, gids, n);
+  }
+  void MergeGroup(const FlatAggregator& other, uint32_t dst,
+                  uint32_t src) override {
+    const auto& o = static_cast<const ObjectLaneAgg&>(other);
+    if (o.accs_[src] != nullptr) Acc(dst).Merge(*o.accs_[src]);
+  }
+  void MoveGroup(FlatAggregator& other, uint32_t dst, uint32_t src) override {
+    accs_[dst] = std::move(static_cast<ObjectLaneAgg&>(other).accs_[src]);
+  }
+  Value FinalizeGroup(uint32_t g) const override {
+    if (accs_[g] != nullptr) return accs_[g]->Finalize();
+    if (spare_ != nullptr) return spare_->Finalize();
+    return Fresh()->Finalize();
+  }
+
+ private:
+  /// CreateFlatAggregator already created one accumulator for spec_, so
+  /// creation cannot fail here.
+  std::unique_ptr<AggAccumulator> Fresh() const {
+    return std::move(CreateAccumulator(spec_)).ValueOrDie();
+  }
+  AggAccumulator& Acc(uint32_t g) {
+    if (accs_[g] == nullptr) {
+      accs_[g] = spare_ != nullptr ? std::move(spare_) : Fresh();
+    }
+    return *accs_[g];
+  }
+
+  void Scatter(const Column* col, size_t base, const uint32_t* rows,
+               const uint32_t* gids, size_t n) {
+    // Counting sort by gid: group g's rows land in
+    // [start[g], start[g + 1]) of `bucketed`, in row order.
+    const size_t ngroups = accs_.size();
+    std::vector<size_t> start(ngroups + 1, 0);
+    for (size_t k = 0; k < n; ++k) ++start[size_t{gids[k]} + 1];
+    for (size_t g = 0; g < ngroups; ++g) start[g + 1] += start[g];
+    if (col == nullptr) {  // star argument: count(*)-style
+      for (uint32_t g = 0; g < ngroups; ++g) {
+        const size_t cnt = start[g + 1] - start[g];
+        if (cnt > 0) Acc(g).AddRepeated(Value::Int(1), cnt);
+      }
+      return;
+    }
+    std::vector<uint32_t> bucketed(n);
+    std::vector<size_t> next(start.begin(), start.end() - 1);
+    for (size_t k = 0; k < n; ++k) {
+      // Row indices fit uint32: grouped inputs pass CheckGroupableRows.
+      bucketed[next[gids[k]]++] =
+          static_cast<uint32_t>(base + (rows == nullptr ? k : rows[k]));
+    }
+    for (uint32_t g = 0; g < ngroups; ++g) {
+      const size_t cnt = start[g + 1] - start[g];
+      if (cnt > 0) Acc(g).AddBatch(*col, bucketed.data() + start[g], cnt);
+    }
+  }
+
+  AggSpec spec_;
+  bool mergeable_;
+  std::unique_ptr<AggAccumulator> spare_;  // empty; null once used
+  std::vector<std::unique_ptr<AggAccumulator>> accs_;
+};
+
 }  // namespace
 
 Result<std::unique_ptr<AggAccumulator>> CreateAccumulator(const AggSpec& s) {
@@ -907,23 +991,26 @@ Result<std::unique_ptr<AggAccumulator>> CreateAccumulator(const AggSpec& s) {
   return Status::Unsupported("unknown aggregate: " + s.name);
 }
 
-std::unique_ptr<FlatAggregator> CreateFlatAggregator(const AggSpec& s) {
-  if (s.distinct) return nullptr;  // DISTINCT keeps the per-group set path.
-  if (s.name == "count") {
-    return std::make_unique<FlatCountAgg>(s.arg == nullptr);
+Result<std::unique_ptr<FlatAggregator>> CreateFlatAggregator(
+    const AggSpec& s) {
+  using Ptr = std::unique_ptr<FlatAggregator>;
+  if (!s.distinct) {
+    if (s.name == "count") return Ptr(new FlatCountAgg(s.arg == nullptr));
+    if (s.name == "sum") return Ptr(new FlatSumAgg());
+    if (s.name == "avg") return Ptr(new FlatAvgAgg());
+    if (s.name == "min") return Ptr(new FlatMinMaxAgg(true));
+    if (s.name == "max") return Ptr(new FlatMinMaxAgg(false));
+    if (s.name == "var" || s.name == "var_samp" || s.name == "variance") {
+      return Ptr(new FlatVarAgg(false));
+    }
+    if (s.name == "stddev" || s.name == "stddev_samp") {
+      return Ptr(new FlatVarAgg(true));
+    }
   }
-  if (s.name == "sum") return std::make_unique<FlatSumAgg>();
-  if (s.name == "avg") return std::make_unique<FlatAvgAgg>();
-  if (s.name == "min") return std::make_unique<FlatMinMaxAgg>(true);
-  if (s.name == "max") return std::make_unique<FlatMinMaxAgg>(false);
-  if (s.name == "var" || s.name == "var_samp" || s.name == "variance") {
-    return std::make_unique<FlatVarAgg>(false);
-  }
-  if (s.name == "stddev" || s.name == "stddev_samp") {
-    return std::make_unique<FlatVarAgg>(true);
-  }
-  // quantile/median (sorted-vector), ndv/HLL, and UDAs are not scatterable.
-  return nullptr;
+  // DISTINCT sets, quantile vectors, HLL sketches and UDAs keep objects.
+  auto acc = CreateAccumulator(s);
+  if (!acc.ok()) return acc.status();
+  return Ptr(new ObjectLaneAgg(s, std::move(acc).ValueOrDie()));
 }
 
 }  // namespace vdb::engine

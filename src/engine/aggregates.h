@@ -40,9 +40,9 @@ class AggAccumulator {
   virtual void AddBatch(const Column& col, const uint32_t* rows, size_t n);
   /// Adds the same value n times (count(*) over a group of n rows).
   virtual void AddRepeated(const Value& v, size_t n);
-  /// True if this accumulator supports Merge. The morsel-driven parallel
-  /// aggregation path requires every accumulator of a query to be mergeable;
-  /// otherwise the planner keeps the serial path. UDAs default to false.
+  /// True if this accumulator supports Merge. A query with any
+  /// non-mergeable accumulator aggregates its whole input as one morsel.
+  /// UDAs default to false.
   virtual bool Mergeable() const { return false; }
   /// Folds a partial state into this one. `other` must be the same concrete
   /// accumulator type, and both Mergeable(). The planner aggregates every
@@ -55,25 +55,29 @@ class AggAccumulator {
   virtual Value Finalize() const = 0;
 };
 
-/// SoA (structure-of-arrays) aggregate state: typed lane arrays indexed by
-/// group id instead of one heap accumulator object per group, fed
-/// column-at-a-time by the flat aggregation sink. Each implementation
-/// mirrors its AggAccumulator counterpart's arithmetic exactly — same
-/// per-value recurrence, same per-call batch semantics, same merge algebra —
-/// so flat and per-group results are bit-identical (the object path stays
-/// the semantic reference, pinned by the FlatAggTest differential fuzz).
+/// Per-group aggregate state indexed by dense group id, fed
+/// column-at-a-time by the planner's grouped-aggregation driver. The builtin
+/// numeric aggregates keep SoA (structure-of-arrays) typed lanes that mirror
+/// their AggAccumulator counterpart's arithmetic exactly — same per-value
+/// recurrence, same per-call batch semantics, same merge algebra; every
+/// other aggregate keeps one AggAccumulator per group. Both forms produce
+/// what per-group accumulators fed the same rows would, bit for bit (pinned
+/// by the FlatAggTest differential fuzz against a test-side oracle).
 class FlatAggregator {
  public:
   virtual ~FlatAggregator() = default;
+  /// False when a group's state cannot be merged (a UDA without Merge); the
+  /// planner then aggregates the whole input as one morsel.
+  virtual bool Mergeable() const { return true; }
   /// Grows state to `n` groups (never shrinks). New groups start empty.
   virtual void ResizeGroups(size_t n) = 0;
   /// Accumulates col[base + k] into group gids[k] for k in [0, n), in k
   /// order. `col` is nullptr for count(*). `base` is the row offset of batch
-  /// position 0 — nonzero when the flat sink feeds a table column directly
+  /// position 0 — nonzero when the planner feeds a table column directly
   /// at the morsel's start row instead of slicing it (the zero-copy
   /// direct-column path). One call is one batch: aggregates with per-batch
   /// semantics (min/max's batch-local extremum fold) treat the whole call as
-  /// the reference's AddBatch.
+  /// one AddBatch per group.
   virtual void AddScatter(const Column* col, size_t base, const uint32_t* gids,
                           size_t n) = 0;
   /// Bitmap-selected form: accumulates col[base + rows[k]] into gids[k].
@@ -82,26 +86,27 @@ class FlatAggregator {
   virtual void AddScatterSelected(const Column* col, size_t base,
                                   const uint32_t* rows, const uint32_t* gids,
                                   size_t n) = 0;
-  /// Folds group `src` of `other` into group `dst` of this — the SoA mirror
-  /// of AggAccumulator::Merge. `other` is the same concrete type. Merging
+  /// Folds group `src` of `other` into group `dst` of this — the mirror of
+  /// AggAccumulator::Merge. `other` is the same concrete type. Merging
   /// morsel partials strictly in morsel order keeps results bit-identical
-  /// across thread counts, exactly like the object path.
+  /// across thread counts.
   virtual void MergeGroup(const FlatAggregator& other, uint32_t dst,
                           uint32_t src) = 0;
-  /// Copies group `src` of `other` over group `dst` verbatim — the mirror of
-  /// the reference merge loop MOVING a first-occurrence partial into the
-  /// global slot. Merging into an empty group instead would re-round
-  /// compensated sums (NeumaierAdd(0, 0, sum) then comp collapses the error
-  /// term), so first occurrences must copy, not merge.
-  virtual void CopyGroup(const FlatAggregator& other, uint32_t dst,
+  /// Moves group `src` of `other` into group `dst` verbatim, leaving the
+  /// source group unspecified — how a group's first-occurrence partial
+  /// enters the merged state. Merging into an empty group instead would
+  /// re-round compensated sums (NeumaierAdd(0, 0, sum) then comp collapses
+  /// the error term), so first occurrences must move, not merge.
+  virtual void MoveGroup(FlatAggregator& other, uint32_t dst,
                          uint32_t src) = 0;
   virtual Value FinalizeGroup(uint32_t gid) const = 0;
 };
 
-/// Creates the SoA accumulator for `spec`, or null when the aggregate is not
-/// scatterable — DISTINCT, quantile/median, ndv/HLL, and UDAs keep the
-/// per-group object path (the planner falls back per query).
-std::unique_ptr<FlatAggregator> CreateFlatAggregator(const AggSpec& spec);
+/// Creates the group state for `spec`: SoA lanes for count/sum/avg/min/max/
+/// var/stddev, one AggAccumulator per group for DISTINCT, quantile/median,
+/// ndv/HLL and UDAs. Fails for an unknown aggregate.
+Result<std::unique_ptr<FlatAggregator>> CreateFlatAggregator(
+    const AggSpec& spec);
 
 using UdaFactory = std::function<std::unique_ptr<AggAccumulator>()>;
 

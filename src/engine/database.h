@@ -65,14 +65,6 @@ class Database {
   Catalog& catalog() { return catalog_; }
   const Catalog& catalog() const { return catalog_; }
 
-  /// Direct access to the database RNG, for serial setup code (the
-  /// integrated-AQP baseline draws its shuffles here). NOT safe while other
-  /// threads execute statements — concurrent draws go through
-  /// NewQuerySeed(), which serializes on seed_mu_. The analysis exemption
-  /// is deliberate: the returned reference escapes the lock scope, which is
-  /// exactly why this accessor is restricted to single-threaded phases.
-  Rng& rng() NO_THREAD_SAFETY_ANALYSIS { return rng_; }
-
   /// Draws the per-statement seed for the row-addressed rand() substrate
   /// (common/random.h): one Rng draw per executed statement, so consecutive
   /// statements get independent draws while a fixed database seed plus a

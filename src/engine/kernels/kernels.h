@@ -20,8 +20,9 @@
 //    kernel units in tests/test_kernels.cc enforce this; the scalar-forced CI
 //    leg keeps the fallback from rotting. See README.md in this directory
 //    for the rules a new kernel must follow.
-//  - SetSimdLevelForTest is a plain global like the engine's other test
-//    hooks: set it only while no parallel region is in flight.
+//  - SetSimdLevelForTest stores the level and ops table through atomics
+//    (kernels.cc), so idle pool workers may read concurrently; call it
+//    between statements so one statement never mixes levels.
 //
 // Semantics pinned by the scalar reference (kernels must not drift):
 //  - Double comparisons are phrased from < and > only (the engine's

@@ -34,21 +34,10 @@ using sql::TableRef;
 // workers may still read; see docs/INVARIANTS.md (test-hook contract).
 std::atomic<bool> g_join_where_pushdown{true};
 
-/// Test hook (SetFlatAggSinkForTest): flat SoA aggregation sink on/off.
-// Test hook: atomic (relaxed) — tests write between queries while pool
-// workers may still read; see docs/INVARIANTS.md (test-hook contract).
-std::atomic<bool> g_flat_agg_sink{true};
-
-/// Test hook (SetGroupedWhereBitmapForTest): bitmap WHERE for grouped
-/// queries on/off.
-// Test hook: atomic (relaxed) — tests write between queries while pool
-// workers may still read; see docs/INVARIANTS.md (test-hook contract).
-std::atomic<bool> g_grouped_where_bitmap{true};
-
 /// Rank-select over a filter bitmap: the view position of the rank-th set
 /// bit (0-based). `wprefix[w]` is the number of set bits before word w
 /// (wprefix.size() == num_words + 1) — binary-search the owning word, then
-/// walk its bits. The flat sink's bitmap path uses this to turn a morsel's
+/// walk its bits. Grouped aggregation uses this to turn a morsel's
 /// survivor-rank range into the dense row span it must evaluate.
 size_t BitmapSelect(const kernels::Bitmap& bits,
                     const std::vector<size_t>& wprefix, size_t rank) {
@@ -538,19 +527,18 @@ class SelectExecutor {
     }
 
     // WHERE: morsel-parallel batch predicate over the input view. Grouped
-    // queries keep the survivors as a row BITMAP — the flat aggregation sink
-    // consumes the mask directly (selected-row group assignment and scatter),
-    // so selective GROUP BYs never expand the mask into a selection vector or
-    // gather survivors; grouped paths that can't consume a bitmap expand it
-    // inside RunGrouped, bit-identically. Everything else keeps the
-    // (table, SelVector) view — no gather; downstream operators evaluate
-    // through the view and the projection (or the result boundary) performs
-    // the query's one full-width gather.
+    // queries keep the survivors as a row BITMAP that RunGrouped consumes
+    // directly (selected-row group assignment and scatter), so selective
+    // GROUP BYs never expand the mask into a selection vector or gather
+    // survivors. Everything else keeps the (table, SelVector) view — no
+    // gather; downstream operators evaluate through the view and the
+    // projection (or the result boundary) performs the query's one
+    // full-width gather.
     kernels::Bitmap where_bits;
     const kernels::Bitmap* group_filter = nullptr;
     if (stmt->where && !pushdown_where_applied_) {
       VDB_RETURN_IF_ERROR(BindExpr(stmt->where.get(), input.scope));
-      if (grouped && g_grouped_where_bitmap.load(std::memory_order_relaxed)) {
+      if (grouped) {
         VDB_RETURN_IF_ERROR(EvalPredicateBitmap(*stmt->where, view, rand_seed_,
                                                 db_->num_threads(),
                                                 &where_bits, guard_));
@@ -721,14 +709,10 @@ class SelectExecutor {
   }
 
   // ------------------------------------------------------- grouped select --
-  // `filter` (optional) is a WHERE-survivor bitmap over view positions. Only
-  // the flat sink consumes it directly; the reference paths expand it into
-  // the equivalent selection view below (set bits in position order — the
-  // exact selection vector a SelVector WHERE would have produced).
-  Result<ResultSet> RunGrouped(SelectStmt* stmt, const RowView& view_in,
+  // `filter` (optional) is the WHERE-survivor bitmap over view positions.
+  Result<ResultSet> RunGrouped(SelectStmt* stmt, const RowView& view,
                                const Scope& scope,
-                               const kernels::Bitmap* filter = nullptr) {
-    RowView view = view_in;
+                               const kernels::Bitmap* filter) {
     // Resolve group-by items that name select aliases.
     for (auto& g : stmt->group_by) {
       if (g->kind == ExprKind::kColumnRef && g->qualifier.empty() &&
@@ -769,410 +753,181 @@ class SelectExecutor {
       specs.push_back(s);
     }
 
-    // Hash aggregation.
-    struct Group {
-      std::vector<Value> keys;
-      std::vector<std::unique_ptr<AggAccumulator>> accs;
-    };
-    std::vector<Group> groups;
-
-    auto make_accs =
-        [&]() -> Result<std::vector<std::unique_ptr<AggAccumulator>>> {
-      std::vector<std::unique_ptr<AggAccumulator>> accs;
-      accs.reserve(specs.size());
-      for (const auto& s : specs) {
-        auto acc = CreateAccumulator(s);
-        if (!acc.ok()) return acc.status();
-        accs.push_back(std::move(acc).ValueOrDie());
-      }
-      return accs;
-    };
-
-    // Morsel-partial aggregation needs mergeable accumulator states. When
-    // it applies, it applies at EVERY thread count: the morsel decomposition
-    // depends only on the row count, and partials merge strictly in morsel
-    // order, so 1-thread and N-thread runs execute the identical computation
-    // and produce bit-identical results (floating-point aggregates
-    // included). rand()-bearing grouping/argument expressions are fine here:
-    // row-addressed draws make every morsel see the values the whole-input
-    // batch would. Queries it can't cover run the whole-input serial path —
-    // also at every thread count, so those stay consistent too.
+    // One driver for every grouped query: each morsel evaluates the keys and
+    // aggregate arguments over its rows, assigns dense group ids, and
+    // scatters into its own partial lanes (SoA lanes or per-group
+    // accumulator objects — see CreateFlatAggregator); the partials merge
+    // strictly in morsel order through the hashed merge table into `flats`.
+    // The decomposition depends only on the input, so every thread count runs
+    // the identical computation and produces bit-identical results
+    // (floating-point aggregates included). rand()-bearing expressions are
+    // fine: row-addressed draws give every morsel the values a whole-input
+    // batch would see.
+    //
+    // With a WHERE bitmap, morsels decompose over SURVIVOR RANKS: each
+    // morsel dense-evaluates its survivors' physical span (arithmetic is
+    // per-row pure and rand is row-addressed, so surviving rows get the
+    // values compacted evaluation would give them) and groups/scatters only
+    // the set-bit rows — the mask is never expanded to row indices, and the
+    // gid sequence, first-occurrence order, and group hashes all match the
+    // compacted rows'.
     const int num_threads = db_->num_threads();
     VDB_RETURN_IF_ERROR(CheckGroupableRows(view.num_rows()));
-    bool partials = true;
-    {
-      auto probe = make_accs();
-      if (!probe.ok()) return probe.status();
-      for (const auto& acc : probe.value()) {
-        if (!acc->Mergeable()) partials = false;
-      }
+    std::vector<std::unique_ptr<FlatAggregator>> flats;  // merged state
+    bool mergeable = true;
+    for (const auto& s : specs) {
+      auto f = CreateFlatAggregator(s);
+      if (!f.ok()) return f.status();
+      mergeable = mergeable && f.value()->Mergeable();
+      flats.push_back(std::move(f).ValueOrDie());
     }
 
-    // Flat sink eligibility: every aggregate must be scatterable
-    // (scatterable implies mergeable — the flat sink is the SoA form of the
-    // partial path). `flats` becomes the global merged state; per-morsel
-    // partials are created inside the morsels.
-    std::vector<std::unique_ptr<FlatAggregator>> flats;
-    bool flat = g_flat_agg_sink.load(std::memory_order_relaxed) && partials;
-    if (flat) {
-      for (const auto& s : specs) {
-        auto f = CreateFlatAggregator(s);
-        if (f == nullptr) {
-          flat = false;
-          flats.clear();
-          break;
-        }
-        flats.push_back(std::move(f));
-      }
-    }
-    GroupMergeTable flat_merge;  // global key -> dense gid (flat sink)
-    size_t flat_ngroups = 0;
+    struct MorselFlat {
+      GroupAssignment ga;
+      std::vector<std::vector<Value>> keys;  // per local group
+      std::vector<std::unique_ptr<FlatAggregator>> parts;
+    };
 
-    if (filter != nullptr && !flat) {
-      SelVector sel;
-      sel.reserve(filter->CountSet());
+    // Word prefix popcounts for rank-select over the filter bitmap.
+    std::vector<size_t> wprefix;
+    size_t total = view.num_rows();
+    if (filter != nullptr) {
+      wprefix.resize(filter->num_words() + 1, 0);
       for (size_t w = 0; w < filter->num_words(); ++w) {
-        uint64_t word = filter->word(w);
-        while (word != 0) {
-          const size_t k = w * 64 + static_cast<size_t>(__builtin_ctzll(word));
-          sel.push_back(view.RowAt(k));
-          word &= word - 1;
-        }
+        wprefix[w + 1] =
+            wprefix[w] +
+            static_cast<size_t>(__builtin_popcountll(filter->word(w)));
       }
-      auto filtered = RowView::Select(view.table(), std::move(sel));
-      if (!filtered.ok()) return filtered.status();
-      view = std::move(filtered).ValueOrDie();
-      filter = nullptr;
+      total = wprefix.back();
     }
 
-    if (!partials) {
-      // Serial path (non-mergeable UDAs):
-      // batch-evaluate group keys and aggregate arguments once over the
-      // whole view, column-at-a-time, assign hashed group ids over the
-      // materialized key columns (vectorized — no per-row string keys), and
-      // accumulate each group through the selection-vector batch interface.
-      VDB_RETURN_IF_ERROR(GuardCheck(guard_, "agg_partial"));
-      Batch batch = ViewBatch(view, rand_seed_);
-      std::vector<Column> gcols;
-      gcols.reserve(stmt->group_by.size());
-      for (const auto& g : stmt->group_by) {
-        auto c = EvalExprBatch(*g, batch);
-        if (!c.ok()) return c.status();
-        gcols.push_back(std::move(c).ValueOrDie());
-      }
-      std::vector<Column> acols(specs.size());
-      for (size_t i = 0; i < specs.size(); ++i) {
-        if (specs[i].arg == nullptr) continue;
-        auto c = EvalExprBatch(*specs[i].arg, batch);
-        if (!c.ok()) return c.status();
-        acols[i] = std::move(c).ValueOrDie();
-      }
-
-      const size_t n = view.num_rows();
-      std::vector<const Column*> gptrs;
-      gptrs.reserve(gcols.size());
-      for (const auto& gc : gcols) gptrs.push_back(&gc);
-      GroupAssignment ga = AssignGroupIds(gptrs, n);
-      std::vector<SelVector> group_rows(ga.num_groups());
-      for (size_t r = 0; r < n; ++r) {
-        group_rows[ga.gid_of_row[r]].push_back(static_cast<uint32_t>(r));
-      }
-      for (size_t g = 0; g < ga.num_groups(); ++g) {
-        Group grp;
-        grp.keys.reserve(gcols.size());
-        for (const auto& gc : gcols) grp.keys.push_back(gc.Get(ga.rep_row[g]));
-        auto accs = make_accs();
-        if (!accs.ok()) return accs.status();
-        grp.accs = std::move(accs).ValueOrDie();
-        groups.push_back(std::move(grp));
-      }
-      // An aggregate without GROUP BY keys emits one row even over an empty
-      // input (count(*) = 0, sum = NULL, ...).
-      if (stmt->group_by.empty() && groups.empty()) {
-        Group grp;
-        auto accs = make_accs();
-        if (!accs.ok()) return accs.status();
-        grp.accs = std::move(accs).ValueOrDie();
-        groups.push_back(std::move(grp));
-        group_rows.emplace_back();
-      }
-
-      for (size_t g = 0; g < groups.size(); ++g) {
-        for (size_t i = 0; i < specs.size(); ++i) {
-          if (specs[i].arg != nullptr) {
-            groups[g].accs[i]->AddBatch(acols[i], group_rows[g].data(),
-                                        group_rows[g].size());
-          } else {
-            groups[g].accs[i]->AddRepeated(Value::Int(1),
-                                           group_rows[g].size());
-          }
-        }
-      }
-    } else if (!flat) {
-      // Reference partial path (mergeable but not scatterable — DISTINCT,
-      // quantile, HLL, mergeable UDAs, or the flat sink disabled): each
-      // morsel evaluates the grouping and argument expressions over its own
-      // slice of the view, aggregates into morsel-local partial states, and
-      // the partials are merged strictly in morsel order. The decomposition
-      // depends only on the view's row count, so the output — values, group
-      // order, and floating-point rounding — is identical for every thread
-      // count and OS schedule.
-      struct LocalGroup {
-        uint64_t hash = 0;  // mixed group-key hash (AssignGroupIds)
-        std::vector<Value> keys;
-        std::vector<std::unique_ptr<AggAccumulator>> accs;
-      };
-      struct MorselAgg {
-        std::vector<LocalGroup> groups;
-      };
-      const size_t n = view.num_rows();
-      auto parts_or = ParallelMorselMapStatus<MorselAgg>(
-          n, num_threads, guard_, "agg_partial",
-          [&](MorselAgg& res, size_t begin, size_t end) -> Status {
-            Batch batch = ViewBatch(view, rand_seed_, begin, end);
-            const size_t ln = end - begin;
-            std::vector<Column> gcols;
-            gcols.reserve(stmt->group_by.size());
-            for (const auto& g : stmt->group_by) {
-              auto c = EvalExprBatch(*g, batch);
-              if (!c.ok()) return c.status();
-              gcols.push_back(std::move(c).ValueOrDie());
-            }
-            std::vector<Column> acols(specs.size());
-            for (size_t i = 0; i < specs.size(); ++i) {
-              if (specs[i].arg == nullptr) continue;
-              auto c = EvalExprBatch(*specs[i].arg, batch);
-              if (!c.ok()) return c.status();
-              acols[i] = std::move(c).ValueOrDie();
-            }
-            std::vector<const Column*> gptrs;
-            gptrs.reserve(gcols.size());
-            for (const auto& gc : gcols) gptrs.push_back(&gc);
-            GroupAssignment ga = AssignGroupIds(gptrs, ln);
-            std::vector<SelVector> rows(ga.num_groups());
-            for (size_t r = 0; r < ln; ++r) {
-              rows[ga.gid_of_row[r]].push_back(static_cast<uint32_t>(r));
-            }
-            res.groups.reserve(ga.num_groups());
-            for (size_t g = 0; g < ga.num_groups(); ++g) {
-              LocalGroup lg;
-              lg.keys.reserve(gcols.size());
-              for (const auto& gc : gcols) {
-                lg.keys.push_back(gc.Get(ga.rep_row[g]));
-              }
-              lg.hash = ga.group_hash[g];
-              auto accs = make_accs();
-              if (!accs.ok()) return accs.status();
-              lg.accs = std::move(accs).ValueOrDie();
-              for (size_t i = 0; i < specs.size(); ++i) {
-                if (specs[i].arg != nullptr) {
-                  lg.accs[i]->AddBatch(acols[i], rows[g].data(),
-                                       rows[g].size());
-                } else {
-                  lg.accs[i]->AddRepeated(Value::Int(1), rows[g].size());
-                }
-              }
-              res.groups.push_back(std::move(lg));
-            }
-            return Status::Ok();
-          });
-      if (!parts_or.ok()) return parts_or.status();
-      std::vector<MorselAgg>& parts = parts_or.value();
-
-      // Hashed merge: every morsel's AssignGroupIds already computed each
-      // group's key hash (a pure function of the key values, so all morsels
-      // agree); FindOrInsert probes it directly — no per-group string keys.
-      GroupMergeTable merge;
-      merge.set_guard(guard_);
-      merge.Reset(stmt->group_by.size(), 64);
-      for (MorselAgg& part : parts) {
-        for (LocalGroup& lg : part.groups) {
-          bool inserted;
-          const uint32_t gid =
-              merge.FindOrInsert(lg.hash, lg.keys.data(), &inserted);
-          if (inserted) {
-            Group grp;
-            grp.keys = std::move(lg.keys);
-            grp.accs = std::move(lg.accs);
-            groups.push_back(std::move(grp));
-          } else {
-            Group& dst = groups[gid];
-            for (size_t i = 0; i < specs.size(); ++i) {
-              dst.accs[i]->Merge(*lg.accs[i]);
-            }
-          }
-        }
-      }
-      // A budget trip during merge-table growth latches instead of throwing
-      // mid-probe; discard the partially merged state here.
-      VDB_RETURN_IF_ERROR(merge.guard_status());
-      // An aggregate without GROUP BY keys emits one row even over an empty
-      // input (count(*) = 0, sum = NULL, ...).
-      if (stmt->group_by.empty() && groups.empty()) {
-        Group grp;
-        auto accs = make_accs();
-        if (!accs.ok()) return accs.status();
-        grp.accs = std::move(accs).ValueOrDie();
-        groups.push_back(std::move(grp));
-      }
-    } else {
-      // Flat sink: per-morsel SoA partials (dense group ids + typed lane
-      // arrays, column-at-a-time scatter), merged strictly in morsel order
-      // through the hashed merge table into the global `flats` state. With a
-      // WHERE bitmap, morsels decompose over SURVIVOR RANKS: each morsel
-      // dense-evaluates its survivors' physical span (arithmetic is per-row
-      // pure and rand is row-addressed, so dense evaluation produces the
-      // identical values at surviving rows that compacted evaluation would)
-      // and groups/scatters only the set-bit rows — the mask is never
-      // expanded to row indices, and the gid sequence, first-occurrence
-      // order, and group hashes all match the compacted path's.
-      struct MorselFlat {
-        GroupAssignment ga;
-        std::vector<std::vector<Value>> keys;  // per local group
-        std::vector<std::unique_ptr<FlatAggregator>> parts;
-      };
-
-      // Word prefix popcounts for rank-select over the filter bitmap.
-      std::vector<size_t> wprefix;
-      size_t total = view.num_rows();
+    auto body = [&](MorselFlat& res, size_t begin, size_t end) -> Status {
+      // Resolve this morsel's dense row span and (with a filter) its
+      // span-relative selected rows.
+      size_t row_lo = begin, row_hi = end;
+      SelVector sel_local;
       if (filter != nullptr) {
-        wprefix.resize(filter->num_words() + 1, 0);
-        for (size_t w = 0; w < filter->num_words(); ++w) {
-          wprefix[w + 1] =
-              wprefix[w] +
-              static_cast<size_t>(__builtin_popcountll(filter->word(w)));
+        row_lo = BitmapSelect(*filter, wprefix, begin);
+        row_hi = BitmapSelect(*filter, wprefix, end - 1) + 1;
+        sel_local.reserve(end - begin);
+        for (size_t w = row_lo / 64; w <= (row_hi - 1) / 64; ++w) {
+          uint64_t word = filter->word(w);
+          while (word != 0) {
+            const size_t p =
+                w * 64 + static_cast<size_t>(__builtin_ctzll(word));
+            word &= word - 1;
+            if (p < row_lo) continue;
+            if (p >= row_hi) break;
+            sel_local.push_back(static_cast<uint32_t>(p - row_lo));
+          }
         }
-        total = wprefix.back();
       }
-
-      auto body = [&](MorselFlat& res, size_t begin, size_t end) -> Status {
-        // Resolve this morsel's dense row span and (with a filter) its
-        // span-relative selected rows.
-        size_t row_lo = begin, row_hi = end;
-        SelVector sel_local;
-        if (filter != nullptr) {
-          row_lo = BitmapSelect(*filter, wprefix, begin);
-          row_hi = BitmapSelect(*filter, wprefix, end - 1) + 1;
-          sel_local.reserve(end - begin);
-          for (size_t w = row_lo / 64; w <= (row_hi - 1) / 64; ++w) {
-            uint64_t word = filter->word(w);
-            while (word != 0) {
-              const size_t p =
-                  w * 64 + static_cast<size_t>(__builtin_ctzll(word));
-              word &= word - 1;
-              if (p < row_lo) continue;
-              if (p >= row_hi) break;
-              sel_local.push_back(static_cast<uint32_t>(p - row_lo));
-            }
-          }
-        }
-        Batch batch = ViewBatch(view, rand_seed_, row_lo, row_hi);
-        const size_t span = row_hi - row_lo;
-        const size_t ln = end - begin;
-        // Batch columns: a bound column ref over a dense (no-selection)
-        // batch reads the table column IN PLACE at the morsel's base row —
-        // the zero-copy direct-column path, no per-morsel slice
-        // materialization (ColumnRefVec's borrowed-lane form, carried
-        // through grouping and scatter). Everything else evaluates into an
-        // owned column with base 0.
-        struct BatchCol {
-          Column owned;
-          const Column* col = nullptr;
-          size_t base = 0;
-        };
-        auto eval_col = [&](const sql::Expr& e, BatchCol* out) -> Status {
-          if (e.kind == ExprKind::kColumnRef && e.bound_column >= 0 &&
-              batch.sel == nullptr) {
-            out->col =
-                &batch.table->column(static_cast<size_t>(e.bound_column));
-            out->base = batch.range_begin;
-            return Status::Ok();
-          }
-          auto c = EvalExprBatch(e, batch);
-          if (!c.ok()) return c.status();
-          out->owned = std::move(c).ValueOrDie();
-          out->col = &out->owned;
+      Batch batch = ViewBatch(view, rand_seed_, row_lo, row_hi);
+      const size_t span = row_hi - row_lo;
+      const size_t ln = end - begin;
+      // Batch columns: a bound column ref over a dense (no-selection) batch
+      // reads the table column IN PLACE at the morsel's base row — the
+      // zero-copy direct-column path, no per-morsel slice materialization
+      // (ColumnRefVec's borrowed-lane form, carried through grouping and
+      // scatter). Everything else evaluates into an owned column with base 0.
+      struct BatchCol {
+        Column owned;
+        const Column* col = nullptr;
+        size_t base = 0;
+      };
+      auto eval_col = [&](const sql::Expr& e, BatchCol* out) -> Status {
+        if (e.kind == ExprKind::kColumnRef && e.bound_column >= 0 &&
+            batch.sel == nullptr) {
+          out->col = &batch.table->column(static_cast<size_t>(e.bound_column));
+          out->base = batch.range_begin;
           return Status::Ok();
-        };
-        std::vector<BatchCol> gcols(stmt->group_by.size());
-        for (size_t i = 0; i < stmt->group_by.size(); ++i) {
-          VDB_RETURN_IF_ERROR(eval_col(*stmt->group_by[i], &gcols[i]));
         }
-        std::vector<BatchCol> acols(specs.size());
-        for (size_t i = 0; i < specs.size(); ++i) {
-          if (specs[i].arg == nullptr) continue;
-          VDB_RETURN_IF_ERROR(eval_col(*specs[i].arg, &acols[i]));
-        }
-        std::vector<KeyCol> kcs;
-        kcs.reserve(gcols.size());
-        for (const auto& gc : gcols) kcs.push_back(KeyCol{gc.col, gc.base});
-        if (filter != nullptr) {
-          AssignGroupIdsSelectedBased(kcs, span, sel_local.data(), ln,
-                                      &res.ga);
-        } else {
-          res.ga = AssignGroupIdsBased(kcs, ln);
-        }
-        const size_t ngroups = res.ga.num_groups();
-        res.keys.resize(ngroups);
-        for (size_t g = 0; g < ngroups; ++g) {
-          res.keys[g].reserve(gcols.size());
-          for (const auto& gc : gcols) {
-            res.keys[g].push_back(gc.col->Get(gc.base + res.ga.rep_row[g]));
-          }
-        }
-        res.parts.reserve(specs.size());
-        for (size_t i = 0; i < specs.size(); ++i) {
-          auto f = CreateFlatAggregator(specs[i]);
-          f->ResizeGroups(ngroups);
-          const Column* col = specs[i].arg != nullptr ? acols[i].col : nullptr;
-          const size_t base = specs[i].arg != nullptr ? acols[i].base : 0;
-          if (filter != nullptr) {
-            f->AddScatterSelected(col, base, sel_local.data(),
-                                  res.ga.gid_of_row.data(), ln);
-          } else {
-            f->AddScatter(col, base, res.ga.gid_of_row.data(), ln);
-          }
-          res.parts.push_back(std::move(f));
-        }
+        auto c = EvalExprBatch(e, batch);
+        if (!c.ok()) return c.status();
+        out->owned = std::move(c).ValueOrDie();
+        out->col = &out->owned;
         return Status::Ok();
       };
-      auto parts_or = ParallelMorselMapStatus<MorselFlat>(
-          total, num_threads, guard_, "agg_partial", body);
-      if (!parts_or.ok()) return parts_or.status();
-      std::vector<MorselFlat>& parts = parts_or.value();
+      std::vector<BatchCol> gcols(stmt->group_by.size());
+      for (size_t i = 0; i < stmt->group_by.size(); ++i) {
+        VDB_RETURN_IF_ERROR(eval_col(*stmt->group_by[i], &gcols[i]));
+      }
+      std::vector<BatchCol> acols(specs.size());
+      for (size_t i = 0; i < specs.size(); ++i) {
+        if (specs[i].arg == nullptr) continue;
+        VDB_RETURN_IF_ERROR(eval_col(*specs[i].arg, &acols[i]));
+      }
+      std::vector<KeyCol> kcs;
+      kcs.reserve(gcols.size());
+      for (const auto& gc : gcols) kcs.push_back(KeyCol{gc.col, gc.base});
+      if (filter != nullptr) {
+        AssignGroupIdsSelectedBased(kcs, span, sel_local.data(), ln, &res.ga);
+      } else {
+        res.ga = AssignGroupIdsBased(kcs, ln);
+      }
+      const size_t ngroups = res.ga.num_groups();
+      res.keys.resize(ngroups);
+      for (size_t g = 0; g < ngroups; ++g) {
+        res.keys[g].reserve(gcols.size());
+        for (const auto& gc : gcols) {
+          res.keys[g].push_back(gc.col->Get(gc.base + res.ga.rep_row[g]));
+        }
+      }
+      res.parts.reserve(specs.size());
+      for (size_t i = 0; i < specs.size(); ++i) {
+        auto made = CreateFlatAggregator(specs[i]);
+        if (!made.ok()) return made.status();
+        std::unique_ptr<FlatAggregator> f = std::move(made).ValueOrDie();
+        f->ResizeGroups(ngroups);
+        const Column* col = specs[i].arg != nullptr ? acols[i].col : nullptr;
+        const size_t base = specs[i].arg != nullptr ? acols[i].base : 0;
+        if (filter != nullptr) {
+          f->AddScatterSelected(col, base, sel_local.data(),
+                                res.ga.gid_of_row.data(), ln);
+        } else {
+          f->AddScatter(col, base, res.ga.gid_of_row.data(), ln);
+        }
+        res.parts.push_back(std::move(f));
+      }
+      return Status::Ok();
+    };
+    // Accumulators that cannot merge (UDAs may opt out) see the whole input
+    // as one morsel.
+    auto parts_or = ParallelMorselMapStatus<MorselFlat>(
+        total, num_threads, guard_, "agg_partial", body,
+        mergeable ? MorselRows() : std::max<size_t>(total, 1));
+    if (!parts_or.ok()) return parts_or.status();
+    std::vector<MorselFlat> parts = std::move(parts_or).ValueOrDie();
 
-      flat_merge.set_guard(guard_);
-      flat_merge.Reset(stmt->group_by.size(), 64);
-      for (MorselFlat& part : parts) {
-        for (uint32_t g = 0; g < part.keys.size(); ++g) {
-          bool inserted;
-          const uint32_t gid = flat_merge.FindOrInsert(
-              part.ga.group_hash[g], part.keys[g].data(), &inserted);
-          if (inserted) {
-            // First occurrence: verbatim state copy, mirroring the reference
-            // merge loop MOVING the first partial into the global slot
-            // (merging into an empty group would re-round compensated sums).
-            for (auto& f : flats) f->ResizeGroups(flat_merge.num_groups());
-            for (size_t i = 0; i < specs.size(); ++i) {
-              flats[i]->CopyGroup(*part.parts[i], gid, g);
-            }
-          } else {
-            for (size_t i = 0; i < specs.size(); ++i) {
-              flats[i]->MergeGroup(*part.parts[i], gid, g);
-            }
+    GroupMergeTable merge;  // global key tuple -> dense gid
+    merge.set_guard(guard_);
+    merge.Reset(stmt->group_by.size(), 64);
+    for (MorselFlat& part : parts) {
+      for (uint32_t g = 0; g < part.keys.size(); ++g) {
+        bool inserted;
+        const uint32_t gid = merge.FindOrInsert(part.ga.group_hash[g],
+                                                part.keys[g].data(), &inserted);
+        if (inserted) {
+          for (auto& f : flats) f->ResizeGroups(merge.num_groups());
+          for (size_t i = 0; i < specs.size(); ++i) {
+            flats[i]->MoveGroup(*part.parts[i], gid, g);
+          }
+        } else {
+          for (size_t i = 0; i < specs.size(); ++i) {
+            flats[i]->MergeGroup(*part.parts[i], gid, g);
           }
         }
       }
-      // A budget trip during merge-table growth latches instead of throwing
-      // mid-probe; discard the partially merged state here.
-      VDB_RETURN_IF_ERROR(flat_merge.guard_status());
-      flat_ngroups = flat_merge.num_groups();
-      // An aggregate without GROUP BY keys emits one row even over an empty
-      // input (count(*) = 0, sum = NULL, ...).
-      if (stmt->group_by.empty() && flat_ngroups == 0) {
-        flat_ngroups = 1;
-        for (auto& f : flats) f->ResizeGroups(1);
-      }
+    }
+    // A budget trip during merge-table growth latches instead of throwing
+    // mid-probe; discard the partially merged state here.
+    VDB_RETURN_IF_ERROR(merge.guard_status());
+    size_t ngroups = merge.num_groups();
+    // An aggregate without GROUP BY keys emits one row even over an empty
+    // input (count(*) = 0, sum = NULL, ...).
+    if (stmt->group_by.empty() && ngroups == 0) {
+      ngroups = 1;
+      for (auto& f : flats) f->ResizeGroups(1);
     }
 
     // Materialize the aggregate table: group cols then agg cols.
@@ -1180,21 +935,11 @@ class SelectExecutor {
     const size_t gk = stmt->group_by.size();
     {
       std::vector<Column> cols(gk + specs.size());
-      if (flat) {
-        for (size_t g = 0; g < flat_ngroups; ++g) {
-          const Value* keys =
-              flat_merge.group_keys(static_cast<uint32_t>(g));
-          for (size_t i = 0; i < gk; ++i) cols[i].Append(keys[i]);
-          for (size_t i = 0; i < specs.size(); ++i) {
-            cols[gk + i].Append(
-                flats[i]->FinalizeGroup(static_cast<uint32_t>(g)));
-          }
-        }
-      }
-      for (auto& g : groups) {
-        for (size_t i = 0; i < gk; ++i) cols[i].Append(g.keys[i]);
+      for (uint32_t g = 0; g < ngroups; ++g) {
+        const Value* keys = merge.group_keys(g);
+        for (size_t i = 0; i < gk; ++i) cols[i].Append(keys[i]);
         for (size_t i = 0; i < specs.size(); ++i) {
-          cols[gk + i].Append(g.accs[i]->Finalize());
+          cols[gk + i].Append(flats[i]->FinalizeGroup(g));
         }
       }
       // Empty result columns still need registration.
@@ -1553,14 +1298,6 @@ class SelectExecutor {
 
 void SetJoinWherePushdownForTest(bool enabled) {
   g_join_where_pushdown.store(enabled, std::memory_order_relaxed);
-}
-
-void SetFlatAggSinkForTest(bool enabled) {
-  g_flat_agg_sink.store(enabled, std::memory_order_relaxed);
-}
-
-void SetGroupedWhereBitmapForTest(bool enabled) {
-  g_grouped_where_bitmap.store(enabled, std::memory_order_relaxed);
 }
 
 Result<ResultSet> RunSelect(Database* db, sql::SelectStmt* stmt,

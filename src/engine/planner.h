@@ -27,17 +27,6 @@ Result<ResultSet> RunSelect(Database* db, sql::SelectStmt* stmt,
 /// materialized row. true restores the default (pushdown on).
 void SetJoinWherePushdownForTest(bool enabled);
 
-/// Test hook: disables the flat SoA aggregation sink, forcing every grouped
-/// query through the per-group accumulator-object paths (the semantic
-/// reference). Results must be bit-identical either way — the FlatAggTest
-/// differential fuzz flips this hook. true restores the default (flat on).
-void SetFlatAggSinkForTest(bool enabled);
-
-/// Test hook: disables the bitmap WHERE path for grouped queries, forcing
-/// the selection-vector filter instead. Results must be bit-identical either
-/// way. true restores the default (bitmap on).
-void SetGroupedWhereBitmapForTest(bool enabled);
-
 }  // namespace vdb::engine
 
 #endif  // VDB_ENGINE_PLANNER_H_

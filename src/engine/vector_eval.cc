@@ -1,7 +1,6 @@
 #include "engine/vector_eval.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "common/hash.h"
@@ -18,19 +17,6 @@ using sql::ExprKind;
 using sql::UnaryOp;
 
 namespace {
-
-/// Test/bench baseline switch (SetSerialRandBaselineForTest): reproduces the
-/// pre-row-addressed executor, where rand-family expressions had no batch
-/// kernel and pinned their queries serial.
-// Test hook: atomic (relaxed) — tests write between queries while pool
-// workers may still read; see docs/INVARIANTS.md (test-hook contract).
-std::atomic<bool> g_serial_rand_baseline{false};
-
-/// True when the baseline hook demands the old serial pinning for `e`.
-bool PinnedSerialForBaseline(const Expr& e) {
-  return g_serial_rand_baseline.load(std::memory_order_relaxed) &&
-         sql::ContainsRandFunction(e);
-}
 
 using kernels::Bitmap;
 
@@ -1178,8 +1164,7 @@ Result<Vec> EvalVec(const Expr& e, const Batch& b) {
       // the row-addressed draw CounterRandom(seed, row id, call site) — a
       // pure function of row identity, so the kernel, the row fallback, and
       // every morsel decomposition agree bit for bit.
-      if (sql::IsRandFunctionExpr(e) && e.args.empty() &&
-          !g_serial_rand_baseline.load(std::memory_order_relaxed)) {
+      if (sql::IsRandFunctionExpr(e) && e.args.empty()) {
         const uint64_t site = static_cast<uint64_t>(e.rand_site);
         // Range batches draw for consecutive row ids, which is exactly the
         // shape the SIMD rand lane covers (4 CounterRandom draws per
@@ -1218,10 +1203,7 @@ Result<Vec> EvalVec(const Expr& e, const Batch& b) {
       // kernel above would never be reached on the AQP hot path.
       if (e.args.size() == 1 &&
           (e.name == "floor" || e.name == "ceil" || e.name == "ceiling" ||
-           e.name == "abs" || e.name == "sqrt") &&
-          !PinnedSerialForBaseline(e)) {
-        // The baseline hook row-interprets rand-bearing subtrees whole, as
-        // the pre-row-addressed executor did with floor(rand() * b).
+           e.name == "abs" || e.name == "sqrt")) {
         auto av = EvalVec(*e.args[0], b);
         if (!av.ok()) return av.status();
         const Vec& a = av.value();
@@ -1407,10 +1389,6 @@ Status EvalPredicateBatch(const Expr& e, const Batch& batch, SelVector* out) {
   return Status::Ok();
 }
 
-void SetSerialRandBaselineForTest(bool enabled) {
-  g_serial_rand_baseline.store(enabled, std::memory_order_relaxed);
-}
-
 Status EvalPredicateParallel(const Expr& e, const Table& table,
                              uint64_t rand_seed, int num_threads,
                              SelVector* out, const ExecGuard* guard) {
@@ -1424,7 +1402,7 @@ Status EvalPredicateParallel(const Expr& e, const Table& table,
         std::to_string(n));
   }
   const size_t morsel = MorselRows();
-  if (num_threads <= 1 || n <= morsel || PinnedSerialForBaseline(e)) {
+  if (num_threads <= 1 || n <= morsel) {
     VDB_RETURN_IF_ERROR(GuardCheck(guard, "pred_scan"));
     Batch batch{&table, nullptr, rand_seed};
     return EvalPredicateBatch(e, batch, out);
@@ -1463,7 +1441,7 @@ Result<TablePtr> FilterGatherParallel(const Expr& pred, const Table& table,
   // table (freed by the statement issuer's accounting reset).
   const uint64_t per_row =
       n > 0 ? static_cast<uint64_t>(table.ApproxBytes()) / n : 0;
-  if (num_threads <= 1 || n <= MorselRows() || PinnedSerialForBaseline(pred)) {
+  if (num_threads <= 1 || n <= MorselRows()) {
     VDB_RETURN_IF_ERROR(GuardCheck(guard, "filter_gather"));
     Batch batch{&table, nullptr, rand_seed};
     SelVector sel;
@@ -1500,7 +1478,7 @@ Status EvalPredicateView(const Expr& e, const RowView& view,
                          uint64_t rand_seed, int num_threads, SelVector* out,
                          const ExecGuard* guard) {
   const size_t n = view.num_rows();
-  if (num_threads <= 1 || n <= MorselRows() || PinnedSerialForBaseline(e)) {
+  if (num_threads <= 1 || n <= MorselRows()) {
     VDB_RETURN_IF_ERROR(GuardCheck(guard, "pred_view"));
     Batch batch = ViewBatch(view, rand_seed);
     return EvalPredicateBatch(e, batch, out);
@@ -1532,7 +1510,7 @@ Status EvalPredicateBitmap(const Expr& e, const RowView& view,
   // depends only on n, and the truth CONTENT is per-row pure, so any morsel
   // size produces the identical bitmap.
   const size_t wmorsel = (MorselRows() + 63) / 64 * 64;
-  if (num_threads <= 1 || n <= wmorsel || PinnedSerialForBaseline(e)) {
+  if (num_threads <= 1 || n <= wmorsel) {
     VDB_RETURN_IF_ERROR(GuardCheck(guard, "pred_bitmap"));
     Batch batch = ViewBatch(view, rand_seed);
     auto t = EvalTri(e, batch);
@@ -1560,7 +1538,7 @@ Result<Column> EvalExprView(const Expr& e, const RowView& view,
                             uint64_t rand_seed, int num_threads,
                             const ExecGuard* guard) {
   const size_t n = view.num_rows();
-  if (num_threads <= 1 || n <= MorselRows() || PinnedSerialForBaseline(e)) {
+  if (num_threads <= 1 || n <= MorselRows()) {
     // One whole-view batch. This also serves the empty view: the evaluator
     // still walks the tree, so the output column keeps its natural type and
     // empty results stay schema-complete.

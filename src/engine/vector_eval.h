@@ -157,18 +157,6 @@ Result<Column> EvalExprView(const sql::Expr& e, const RowView& view,
                             uint64_t rand_seed, int num_threads,
                             const ExecGuard* guard = nullptr);
 
-/// Test/bench hook: when enabled, rand-bearing expressions lose their batch
-/// kernels (the whole subtree row-interprets, including wrappers like
-/// floor(rand() * b)) and the EvalPredicateParallel / EvalPredicateView /
-/// EvalExprView entry points pin them to one serial whole-input batch —
-/// approximating the pre-row-addressed "rand() stays serial" executor as a
-/// performance baseline. Approximating, not reproducing: the planner's
-/// partial-aggregation and pair-view pushdown decisions are NOT reverted,
-/// so measure baselines at num_threads == 1, where those paths are serial
-/// anyway. Results are identical either way (draws are row-addressed in
-/// both modes); only the execution strategy changes. Off by default.
-void SetSerialRandBaselineForTest(bool enabled);
-
 /// Evaluates predicates over candidate (left_row, right_row) join pairs:
 /// each call gathers its pairs into a combined left ++ right scratch table
 /// and runs EvalPredicateBatch over it. Only the columns the predicate

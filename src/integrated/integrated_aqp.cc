@@ -122,7 +122,7 @@ Result<IntegratedSample> IntegratedAqp::CreateUniformSample(
     sample->AddColumn(t->column_name(c), t->column(c).type());
   }
   sample->AddColumn("verdict_prob", TypeId::kDouble);
-  auto& rng = db_->rng();
+  Rng rng(db_->NewQuerySeed());
   std::vector<Value> row(t->num_columns() + 1);
   for (size_t r = 0; r < t->num_rows(); ++r) {
     if (!rng.NextBernoulli(tau)) continue;
@@ -160,7 +160,7 @@ Result<IntegratedSample> IntegratedAqp::CreateStratifiedSample(
     int64_t seen = 0;
   };
   std::unordered_map<std::string, Reservoir> strata;
-  auto& rng = db_->rng();
+  Rng rng(db_->NewQuerySeed());
   for (size_t r = 0; r < t->num_rows(); ++r) {
     std::string key;
     for (int c : strata_cols) {

@@ -111,14 +111,6 @@ TEST(RngTest, BoundedIsUnbiasedAtLargeBounds) {
   EXPECT_NEAR(static_cast<double>(mean / expected), 1.0, 0.01);
 }
 
-TEST(RngTest, BiasedBoundedTestHookRestoresModuloPath) {
-  Rng a(7), b(7);
-  Rng::SetBiasedNextBoundedForTest(true);
-  uint64_t biased = a.NextBounded(1000);
-  Rng::SetBiasedNextBoundedForTest(false);
-  EXPECT_EQ(biased, b.Next() % 1000);  // exactly the old path
-}
-
 TEST(CounterRandomTest, PureFunctionOfAddress) {
   EXPECT_EQ(CounterRandom(1, 2, 3), CounterRandom(1, 2, 3));
   EXPECT_NE(CounterRandom(1, 2, 3), CounterRandom(1, 3, 3));

@@ -1,27 +1,30 @@
-// Differential tests for the flat SoA aggregation sink: every grouped query
-// executed through the flat path (open-addressing group table + typed
-// scatter-accumulate lanes, engine/agg_table.h + FlatAggregator) must be
-// BIT-identical — doubles compared by bit pattern — to the per-group
-// accumulator-object reference path, across:
+// Differential tests for grouped aggregation: every grouped query the
+// engine runs (per-morsel group ids + FlatAggregator lanes, engine/agg_table.h
+// + engine/aggregates.h, merged in morsel order) must be BIT-identical —
+// doubles compared by bit pattern — to a test-side oracle. The oracle fetches
+// the key and argument columns with a plain SELECT and aggregates them with
+// AggAccumulator objects over the same MorselRows() decomposition and
+// morsel-order merge (one morsel when an accumulator cannot merge). Axes:
 //
 //   - 1, 2 and 8 threads (morsel partials merged in fixed morsel order),
 //   - scalar vs. native SIMD dispatch (VDB_SIMD's mechanism),
-//   - bitmap vs. selection-vector WHERE masks for grouped queries,
+//   - dense and sparse WHERE bitmaps (survivor-rank morsel decomposition),
 //   - forced hash collisions (SetGroupHashMaskForTest truncates every group
 //     hash to a handful of buckets, so correctness rides on the group
 //     table's representative-row verification, not on hash quality),
+//   - SoA lanes beside per-group object lanes (DISTINCT, median, ndv) and a
+//     non-mergeable UDA,
 //   - adversarial values: NaN and ±0.0 group keys, full-mantissa doubles,
 //     NULL-heavy columns, all-NULL aggregate inputs, and morsel sizes that
 //     leave ragged tails.
-//
-// The object path is the semantic reference (aggregates.h); these tests are
-// what pins the flat path to it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,9 +32,9 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "engine/agg_table.h"
+#include "engine/aggregates.h"
 #include "engine/database.h"
 #include "engine/kernels/kernels.h"
-#include "engine/planner.h"
 #include "engine/table.h"
 
 namespace vdb::engine {
@@ -90,7 +93,7 @@ std::unique_ptr<Database> MakeDb(size_t rows, int threads) {
   return db;
 }
 
-// Bit-pattern comparison: flat vs. reference must not differ even in the
+// Bit-pattern comparison: engine vs. oracle must not differ even in the
 // sign of a zero or the payload of a NaN.
 void ExpectBitIdentical(const ResultSet& ref, const ResultSet& got,
                         const std::string& what) {
@@ -122,6 +125,158 @@ void ExpectBitIdentical(const ResultSet& ref, const ResultSet& got,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Test-side oracle
+// ---------------------------------------------------------------------------
+
+struct Agg {
+  std::string fn;   // aggregate function name
+  std::string arg;  // argument column; "*" for count(*)
+  bool distinct = false;
+};
+
+/// A grouped query in parts, so the oracle can fetch its inputs.
+struct GroupQuery {
+  std::vector<std::string> keys;
+  std::vector<Agg> aggs;
+  std::string from;  // FROM clause plus optional WHERE
+
+  std::string Sql() const {
+    std::vector<std::string> items = keys;
+    for (size_t i = 0; i < aggs.size(); ++i) {
+      items.push_back(aggs[i].fn + "(" + (aggs[i].distinct ? "distinct " : "") +
+                      aggs[i].arg + ") as a" + std::to_string(i));
+    }
+    std::string sql = "select " + Join(items) + " " + from;
+    if (!keys.empty()) sql += " group by " + Join(keys);
+    return sql;
+  }
+
+  static std::string Join(const std::vector<std::string>& parts) {
+    std::string out;
+    for (const auto& p : parts) out += (out.empty() ? "" : ", ") + p;
+    return out;
+  }
+};
+
+/// Runs `q` without the engine's grouped path: a plain SELECT (fresh
+/// database, same seed, so rand() draws match) fetches keys and arguments
+/// in row order; per-morsel AggAccumulator groups in first-occurrence order
+/// then merge in morsel order — first occurrences moved, later ones Merged.
+ResultSet RunOracle(size_t rows, const GroupQuery& q) {
+  const size_t nk = q.keys.size();
+  std::vector<std::string> fetch = q.keys;
+  std::vector<size_t> arg_col(q.aggs.size(), 0);
+  sql::Expr placeholder;  // CreateAccumulator only tests arg for null
+  std::vector<AggSpec> specs;
+  for (size_t i = 0; i < q.aggs.size(); ++i) {
+    AggSpec s;
+    s.name = q.aggs[i].fn;
+    s.distinct = q.aggs[i].distinct;
+    if (q.aggs[i].arg != "*") {
+      s.arg = &placeholder;
+      arg_col[i] = fetch.size();
+      fetch.push_back(q.aggs[i].arg + " as __arg" + std::to_string(i));
+    }
+    specs.push_back(s);
+  }
+  auto fetched =
+      MakeDb(rows, 1)->Execute("select " + GroupQuery::Join(fetch) + " " +
+                               q.from);
+  EXPECT_TRUE(fetched.ok()) << fetched.status().ToString();
+  const ResultSet in = std::move(fetched).ValueOrDie();
+  const size_t n = in.NumRows();
+
+  using Accs = std::vector<std::unique_ptr<AggAccumulator>>;
+  auto make_accs = [&] {
+    Accs accs;
+    for (const AggSpec& s : specs) {
+      auto acc = CreateAccumulator(s);
+      EXPECT_TRUE(acc.ok()) << acc.status().ToString();
+      accs.push_back(std::move(acc).ValueOrDie());
+    }
+    return accs;
+  };
+  auto key_of = [&](size_t r) {
+    std::vector<std::string> k;
+    for (size_t c = 0; c < nk; ++c) k.push_back(ValueGroupKey(in.Get(r, c)));
+    return k;
+  };
+  bool mergeable = true;
+  for (const auto& acc : make_accs()) mergeable = mergeable && acc->Mergeable();
+  const size_t morsel = mergeable ? MorselRows() : std::max<size_t>(n, 1);
+
+  struct Group {
+    std::vector<Value> keys;
+    Accs accs;
+  };
+  std::vector<Group> groups;
+  std::map<std::vector<std::string>, size_t> index;
+  for (size_t begin = 0; begin < n; begin += morsel) {
+    const size_t end = std::min(n, begin + morsel);
+    std::map<std::vector<std::string>, size_t> local;
+    std::vector<std::vector<std::string>> local_keys;
+    std::vector<size_t> local_rep;
+    std::vector<SelVector> local_rows;
+    for (size_t r = begin; r < end; ++r) {
+      auto k = key_of(r);
+      auto ins = local.emplace(k, local_rows.size());
+      if (ins.second) {
+        local_keys.push_back(std::move(k));
+        local_rep.push_back(r);
+        local_rows.emplace_back();
+      }
+      local_rows[ins.first->second].push_back(static_cast<uint32_t>(r));
+    }
+    for (size_t g = 0; g < local_rows.size(); ++g) {
+      const SelVector& rs = local_rows[g];
+      Accs accs = make_accs();
+      for (size_t i = 0; i < specs.size(); ++i) {
+        if (specs[i].arg == nullptr) {
+          accs[i]->AddRepeated(Value::Int(1), rs.size());
+        } else {
+          accs[i]->AddBatch(in.table->column(arg_col[i]), rs.data(), rs.size());
+        }
+      }
+      auto ins = index.emplace(local_keys[g], groups.size());
+      if (ins.second) {
+        Group grp;
+        for (size_t c = 0; c < nk; ++c) grp.keys.push_back(in.Get(local_rep[g], c));
+        grp.accs = std::move(accs);
+        groups.push_back(std::move(grp));
+      } else {
+        for (size_t i = 0; i < specs.size(); ++i) {
+          groups[ins.first->second].accs[i]->Merge(*accs[i]);
+        }
+      }
+    }
+  }
+  // An aggregate without GROUP BY keys emits one row even over no input.
+  if (nk == 0 && groups.empty()) groups.push_back(Group{{}, make_accs()});
+
+  ResultSet out;
+  out.table = std::make_shared<Table>();
+  for (size_t c = 0; c < nk + specs.size(); ++c) {
+    Column col;
+    for (const Group& g : groups) {
+      col.Append(c < nk ? g.keys[c] : g.accs[c - nk]->Finalize());
+    }
+    out.names.push_back(c < nk ? q.keys[c] : "a" + std::to_string(c - nk));
+    out.table->AddColumn(out.names.back(), std::move(col));
+  }
+  return out;
+}
+
+/// Runs `q` through the engine at `threads` and checks it against `ref`.
+void ExpectMatchesOracle(const ResultSet& ref, size_t rows, int threads,
+                         const GroupQuery& q, const std::string& what) {
+  auto got = MakeDb(rows, threads)->Execute(q.Sql());
+  ASSERT_TRUE(got.ok()) << q.Sql() << " -> " << got.status().ToString();
+  ExpectBitIdentical(ref, got.value(),
+                     q.Sql() + " @" + std::to_string(threads) + " threads, " +
+                         what);
+}
+
 // Restores every knob the tests twist, so suites sharing the binary see
 // defaults.
 class FlatAggTest : public ::testing::Test {
@@ -132,64 +287,62 @@ class FlatAggTest : public ::testing::Test {
   }
   void TearDown() override {
     SetMorselRowsForTest(0);
-    SetFlatAggSinkForTest(true);
-    SetGroupedWhereBitmapForTest(true);
     SetGroupHashMaskForTest(~0ull);
     kernels::SetSimdLevelForTest(detected_);
   }
   kernels::SimdLevel detected_ = kernels::SimdLevel::kScalar;
 };
 
-const char* const kGroupQueries[] = {
-    "select gi, count(*) as c, sum(v) as s from t group by gi",
-    "select gd, count(*) as c, sum(v) as s, min(v) as mn, max(v) as mx "
-    "from t group by gd",
-    "select gi, gd, avg(v) as a, sum(w) as sw from t group by gi, gd",
-    "select gs, count(w) as cw, var_samp(v) as vv, stddev(v) as sd "
-    "from t group by gs",
-    "select gi, gs, min(w) as mn, max(w) as mx, avg(w) as aw "
-    "from t group by gi, gs",
-    "select gi, sum(z) as sz, count(z) as cz, min(z) as mz, avg(z) as az "
-    "from t group by gi",
-    "select gi, count(*) as c, sum(v) as s from t "
-    "where w > 0 and v < 2.5e8 group by gi",
-    "select gd, gs, sum(v) as s, count(*) as c from t "
-    "where gi >= 0 group by gd, gs",
-    "select count(*) as c, sum(v) as s, min(v) as mn, max(w) as mx, "
-    "avg(v) as av from t",
-    "select gi, count(*) as c from t where v > 1e18 group by gi",  // empty
+// Mixed lanes: SoA count/sum beside object-lane DISTINCT, median and ndv,
+// under a selective WHERE.
+const GroupQuery kMixedLanes = {
+    {"gd"},
+    {{"count", "*"}, {"sum", "v"}, {"count", "gs", true}, {"median", "v"},
+     {"ndv", "gi"}},
+    "from t where w > 500"};
+
+const GroupQuery kGroupQueries[] = {
+    {{"gi"}, {{"count", "*"}, {"sum", "v"}}, "from t"},
+    {{"gd"},
+     {{"count", "*"}, {"sum", "v"}, {"min", "v"}, {"max", "v"}},
+     "from t"},
+    {{"gi", "gd"}, {{"avg", "v"}, {"sum", "w"}}, "from t"},
+    {{"gs"}, {{"count", "w"}, {"var_samp", "v"}, {"stddev", "v"}}, "from t"},
+    {{"gi", "gs"}, {{"min", "w"}, {"max", "w"}, {"avg", "w"}}, "from t"},
+    {{"gi"},
+     {{"sum", "z"}, {"count", "z"}, {"min", "z"}, {"avg", "z"}},
+     "from t"},
+    {{"gi"},
+     {{"count", "*"}, {"sum", "v"}},
+     "from t where w > 0 and v < 2.5e8"},
+    {{"gd", "gs"}, {{"sum", "v"}, {"count", "*"}}, "from t where gi >= 0"},
+    {{},
+     {{"count", "*"}, {"sum", "v"}, {"min", "v"}, {"max", "w"}, {"avg", "v"}},
+     "from t"},
+    {{"gi"}, {{"count", "*"}}, "from t where v > 1e18"},  // empty
     // Derived-table shape (the AQP rewriter's): projection pruning keeps
     // only gi/v/sid of the six-column `select *` expansion.
-    "select gi, sid, sum(v) as s, count(*) as c from "
-    "(select *, 1 + floor(rand() * 7) as sid from t) as d group by gi, sid",
+    {{"gi", "sid"},
+     {{"sum", "v"}, {"count", "*"}},
+     "from (select *, 1 + floor(rand() * 7) as sid from t) as d"},
+    kMixedLanes,
+    // Object lanes with no keys over no rows: fresh accumulators finalize.
+    {{},
+     {{"count", "*"}, {"count", "gs", true}, {"median", "v"}},
+     "from t where v > 1e18"},
 };
 
-// The reference for every differential test: object-accumulator sink,
-// serial, native SIMD, full group hashes.
-ResultSet RunReference(size_t rows, const std::string& sql) {
-  SetFlatAggSinkForTest(false);
-  auto db = MakeDb(rows, 1);
-  auto ref = db->Execute(sql);
-  SetFlatAggSinkForTest(true);
-  EXPECT_TRUE(ref.ok()) << sql << " -> " << ref.status().ToString();
-  return std::move(ref).ValueOrDie();
-}
-
-TEST_F(FlatAggTest, FlatMatchesReferenceAcrossThreadsAndSimd) {
+TEST_F(FlatAggTest, MatchesOracleAcrossThreadsAndSimd) {
   const size_t kRows = 5003;  // prime: ragged final morsel
   std::vector<kernels::SimdLevel> levels{kernels::SimdLevel::kScalar};
   if (detected_ != kernels::SimdLevel::kScalar) levels.push_back(detected_);
-  for (const char* sql : kGroupQueries) {
-    const ResultSet ref = RunReference(kRows, sql);
+  for (const GroupQuery& q : kGroupQueries) {
+    const ResultSet ref = RunOracle(kRows, q);
     for (kernels::SimdLevel level : levels) {
       kernels::SetSimdLevelForTest(level);
       for (int threads : {1, 2, 8}) {
-        auto db = MakeDb(kRows, threads);
-        auto got = db->Execute(sql);
-        ASSERT_TRUE(got.ok()) << sql << " -> " << got.status().ToString();
-        ExpectBitIdentical(ref, got.value(),
-                           std::string(sql) + " @" + std::to_string(threads) +
-                               " threads, " + kernels::SimdLevelName(level));
+        ExpectMatchesOracle(ref, kRows, threads, q,
+                            kernels::SimdLevelName(level));
         if (::testing::Test::HasFatalFailure()) return;
       }
       kernels::SetSimdLevelForTest(detected_);
@@ -197,53 +350,41 @@ TEST_F(FlatAggTest, FlatMatchesReferenceAcrossThreadsAndSimd) {
   }
 }
 
-TEST_F(FlatAggTest, BitmapAndSelectionVectorMasksAgree) {
+TEST_F(FlatAggTest, BitmapWhereMasksMatchOracle) {
   const size_t kRows = 4096;  // exact morsel multiples with morsel 256
   SetMorselRowsForTest(256);
-  const char* const kSelective[] = {
+  const GroupQuery kSelective[] = {
       // High selectivity: nearly all rows survive.
-      "select gi, sum(v) as s, count(*) as c from t where w > -999 group by gi",
+      {{"gi"}, {{"sum", "v"}, {"count", "*"}}, "from t where w > -999"},
       // Low selectivity: sparse survivors exercise rank-select decomposition.
-      "select gi, gd, sum(v) as s, count(*) as c from t "
-      "where w > 900 group by gi, gd",
+      {{"gi", "gd"},
+       {{"sum", "v"}, {"count", "*"}},
+       "from t where w > 900"},
       // Predicate on the group key itself.
-      "select gs, avg(v) as a, max(w) as mx from t "
-      "where gd = 0.0 group by gs",
+      {{"gs"}, {{"avg", "v"}, {"max", "w"}}, "from t where gd = 0.0"},
+      kMixedLanes,
   };
-  for (const char* sql : kSelective) {
-    const ResultSet ref = RunReference(kRows, sql);
-    for (bool bitmap : {true, false}) {
-      SetGroupedWhereBitmapForTest(bitmap);
-      for (int threads : {1, 2, 8}) {
-        auto db = MakeDb(kRows, threads);
-        auto got = db->Execute(sql);
-        ASSERT_TRUE(got.ok()) << sql << " -> " << got.status().ToString();
-        ExpectBitIdentical(ref, got.value(),
-                           std::string(sql) + " @" + std::to_string(threads) +
-                               " threads, bitmap=" + (bitmap ? "on" : "off"));
-        if (::testing::Test::HasFatalFailure()) return;
-      }
+  for (const GroupQuery& q : kSelective) {
+    const ResultSet ref = RunOracle(kRows, q);
+    for (int threads : {1, 2, 8}) {
+      ExpectMatchesOracle(ref, kRows, threads, q, "bitmap WHERE");
+      if (::testing::Test::HasFatalFailure()) return;
     }
-    SetGroupedWhereBitmapForTest(true);
   }
 }
 
 TEST_F(FlatAggTest, ForcedHashCollisionsStillGroupCorrectly) {
   const size_t kRows = 3001;
-  // Reference runs with honest 64-bit hashes; the flat runs squeeze every
-  // group hash into 8, then 1, bucket(s). Results must not move: collided
+  // The oracle groups by exact key bytes; the engine runs with every group
+  // hash squeezed into 8, then 1, bucket(s). Results must not move: collided
   // groups are separated by the representative-row key verification.
-  for (const char* sql : kGroupQueries) {
-    const ResultSet ref = RunReference(kRows, sql);
+  for (const GroupQuery& q : kGroupQueries) {
+    const ResultSet ref = RunOracle(kRows, q);
     for (uint64_t mask : {uint64_t{0x7}, uint64_t{0}}) {
       SetGroupHashMaskForTest(mask);
       for (int threads : {1, 8}) {
-        auto db = MakeDb(kRows, threads);
-        auto got = db->Execute(sql);
-        ASSERT_TRUE(got.ok()) << sql << " -> " << got.status().ToString();
-        ExpectBitIdentical(ref, got.value(),
-                           std::string(sql) + " mask=" + std::to_string(mask) +
-                               " @" + std::to_string(threads) + " threads");
+        ExpectMatchesOracle(ref, kRows, threads, q,
+                            "mask=" + std::to_string(mask));
         if (::testing::Test::HasFatalFailure()) return;
       }
       SetGroupHashMaskForTest(~0ull);
@@ -252,9 +393,9 @@ TEST_F(FlatAggTest, ForcedHashCollisionsStillGroupCorrectly) {
 }
 
 TEST_F(FlatAggTest, NanNegativeZeroAndNullKeysGroupTogether) {
-  // ValueGroupKey equivalence, pinned on the flat path: -0.0 groups with
-  // +0.0, NaN with NaN, NULL with NULL — and 5 (int) with 5.0 (double)
-  // is exercised via the mixed-type gi+gd key in the fuzz above.
+  // ValueGroupKey equivalence, pinned on the engine's group ids: -0.0
+  // groups with +0.0, NaN with NaN, NULL with NULL — and 5 (int) with 5.0
+  // (double) is exercised via the mixed-type gi+gd key in the fuzz above.
   auto t = std::make_shared<Table>();
   t->AddColumn("d", TypeId::kDouble);
   t->AddColumn("v", TypeId::kInt64);
@@ -266,31 +407,29 @@ TEST_F(FlatAggTest, NanNegativeZeroAndNullKeysGroupTogether) {
   t->AppendRow({Value::Double(nan), Value::Int(16)});
   t->AppendRow({Value::Double(1.0), Value::Int(32)});
   t->AppendRow({Value::Null(), Value::Int(64)});
-  for (bool flat : {true, false}) {
-    SetFlatAggSinkForTest(flat);
-    Database db(kSeed);
-    ASSERT_TRUE(db.RegisterTable("k", t).ok());
-    auto rs = db.Execute("select d, count(*) as c, sum(v) as s from k "
-                         "group by d");
-    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-    const ResultSet& r = rs.value();
-    ASSERT_EQ(r.NumRows(), 4u) << "flat=" << flat;
-    // First-occurrence group order: 0.0, NaN, NULL, 1.0.
-    EXPECT_EQ(r.Get(0, 2).AsInt(), 3) << "±0.0 group, flat=" << flat;
-    EXPECT_EQ(r.Get(1, 2).AsInt(), 20) << "NaN group, flat=" << flat;
-    EXPECT_EQ(r.Get(2, 2).AsInt(), 72) << "NULL group, flat=" << flat;
-    EXPECT_EQ(r.Get(3, 2).AsInt(), 32) << "flat=" << flat;
-  }
+  Database db(kSeed);
+  ASSERT_TRUE(db.RegisterTable("k", t).ok());
+  auto rs = db.Execute("select d, count(*) as c, sum(v) as s from k "
+                       "group by d");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  const ResultSet& r = rs.value();
+  ASSERT_EQ(r.NumRows(), 4u);
+  // First-occurrence group order: 0.0, NaN, NULL, 1.0.
+  EXPECT_EQ(r.Get(0, 2).AsInt(), 3) << "±0.0 group";
+  EXPECT_EQ(r.Get(1, 2).AsInt(), 20) << "NaN group";
+  EXPECT_EQ(r.Get(2, 2).AsInt(), 72) << "NULL group";
+  EXPECT_EQ(r.Get(3, 2).AsInt(), 32);
 }
 
 TEST_F(FlatAggTest, AllNullAggregateInputs) {
-  // sum/avg/min/max of an all-NULL column are NULL; count is 0 — on both
-  // sinks, serial and parallel.
+  // sum/avg/min/max of an all-NULL column are NULL; count is 0 — serial and
+  // parallel.
   const size_t kRows = 1500;
-  const char* sql =
-      "select gi, sum(z) as s, avg(z) as a, min(z) as mn, max(z) as mx, "
-      "count(z) as c from t group by gi";
-  const ResultSet ref = RunReference(kRows, sql);
+  const GroupQuery q = {
+      {"gi"},
+      {{"sum", "z"}, {"avg", "z"}, {"min", "z"}, {"max", "z"}, {"count", "z"}},
+      "from t"};
+  const ResultSet ref = RunOracle(kRows, q);
   for (size_t r = 0; r < ref.NumRows(); ++r) {
     EXPECT_TRUE(ref.Get(r, 1).is_null());
     EXPECT_TRUE(ref.Get(r, 2).is_null());
@@ -299,12 +438,59 @@ TEST_F(FlatAggTest, AllNullAggregateInputs) {
     EXPECT_EQ(ref.Get(r, 5).AsInt(), 0);
   }
   for (int threads : {1, 8}) {
-    auto db = MakeDb(kRows, threads);
-    auto got = db->Execute(sql);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectBitIdentical(ref, got.value(),
-                       std::string("all-null @") + std::to_string(threads));
+    ExpectMatchesOracle(ref, kRows, threads, q, "all-null");
   }
+}
+
+/// Order-sensitive, non-mergeable UDA: folds each non-null argument's bits
+/// into an FNV-style running hash, so any change in which rows a group sees,
+/// or in their order, changes the result. Merge would assert: the planner
+/// must aggregate the whole input as one morsel.
+class SeqHashAcc : public AggAccumulator {
+ public:
+  void Add(const Value& v) override {
+    if (v.is_null()) return;
+    const double d = v.AsDouble();
+    uint64_t bits;
+    std::memcpy(&bits, &d, 8);
+    h_ = (h_ ^ bits) * 0x100000001b3ull;
+  }
+  Value Finalize() const override {
+    return Value::Int(static_cast<int64_t>(h_));
+  }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+TEST_F(FlatAggTest, NonMergeableUdaMatchesOracle) {
+  AggregateRegistry::Global().Register(
+      "test_seqhash", [] { return std::make_unique<SeqHashAcc>(); });
+  const size_t kRows = 3001;  // ~12 morsels of 257: one morsel is a choice
+  const GroupQuery kUdaQueries[] = {
+      {{"gi"},
+       {{"test_seqhash", "v"}, {"sum", "v"}, {"count", "*"}},
+       "from t where w > 0"},
+      {{"gs"}, {{"test_seqhash", "w"}, {"median", "v"}}, "from t"},
+      // Empty input, grouped: no rows.
+      {{"gi"}, {{"test_seqhash", "v"}}, "from t where v > 1e18"},
+      // Empty input, no keys: one row of fresh accumulators.
+      {{}, {{"test_seqhash", "v"}, {"count", "*"}}, "from t where v > 1e18"},
+  };
+  for (const GroupQuery& q : kUdaQueries) {
+    const ResultSet ref = RunOracle(kRows, q);
+    for (int threads : {1, 2, 8}) {
+      ExpectMatchesOracle(ref, kRows, threads, q, "non-mergeable UDA");
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  const ResultSet empty_grouped = RunOracle(kRows, kUdaQueries[2]);
+  EXPECT_EQ(empty_grouped.NumRows(), 0u);
+  const ResultSet empty_ungrouped = RunOracle(kRows, kUdaQueries[3]);
+  ASSERT_EQ(empty_ungrouped.NumRows(), 1u);
+  EXPECT_EQ(empty_ungrouped.Get(0, 0).AsInt(),
+            static_cast<int64_t>(0xcbf29ce484222325ull));
+  EXPECT_EQ(empty_ungrouped.Get(0, 1).AsInt(), 0);
 }
 
 TEST_F(FlatAggTest, DerivedTableProjectionPruning) {
@@ -355,22 +541,24 @@ TEST_F(FlatAggTest, DerivedTableProjectionPruning) {
 TEST_F(FlatAggTest, TinyMorselsAndTinyTables) {
   // Morsel sizes far below a batch plus row counts around the boundaries:
   // 0 rows, 1 row, exactly one morsel, one morsel ± 1.
-  const char* sql =
-      "select gi, gd, count(*) as c, sum(v) as s, min(w) as mn "
-      "from t group by gi, gd";
-  for (size_t morsel : {size_t{1}, size_t{7}, size_t{64}}) {
-    for (size_t rows : {size_t{0}, size_t{1}, morsel, morsel + 1, 4 * morsel + 3}) {
-      SetMorselRowsForTest(morsel);
-      const ResultSet ref = RunReference(rows, sql);
-      for (int threads : {1, 2, 8}) {
-        auto db = MakeDb(rows, threads);
-        auto got = db->Execute(sql);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        ExpectBitIdentical(ref, got.value(),
-                           "morsel=" + std::to_string(morsel) + " rows=" +
-                               std::to_string(rows) + " @" +
-                               std::to_string(threads));
-        if (::testing::Test::HasFatalFailure()) return;
+  const GroupQuery kTiny[] = {
+      {{"gi", "gd"},
+       {{"count", "*"}, {"sum", "v"}, {"min", "w"}},
+       "from t"},
+      kMixedLanes,
+  };
+  for (const GroupQuery& q : kTiny) {
+    for (size_t morsel : {size_t{1}, size_t{7}, size_t{64}}) {
+      for (size_t rows :
+           {size_t{0}, size_t{1}, morsel, morsel + 1, 4 * morsel + 3}) {
+        SetMorselRowsForTest(morsel);
+        const ResultSet ref = RunOracle(rows, q);
+        for (int threads : {1, 2, 8}) {
+          ExpectMatchesOracle(ref, rows, threads, q,
+                              "morsel=" + std::to_string(morsel) +
+                                  " rows=" + std::to_string(rows));
+          if (::testing::Test::HasFatalFailure()) return;
+        }
       }
     }
   }

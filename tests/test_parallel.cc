@@ -475,7 +475,6 @@ class RowAddressedRandTest : public ::testing::Test {
   void TearDown() override {
     SetMorselRowsForTest(0);
     SetJoinWherePushdownForTest(true);
-    SetSerialRandBaselineForTest(false);
   }
 };
 
@@ -550,17 +549,6 @@ TEST_F(RowAddressedRandTest, RandInProjectionOverJoinPushdownInvariant) {
   SetJoinWherePushdownForTest(false);
   ResultSet off = RunFresh(sql, 8);
   ExpectSameResults(on, off, "projection rand, pushdown on vs off");
-}
-
-TEST_F(RowAddressedRandTest, SerialRandBaselineProducesIdenticalResults) {
-  // The pre-row-addressed executor (row-interpreter fallback + serial pin),
-  // re-enabled via the baseline hook, must produce the same values the
-  // vectorized parallel substrate does: draws are row-addressed in both.
-  SetSerialRandBaselineForTest(false);
-  ResultSet vectorized = RunFresh(kSidAggregateSql, 8);
-  SetSerialRandBaselineForTest(true);
-  ResultSet pinned = RunFresh(kSidAggregateSql, 1);
-  ExpectSameResults(vectorized, pinned, "vectorized vs pinned-serial baseline");
 }
 
 TEST_F(RowAddressedRandTest, ViewPipelineMatchesEagerReference) {

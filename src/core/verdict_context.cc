@@ -522,6 +522,10 @@ int64_t VerdictContext::EstimateGroupCardinality(
     }
     expr += ")";
   }
+  // This statement's text is part of aqpbench's trace-replay contract: the
+  // replay re-issues the logged statements between the catalog read and the
+  // rewritten query and accepts only ones starting "select count(distinct ".
+  // Changing its shape breaks trace.replay_mismatch, not only this probe.
   auto rs = conn_.Execute("select count(distinct " + expr + ") as c from " +
                           probe_table);
   if (!rs.ok() || rs.value().NumRows() == 0) return 0;

@@ -49,11 +49,16 @@ std::vector<int> Scope::Expand(const std::string& qualifier) const {
   return out;
 }
 
-Status BindExpr(sql::Expr* e, const Scope& scope) {
+namespace {
+
+/// The bind walk shared by BindExpr (scope set) and ResolveFunctions (scope
+/// null: column references are already bound).
+Status Bind(sql::Expr* e, const Scope* scope, BindContext context) {
   using sql::ExprKind;
   switch (e->kind) {
     case ExprKind::kColumnRef: {
-      auto idx = scope.Resolve(e->qualifier, e->name);
+      if (scope == nullptr) return Status::Ok();
+      auto idx = scope->Resolve(e->qualifier, e->name);
       if (!idx.ok()) return idx.status();
       e->bound_column = idx.value();
       return Status::Ok();
@@ -62,19 +67,49 @@ Status BindExpr(sql::Expr* e, const Scope& scope) {
     case ExprKind::kExists:
       return Status::Unsupported(
           "subquery must be flattened or pre-evaluated before binding");
+    case ExprKind::kFunction:
+      if (e->is_window) {
+        if (context != BindContext::kSelectList) {
+          return Status::InvalidArgument("window function '" + e->name +
+                                         "' is not allowed in row context");
+        }
+        context = BindContext::kRow;
+      } else if (IsAggregateFunction(e->name)) {
+        return Status::InvalidArgument("aggregate function '" + e->name +
+                                       "' is not allowed in row context");
+      } else {
+        VDB_RETURN_IF_ERROR(ResolveScalarFunction(e));
+      }
+      break;
     default:
       break;
   }
   for (auto& a : e->args) {
-    if (a) VDB_RETURN_IF_ERROR(BindExpr(a.get(), scope));
+    if (a) VDB_RETURN_IF_ERROR(Bind(a.get(), scope, context));
   }
-  for (auto& w : e->case_whens) VDB_RETURN_IF_ERROR(BindExpr(w.get(), scope));
-  for (auto& t : e->case_thens) VDB_RETURN_IF_ERROR(BindExpr(t.get(), scope));
-  if (e->case_else) VDB_RETURN_IF_ERROR(BindExpr(e->case_else.get(), scope));
+  for (auto& w : e->case_whens) {
+    VDB_RETURN_IF_ERROR(Bind(w.get(), scope, context));
+  }
+  for (auto& t : e->case_thens) {
+    VDB_RETURN_IF_ERROR(Bind(t.get(), scope, context));
+  }
+  if (e->case_else) {
+    VDB_RETURN_IF_ERROR(Bind(e->case_else.get(), scope, context));
+  }
   for (auto& p : e->partition_by) {
-    VDB_RETURN_IF_ERROR(BindExpr(p.get(), scope));
+    VDB_RETURN_IF_ERROR(Bind(p.get(), scope, context));
   }
   return Status::Ok();
+}
+
+}  // namespace
+
+Status BindExpr(sql::Expr* e, const Scope& scope, BindContext context) {
+  return Bind(e, &scope, context);
+}
+
+Status ResolveFunctions(sql::Expr* e, BindContext context) {
+  return Bind(e, nullptr, context);
 }
 
 bool ContainsAggregate(const sql::Expr& e) {

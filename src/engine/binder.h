@@ -39,10 +39,30 @@ class Scope {
   std::vector<Col> cols_;
 };
 
-/// Binds every column reference under `e`. Aggregate arguments are bound
-/// like ordinary expressions; subqueries must have been resolved already
-/// (kSubquery nodes yield kUnsupported).
-Status BindExpr(sql::Expr* e, const Scope& scope);
+/// Which calls a bound expression may contain. Row context — WHERE, join
+/// conditions, GROUP BY keys, HAVING and aggregate/window arguments — admits
+/// scalar calls only. A select list may also hold window calls; their
+/// arguments and partition keys are row context again. (Aggregate calls in
+/// a grouped select list never reach the binder: the planner rebinds them
+/// to columns of the aggregate table first.)
+enum class BindContext { kRow, kSelectList };
+
+/// Binds every column reference under `e` and resolves every scalar
+/// function call to its id (ResolveScalarFunction), so evaluation never
+/// looks a name up per row. An aggregate or window call where `context`
+/// does not admit it is kInvalidArgument naming the function; an unknown
+/// function is kUnsupported, even if no row would ever evaluate it.
+/// Subqueries must have been resolved already (kSubquery nodes yield
+/// kUnsupported).
+Status BindExpr(sql::Expr* e, const Scope& scope,
+                BindContext context = BindContext::kRow);
+
+/// The same bind step for trees whose column references are already bound
+/// (post-aggregation rebinding, programmatic predicates such as the sample
+/// builder's `rand() < tau`): resolves every function call and checks the
+/// context exactly as BindExpr does, leaving column references untouched.
+Status ResolveFunctions(sql::Expr* e,
+                        BindContext context = BindContext::kRow);
 
 /// True if the tree contains a non-window aggregate function call.
 bool ContainsAggregate(const sql::Expr& e);

@@ -129,10 +129,6 @@ Result<Value> EvalExpr(const Expr& e, const RowCtx& ctx) {
     case ExprKind::kBinary:
       return EvalBinary(e, ctx);
     case ExprKind::kFunction: {
-      if (e.is_window || IsAggregateFunction(e.name)) {
-        return Status::Internal("aggregate/window '" + e.name +
-                                "' in row context");
-      }
       std::vector<Value> argv;
       argv.reserve(e.args.size());
       for (const auto& a : e.args) {
@@ -141,7 +137,7 @@ Result<Value> EvalExpr(const Expr& e, const RowCtx& ctx) {
         argv.push_back(std::move(v).ValueOrDie());
       }
       return CallScalarFunction(
-          e.name, argv,
+          BoundScalarFn(e), argv,
           RandAddr{ctx.rand_seed, ctx.row + ctx.row_id_offset,
                    static_cast<uint64_t>(e.rand_site)});
     }

@@ -22,10 +22,11 @@ struct RowCtx {
   uint64_t row_id_offset = 0;
 };
 
-/// Evaluates a bound expression for one row. Aggregates and windows must
-/// have been rewritten into column references by the planner; encountering
-/// one is an error. NULL semantics follow SQL (three-valued logic for
-/// AND/OR/NOT, null-propagation elsewhere).
+/// Evaluates a bound expression for one row: function calls dispatch on the
+/// id the bind step resolved (engine/binder.h), so aggregates and windows —
+/// which the binder rejects in row context and the planner rewrites into
+/// column references — never get here. NULL semantics follow SQL
+/// (three-valued logic for AND/OR/NOT, null-propagation elsewhere).
 Result<Value> EvalExpr(const sql::Expr& e, const RowCtx& ctx);
 
 /// Evaluates a predicate: true only if the value is non-null and true.

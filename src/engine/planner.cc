@@ -608,7 +608,8 @@ class SelectExecutor {
         }
         continue;
       }
-      VDB_RETURN_IF_ERROR(BindExpr(item.expr.get(), scope));
+      VDB_RETURN_IF_ERROR(
+          BindExpr(item.expr.get(), scope, BindContext::kSelectList));
       OutItem oi;
       oi.expr = item.expr.get();
       oi.name = !item.alias.empty()
@@ -978,6 +979,7 @@ class SelectExecutor {
     if (stmt->having) {
       auto bound = RebindPostAgg(*stmt->having, text_to_col, agg_to_col);
       if (!bound.ok()) return bound.status();
+      VDB_RETURN_IF_ERROR(ResolveFunctions(bound.value().get()));
       SelVector hsel;
       VDB_RETURN_IF_ERROR(EvalPredicateView(*bound.value(), aview, rand_seed_,
                                             db_->num_threads(), &hsel,
@@ -998,6 +1000,8 @@ class SelectExecutor {
       }
       auto bound = RebindPostAgg(*item.expr, text_to_col, agg_to_col);
       if (!bound.ok()) return bound.status();
+      VDB_RETURN_IF_ERROR(
+          ResolveFunctions(bound.value().get(), BindContext::kSelectList));
       bound_items.push_back(std::move(bound).ValueOrDie());
       rs.names.push_back(!item.alias.empty()
                              ? item.alias

@@ -859,6 +859,200 @@ Result<Vec> EvalCase(const Expr& e, const Batch& b) {
   return VecFromValues(std::move(vals));
 }
 
+// ---- Scalar function kernels ------------------------------------------------
+// Dispatch is on the id the bind step stored on the node (engine/binder.h);
+// ids without a batch kernel, and operand shapes a kernel does not cover,
+// take the row interpreter's per-element path.
+
+/// rand-family batch kernels (the variational-subsampling hot path:
+/// __vdb_sid assignment and Bernoulli predicates). Each lane value is the
+/// row-addressed draw CounterRandom(seed, row id, call site) — a pure
+/// function of row identity, so the kernel, the row fallback, and every
+/// morsel decomposition agree bit for bit.
+Vec RandVec(const Expr& e, const Batch& b) {
+  const size_t n = b.size();
+  const uint64_t site = static_cast<uint64_t>(e.rand_site);
+  // Range batches draw for consecutive row ids, which is exactly the shape
+  // the SIMD rand lane covers (4 CounterRandom draws per vector); selection
+  // batches address scattered ids row by row. Both produce the identical
+  // row-addressed draws.
+  std::vector<double> uniforms(n);
+  if (b.sel == nullptr) {
+    kernels::Ops().rand_f64_seq(b.rand_seed, b.row_id_offset + b.range_begin,
+                                site, n, uniforms.data());
+  } else {
+    for (size_t k = 0; k < n; ++k) {
+      uniforms[k] = CounterRandomDouble(b.rand_seed, b.RowIdAt(k), site);
+    }
+  }
+  Vec v;
+  if (BoundScalarFn(e) == ScalarFn::kRandPoisson) {
+    std::vector<int64_t> out(n);
+    for (size_t k = 0; k < n; ++k) out[k] = PoissonOneFromUniform(uniforms[k]);
+    v.owned = Column::FromData(TypeId::kInt64, std::move(out), {}, {}, {});
+    return v;
+  }
+  v.owned =
+      Column::FromData(TypeId::kDouble, {}, std::move(uniforms), {}, {});
+  return v;
+}
+
+/// Unary numeric math (floor/ceil/abs/sqrt): typed lanes instead of a
+/// per-row tree walk — floor() wraps every rand() in the rewritten sid
+/// expression `1 + floor(rand() * b)`, so without this kernel the rand
+/// kernel above would never be reached on the AQP hot path. String and
+/// mixed operands keep the row interpreter's Value semantics.
+Result<Vec> UnaryMathVec(const Expr& e, const Batch& b) {
+  const size_t n = b.size();
+  const ScalarFn fn = BoundScalarFn(e);
+  auto av = EvalVec(*e.args[0], b);
+  if (!av.ok()) return av.status();
+  const Vec& a = av.value();
+  if (a.mixed || a.type() == TypeId::kString) return RowFallback(e, b);
+  if (a.type() == TypeId::kNull) return ConstVec(Value::Null());
+  std::vector<uint8_t> nulls;
+  auto set_null = [&](size_t k) {
+    if (nulls.empty()) nulls.assign(n, 0);
+    nulls[k] = 1;
+  };
+  Vec v;
+  // abs over Int64 storage keeps the integer lane (matching
+  // CallScalarFunction's integer abs; Bool values take the double lane
+  // there, so they do here too).
+  if (fn == ScalarFn::kAbs && a.type() == TypeId::kInt64) {
+    std::vector<int64_t> out(n, 0);
+    for (size_t k = 0; k < n; ++k) {
+      if (a.IsNull(k)) {
+        set_null(k);
+      } else {
+        // Wrap-defined abs: abs(INT64_MIN) == INT64_MIN (see
+        // CallScalarFunction).
+        const int64_t x = a.IntRaw(k);
+        out[k] = x < 0 ? static_cast<int64_t>(0ull - static_cast<uint64_t>(x))
+                       : x;
+      }
+    }
+    v.owned = Column::FromData(TypeId::kInt64, std::move(out), {}, {},
+                               std::move(nulls));
+    return v;
+  }
+  if (fn == ScalarFn::kAbs || fn == ScalarFn::kSqrt) {
+    std::vector<double> out(n, 0.0);
+    const bool is_abs = fn == ScalarFn::kAbs;
+    for (size_t k = 0; k < n; ++k) {
+      if (a.IsNull(k)) {
+        set_null(k);
+      } else {
+        const double x = a.Num(k);
+        out[k] = is_abs ? std::abs(x) : std::sqrt(x);
+      }
+    }
+    v.owned = Column::FromData(TypeId::kDouble, {}, std::move(out), {},
+                               std::move(nulls));
+    return v;
+  }
+  // floor/ceil return Int64, like the row interpreter.
+  std::vector<int64_t> out(n, 0);
+  const bool is_floor = fn == ScalarFn::kFloor;
+  for (size_t k = 0; k < n; ++k) {
+    if (a.IsNull(k)) {
+      set_null(k);
+    } else {
+      const double x = a.Num(k);
+      out[k] = static_cast<int64_t>(is_floor ? std::floor(x) : std::ceil(x));
+    }
+  }
+  v.owned = Column::FromData(TypeId::kInt64, std::move(out), {}, {},
+                             std::move(nulls));
+  return v;
+}
+
+/// Universe-sample membership hash (the Fig. 11 hot path): batch kernel over
+/// the evaluated argument instead of a per-row tree walk.
+Result<Vec> UnitHashVec(const Expr& e, const Batch& b) {
+  const size_t n = b.size();
+  auto av = EvalVec(*e.args[0], b);
+  if (!av.ok()) return av.status();
+  const Vec& a = av.value();
+  std::vector<double> out(n);
+  std::vector<uint8_t> nulls;
+  for (size_t k = 0; k < n; ++k) {
+    if (a.IsNull(k)) {
+      if (nulls.empty()) nulls.assign(n, 0);
+      nulls[k] = 1;
+      continue;
+    }
+    out[k] = HashUnit(a.At(k));
+  }
+  Vec v;
+  v.owned = Column::FromData(TypeId::kDouble, {}, std::move(out), {},
+                             std::move(nulls));
+  return v;
+}
+
+/// concat: each lane appends every argument's Value::ToString text (string
+/// lanes directly from storage); a NULL argument makes the lane NULL, as in
+/// CallScalarFunction. The group-cardinality probe's
+/// count(distinct concat(g1, '|', g2)) runs through here.
+Result<Vec> ConcatVec(const Expr& e, const Batch& b) {
+  const size_t n = b.size();
+  std::vector<Vec> args;
+  args.reserve(e.args.size());
+  for (const auto& a : e.args) {
+    auto av = EvalVec(*a, b);
+    if (!av.ok()) return av.status();
+    if (!av.value().mixed && av.value().type() == TypeId::kNull) {
+      return ConstVec(Value::Null());
+    }
+    args.push_back(std::move(av).ValueOrDie());
+  }
+  std::vector<std::string> out(n);
+  std::vector<uint8_t> nulls;
+  size_t null_rows = 0;
+  for (size_t k = 0; k < n; ++k) {
+    std::string& s = out[k];
+    for (const Vec& a : args) {
+      if (a.IsNull(k)) {
+        if (nulls.empty()) nulls.assign(n, 0);
+        nulls[k] = 1;
+        ++null_rows;
+        s.clear();
+        break;
+      }
+      if (!a.mixed && a.type() == TypeId::kString) {
+        s += a.col().GetString(a.pos(k));
+      } else {
+        s += a.At(k).ToString();
+      }
+    }
+  }
+  // An all-NULL result is an untyped NULL column, as the row path builds it.
+  if (null_rows == n) return ConstVec(Value::Null());
+  Vec v;
+  v.owned = Column::FromData(TypeId::kString, {}, {}, std::move(out),
+                             std::move(nulls));
+  return v;
+}
+
+Result<Vec> EvalFunction(const Expr& e, const Batch& b) {
+  switch (BoundScalarFn(e)) {
+    case ScalarFn::kRand:
+    case ScalarFn::kRandPoisson:
+      return RandVec(e, b);
+    case ScalarFn::kFloor:
+    case ScalarFn::kCeil:
+    case ScalarFn::kAbs:
+    case ScalarFn::kSqrt:
+      return UnaryMathVec(e, b);
+    case ScalarFn::kUnitHash:
+      return UnitHashVec(e, b);
+    case ScalarFn::kConcat:
+      return ConcatVec(e, b);
+    default:
+      return RowFallback(e, b);
+  }
+}
+
 Result<TriMask> EvalTri(const Expr& e, const Batch& b) {
   const size_t n = b.size();
   switch (e.kind) {
@@ -1154,149 +1348,8 @@ Result<Vec> EvalVec(const Expr& e, const Batch& b) {
         }
       }
     }
-    case ExprKind::kFunction: {
-      if (e.is_window || IsAggregateFunction(e.name)) {
-        return Status::Internal("aggregate/window '" + e.name +
-                                "' in row context");
-      }
-      // rand-family batch kernels (the variational-subsampling hot path:
-      // __vdb_sid assignment and Bernoulli predicates). Each lane value is
-      // the row-addressed draw CounterRandom(seed, row id, call site) — a
-      // pure function of row identity, so the kernel, the row fallback, and
-      // every morsel decomposition agree bit for bit.
-      if (sql::IsRandFunctionExpr(e) && e.args.empty()) {
-        const uint64_t site = static_cast<uint64_t>(e.rand_site);
-        // Range batches draw for consecutive row ids, which is exactly the
-        // shape the SIMD rand lane covers (4 CounterRandom draws per
-        // vector); selection batches address scattered ids row by row. Both
-        // produce the identical row-addressed draws.
-        const bool contiguous = b.sel == nullptr;
-        const uint64_t row0 =
-            contiguous ? b.row_id_offset + b.range_begin : 0;
-        std::vector<double> uniforms(n);
-        if (contiguous) {
-          kernels::Ops().rand_f64_seq(b.rand_seed, row0, site, n,
-                                      uniforms.data());
-        } else {
-          for (size_t k = 0; k < n; ++k) {
-            uniforms[k] = CounterRandomDouble(b.rand_seed, b.RowIdAt(k), site);
-          }
-        }
-        if (e.name == "rand_poisson") {
-          std::vector<int64_t> out(n);
-          for (size_t k = 0; k < n; ++k) {
-            out[k] = PoissonOneFromUniform(uniforms[k]);
-          }
-          Vec v;
-          v.owned =
-              Column::FromData(TypeId::kInt64, std::move(out), {}, {}, {});
-          return v;
-        }
-        Vec v;
-        v.owned = Column::FromData(TypeId::kDouble, {}, std::move(uniforms),
-                                   {}, {});
-        return v;
-      }
-      // Unary numeric math (floor/ceil/abs/sqrt): typed lanes instead of a
-      // per-row tree walk — floor() wraps every rand() in the rewritten sid
-      // expression `1 + floor(rand() * b)`, so without this kernel the rand
-      // kernel above would never be reached on the AQP hot path.
-      if (e.args.size() == 1 &&
-          (e.name == "floor" || e.name == "ceil" || e.name == "ceiling" ||
-           e.name == "abs" || e.name == "sqrt")) {
-        auto av = EvalVec(*e.args[0], b);
-        if (!av.ok()) return av.status();
-        const Vec& a = av.value();
-        if (!a.mixed && a.type() != TypeId::kString) {
-          if (a.type() == TypeId::kNull) return ConstVec(Value::Null());
-          std::vector<uint8_t> nulls;
-          auto set_null = [&](size_t k) {
-            if (nulls.empty()) nulls.assign(n, 0);
-            nulls[k] = 1;
-          };
-          // abs over Int64 storage keeps the integer lane (matching
-          // CallScalarFunction's Value::Int(std::abs(..)) semantics; Bool
-          // values take the double lane there, so they do here too).
-          if (e.name == "abs" && a.type() == TypeId::kInt64) {
-            std::vector<int64_t> out(n, 0);
-            for (size_t k = 0; k < n; ++k) {
-              if (a.IsNull(k)) {
-                set_null(k);
-              } else {
-                // Wrap-defined abs: abs(INT64_MIN) == INT64_MIN (see
-                // CallScalarFunction).
-                const int64_t x = a.IntRaw(k);
-                out[k] = x < 0
-                             ? static_cast<int64_t>(0ull -
-                                                    static_cast<uint64_t>(x))
-                             : x;
-              }
-            }
-            Vec v;
-            v.owned = Column::FromData(TypeId::kInt64, std::move(out), {}, {},
-                                       std::move(nulls));
-            return v;
-          }
-          if (e.name == "abs" || e.name == "sqrt") {
-            std::vector<double> out(n, 0.0);
-            const bool is_abs = e.name == "abs";
-            for (size_t k = 0; k < n; ++k) {
-              if (a.IsNull(k)) {
-                set_null(k);
-              } else {
-                const double x = a.Num(k);
-                out[k] = is_abs ? std::abs(x) : std::sqrt(x);
-              }
-            }
-            Vec v;
-            v.owned = Column::FromData(TypeId::kDouble, {}, std::move(out), {},
-                                       std::move(nulls));
-            return v;
-          }
-          // floor/ceil return Int64, like the row interpreter.
-          std::vector<int64_t> out(n, 0);
-          const bool is_floor = e.name == "floor";
-          for (size_t k = 0; k < n; ++k) {
-            if (a.IsNull(k)) {
-              set_null(k);
-            } else {
-              const double x = a.Num(k);
-              out[k] = static_cast<int64_t>(is_floor ? std::floor(x)
-                                                     : std::ceil(x));
-            }
-          }
-          Vec v;
-          v.owned = Column::FromData(TypeId::kInt64, std::move(out), {}, {},
-                                     std::move(nulls));
-          return v;
-        }
-        // String/mixed operands: defer to the row interpreter's Value
-        // semantics below.
-      }
-      // Universe-sample membership hash (the Fig. 11 hot path): batch kernel
-      // over the evaluated argument instead of a per-row tree walk.
-      if ((e.name == "verdict_hash" || e.name == "unit_hash") &&
-          e.args.size() == 1) {
-        auto av = EvalVec(*e.args[0], b);
-        if (!av.ok()) return av.status();
-        const Vec& a = av.value();
-        std::vector<double> out(n);
-        std::vector<uint8_t> nulls;
-        for (size_t k = 0; k < n; ++k) {
-          if (a.IsNull(k)) {
-            if (nulls.empty()) nulls.assign(n, 0);
-            nulls[k] = 1;
-            continue;
-          }
-          out[k] = HashUnit(a.At(k));
-        }
-        Vec v;
-        v.owned = Column::FromData(TypeId::kDouble, {}, std::move(out), {},
-                                   std::move(nulls));
-        return v;
-      }
-      return RowFallback(e, b);
-    }
+    case ExprKind::kFunction:
+      return EvalFunction(e, b);
     case ExprKind::kCase:
       return EvalCase(e, b);
     case ExprKind::kIsNull:

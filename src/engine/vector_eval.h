@@ -79,8 +79,8 @@ Batch ViewBatch(const RowView& view, uint64_t rand_seed);
 ///    heterogeneous per-row type mixes still coerce through Column::Append.
 ///  - OR operands, CASE branches, and IN items are evaluated for the whole
 ///    batch rather than short-circuited per row, so expression-level errors
-///    (e.g. an unknown function on the never-taken side) surface eagerly,
-///    and rand() inside them draws for every row. Data-dependent NULLs
+///    on the never-taken side surface eagerly, and rand() inside them draws
+///    for every row. Data-dependent NULLs
 ///    (division by zero etc.) are values, not errors, so results agree.
 ///    AND is selection-aware: when the left conjunct is selective (it
 ///    decides at least 3/4 of the rows false), the right conjunct is

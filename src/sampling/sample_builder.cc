@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "engine/binder.h"
 #include "engine/vector_eval.h"
 #include "sampling/staircase.h"
 #include "sql/ast.h"
@@ -94,6 +95,7 @@ Result<SampleInfo> SampleBuilder::CreateUniformSample(const std::string& base,
                                 sql::MakeFunction("rand", {}),
                                 sql::MakeDoubleLit(tau));
     pred->args[0]->rand_site = 1;
+    VDB_RETURN_IF_ERROR(engine::ResolveFunctions(pred.get()));
     auto sample = engine::FilterGatherParallel(*pred, *t, db->NewQuerySeed(),
                                                db->num_threads(),
                                                conn_->exec_guard());
@@ -159,6 +161,7 @@ Result<SampleInfo> SampleBuilder::CreateHashedSample(const std::string& base,
         sql::MakeBinary(sql::BinaryOp::kLt,
                         sql::MakeFunction("verdict_hash", std::move(args)),
                         sql::MakeDoubleLit(tau));
+    VDB_RETURN_IF_ERROR(engine::ResolveFunctions(pred.get()));
     // The hash predicate is fully deterministic (no rand-family node), so
     // no query seed is drawn — drawing one would needlessly shift the
     // seeded per-statement seed sequence of everything that follows.

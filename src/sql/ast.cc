@@ -21,6 +21,7 @@ Expr::Ptr Expr::Clone() const {
   e->bound_column = bound_column;
   e->bound_agg = bound_agg;
   e->rand_site = rand_site;
+  e->scalar_fn = scalar_fn;
   return e;
 }
 

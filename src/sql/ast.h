@@ -88,6 +88,11 @@ struct Expr {
   // calls in one query draw independent values; copied by Clone, so every
   // rewrite of the same logical call site keeps the same draws.
   int rand_site = 0;
+  // kFunction scalar call: the engine::ScalarFn id its name resolved to,
+  // stored once by the bind step (engine/binder.h) so per-row and per-batch
+  // evaluation dispatch on the id, never on the name; 0 = unresolved. Copied
+  // by Clone.
+  int scalar_fn = 0;
 
   Expr() : kind(ExprKind::kLiteral) {}
   explicit Expr(ExprKind k) : kind(k) {}
@@ -118,12 +123,12 @@ bool AnyExprNode(const Expr& e, const Pred& pred) {
   return false;
 }
 
-/// The one definition of the rand family. Everything keyed to these names —
-/// call-site numbering (engine/planner.cc), the batch kernels and the serial
-/// baseline hook (engine/vector_eval.cc), function evaluation
-/// (engine/functions.cc) — must agree on the set: a name recognized by one
-/// consumer but not another would silently leave call sites unnumbered
-/// (perfectly correlated draws) or renumber its neighbors.
+/// The one name-level definition of the rand family. Call-site numbering
+/// (engine/planner.cc) runs before bind and keys on these names; the bind
+/// step's name table (engine/functions.cc) maps the same names to the
+/// rand-family ids every evaluator dispatches on. The two must agree on the
+/// set: a name recognized by one but not the other would silently leave call
+/// sites unnumbered (perfectly correlated draws) or renumber its neighbors.
 inline bool IsRandFunctionExpr(const Expr& e) {
   return e.kind == ExprKind::kFunction &&
          (e.name == "rand" || e.name == "random" || e.name == "rand_poisson");

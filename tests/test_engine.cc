@@ -3,9 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/hash.h"
+#include "engine/aggregates.h"
+#include "engine/binder.h"
 #include "engine/database.h"
+#include "engine/expr_eval.h"
+#include "engine/functions.h"
 #include "engine/hll.h"
+#include "sql/ast.h"
 
 namespace vdb::engine {
 namespace {
@@ -309,6 +317,185 @@ TEST_F(EngineTest, ErrorOnUnknownColumn) {
 TEST_F(EngineTest, ErrorOnUngroupedColumn) {
   auto rs = db_.Execute("select city, count(*) from orders");
   EXPECT_FALSE(rs.ok());
+}
+
+// Misplaced aggregate/window calls and unknown functions are bind errors
+// naming the function — never INTERNAL, and never deferred to a row that
+// may not exist.
+TEST_F(EngineTest, AggregateOrWindowInRowContextIsABindError) {
+  ASSERT_TRUE(
+      db_.Execute("create table empty_orders as select * from orders "
+                  "where id < 0").ok());
+  struct Case {
+    const char* sql;
+    const char* names;
+  };
+  const Case cases[] = {
+      {"select count(*) from orders where sum(price) > 3", "'sum'"},
+      {"select count(*) from orders where row_number() over () > 3",
+       "'row_number'"},
+      {"select count(*) from empty_orders where sum(price) > 3", "'sum'"},
+      {"select sum(sum(price)) from orders", "'sum'"},
+      {"select count(*) from orders group by max(qty)", "'max'"},
+      {"select count(*) from orders o join cities c "
+       "on o.city = c.city and avg(o.price) > 1",
+       "'avg'"},
+      {"select city, count(*) from orders group by city "
+       "having rank() over () > 1",
+       "'rank'"},
+  };
+  for (const Case& c : cases) {
+    auto rs = db_.Execute(c.sql);
+    ASSERT_FALSE(rs.ok()) << c.sql;
+    EXPECT_EQ(rs.status().code(), StatusCode::kInvalidArgument)
+        << c.sql << " -> " << rs.status().ToString();
+    EXPECT_NE(rs.status().message().find(c.names), std::string::npos)
+        << c.sql << " -> " << rs.status().ToString();
+  }
+}
+
+TEST_F(EngineTest, UnknownFunctionIsABindError) {
+  ASSERT_TRUE(
+      db_.Execute("create table empty_orders as select * from orders "
+                  "where id < 0").ok());
+  for (const char* sql :
+       {"select nosuchfn(price) from orders",
+        "select nosuchfn(price) from empty_orders",
+        "select count(*) from empty_orders where nosuchfn(price) > 0",
+        "select city, sum(nosuchfn(price)) from empty_orders group by city",
+        "select city, nosuchfn(count(*)) from empty_orders group by city"}) {
+    auto rs = db_.Execute(sql);
+    ASSERT_FALSE(rs.ok()) << sql;
+    EXPECT_EQ(rs.status().code(), StatusCode::kUnsupported)
+        << sql << " -> " << rs.status().ToString();
+    EXPECT_NE(rs.status().message().find("nosuchfn"), std::string::npos)
+        << rs.status().ToString();
+  }
+}
+
+TEST_F(EngineTest, WrongArgumentCountIsABindError) {
+  // greatest() used to index an empty argument list per row.
+  for (const char* sql :
+       {"select greatest() from orders", "select rand(1) from orders",
+        "select count(*) from orders where substr(city) = 'a'"}) {
+    auto rs = db_.Execute(sql);
+    ASSERT_FALSE(rs.ok()) << sql;
+    EXPECT_EQ(rs.status().code(), StatusCode::kInvalidArgument)
+        << sql << " -> " << rs.status().ToString();
+  }
+}
+
+// Every built-in scalar name, aliases included, resolves and yields — for
+// one fixed argument list — the Value the name-dispatched evaluator
+// returned before resolution moved to bind time (captured from it,
+// doubles as hex literals). Guards the name table against a dropped or
+// swapped alias.
+TEST(ScalarFunctionTable, EveryBuiltinNameKeepsItsValue) {
+  struct Case {
+    const char* name;
+    std::vector<Value> args;
+    Value want;
+  };
+  const Value s_abc = Value::String("abc");
+  const Value s_verdict = Value::String("verdict");
+  const std::vector<Value> mixed = {Value::Int(3), Value::Double(7.5),
+                                    Value::Int(5)};
+  const Case cases[] = {
+      {"rand", {}, Value::Double(0x1.21a823f75031fp-1)},
+      {"random", {}, Value::Double(0x1.21a823f75031fp-1)},
+      {"rand_poisson", {}, Value::Int(1)},
+      {"coalesce", {Value::Null(), Value::Int(7), Value::Int(8)},
+       Value::Int(7)},
+      {"if", {Value::Bool(false), Value::String("a"), Value::String("b")},
+       Value::String("b")},
+      {"nullif", {Value::Int(3), Value::Double(3.0)}, Value::Null()},
+      {"floor", {Value::Double(-2.5)}, Value::Int(-3)},
+      {"ceil", {Value::Double(-2.5)}, Value::Int(-2)},
+      {"ceiling", {Value::Double(-2.5)}, Value::Int(-2)},
+      {"abs", {Value::Int(-7)}, Value::Int(7)},
+      {"sqrt", {Value::Double(2.25)}, Value::Double(0x1.8p+0)},
+      {"exp", {Value::Double(1.0)}, Value::Double(0x1.5bf0a8b145769p+1)},
+      {"ln", {Value::Double(10.0)}, Value::Double(0x1.26bb1bbb55516p+1)},
+      {"log", {Value::Double(10.0)}, Value::Double(0x1.26bb1bbb55516p+1)},
+      {"power", {Value::Double(2.0), Value::Int(10)}, Value::Double(0x1p+10)},
+      {"pow", {Value::Double(2.0), Value::Int(10)}, Value::Double(0x1p+10)},
+      {"mod", {Value::Int(17), Value::Int(5)}, Value::Int(2)},
+      {"round", {Value::Double(2.71828), Value::Int(2)},
+       Value::Double(0x1.5c28f5c28f5c3p+1)},
+      {"sign", {Value::Double(-0.5)}, Value::Int(-1)},
+      {"greatest", mixed, Value::Double(0x1.ep+2)},
+      {"least", mixed, Value::Int(3)},
+      {"verdict_hash", {s_abc}, Value::Double(0x1.9f5d7cc93e5ep-3)},
+      {"unit_hash", {s_abc}, Value::Double(0x1.9f5d7cc93e5ep-3)},
+      {"crc32", {s_abc}, Value::Int(891568578)},
+      {"hash64", {Value::Int(12345)}, Value::Int(858311753342506876)},
+      {"length", {Value::Double(2.5)}, Value::Int(3)},
+      {"upper", {Value::String("aBc")}, Value::String("ABC")},
+      {"lower", {Value::String("aBc")}, Value::String("abc")},
+      {"substr", {s_verdict, Value::Int(3), Value::Int(2)},
+       Value::String("rd")},
+      {"substring", {s_verdict, Value::Int(3), Value::Int(2)},
+       Value::String("rd")},
+      {"concat",
+       {Value::String("a"), Value::Int(1), Value::Double(2.5),
+        Value::Bool(true)},
+       Value::String("a12.5true")},
+      {"year", {Value::Int(20240315)}, Value::Int(2024)},
+      {"month", {Value::Int(20240315)}, Value::Int(3)},
+      {"cast_double", {Value::Int(7)}, Value::Double(7.0)},
+      {"to_double", {Value::Int(7)}, Value::Double(7.0)},
+      {"cast_int", {Value::Double(7.9)}, Value::Int(7)},
+      {"to_int", {Value::Double(7.9)}, Value::Int(7)},
+  };
+  for (const Case& c : cases) {
+    std::vector<sql::Expr::Ptr> argv;
+    for (const Value& a : c.args) argv.push_back(sql::MakeLiteral(a));
+    auto call = sql::MakeFunction(c.name, std::move(argv));
+    call->rand_site = 3;
+    ASSERT_TRUE(ResolveFunctions(call.get()).ok()) << c.name;
+    const ScalarFn fn = BoundScalarFn(*call);
+    EXPECT_EQ(sql::IsRandFunctionExpr(*call),
+              fn == ScalarFn::kRand || fn == ScalarFn::kRandPoisson)
+        << c.name;
+    auto got = EvalExpr(*call, RowCtx{nullptr, /*row=*/7, /*rand_seed=*/42});
+    ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
+    const Value& v = got.value();
+    ASSERT_EQ(v.type(), c.want.type()) << c.name << ": " << v.ToString();
+    if (v.type() == TypeId::kDouble) {
+      EXPECT_EQ(v.AsDouble(), c.want.AsDouble()) << c.name;
+    } else {
+      EXPECT_EQ(v.ToString(), c.want.ToString()) << c.name;
+    }
+  }
+
+  // Evaluation has no name lookup to fall back on: a call that skipped the
+  // bind step is an internal error, not a slow success.
+  std::vector<sql::Expr::Ptr> argv;
+  argv.push_back(sql::MakeIntLit(-7));
+  auto unresolved = sql::MakeFunction("abs", std::move(argv));
+  auto r = EvalExpr(*unresolved, RowCtx{});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+}
+
+// Built-in aggregate names are answered from a static table before the UDA
+// registry is consulted; the answers are the ones the registry-first
+// lookup gave.
+TEST(ScalarFunctionTable, AggregateNamesKeepTheirClassification) {
+  for (const char* name :
+       {"count", "sum", "avg", "min", "max", "var", "var_samp", "variance",
+        "stddev", "stddev_samp", "quantile", "median", "approx_median",
+        "percentile", "ndv", "approx_distinct", "approx_count_distinct"}) {
+    EXPECT_TRUE(IsAggregateFunction(name)) << name;
+  }
+  for (const char* name : {"concat", "floor", "rand", "row_number", "rank",
+                           "nosuchfn", "", "counts", "su"}) {
+    EXPECT_FALSE(IsAggregateFunction(name)) << name;
+  }
+  EXPECT_FALSE(IsAggregateFunction("test_engine_uda"));
+  AggregateRegistry::Global().Register("test_engine_uda",
+                                       [] { return nullptr; });
+  EXPECT_TRUE(IsAggregateFunction("test_engine_uda"));
 }
 
 TEST(HyperLogLogTest, EstimatesCardinality) {

@@ -22,6 +22,7 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "engine/binder.h"
 #include "engine/database.h"
 #include "engine/expr_eval.h"
 #include "engine/kernels/kernels.h"
@@ -50,6 +51,7 @@ TablePtr MakeRandomTable(Rng* rng, size_t rows) {
   t->AddColumn("d2", TypeId::kDouble);    // with NULLs
   t->AddColumn("s1", TypeId::kString);    // with NULLs
   t->AddColumn("b1", TypeId::kBool);
+  t->AddColumn("n1", TypeId::kNull);      // every row NULL
   static const char* kStrings[] = {"a", "ab", "abc", "ba", "x", ""};
   for (size_t r = 0; r < rows; ++r) {
     std::vector<Value> row;
@@ -68,6 +70,7 @@ TablePtr MakeRandomTable(Rng* rng, size_t rows) {
                       ? Value::Null()
                       : Value::String(kStrings[rng->NextBounded(6)]));
     row.push_back(Value::Bool(rng->NextBernoulli(0.5)));
+    row.push_back(Value::Null());
     t->AppendRow(row);
   }
   return t;
@@ -77,7 +80,24 @@ class ExprGen {
  public:
   explicit ExprGen(Rng* rng) : rng_(rng) {}
 
-  Expr::Ptr Gen(int depth) {
+  /// A random tree over the fuzz tables' columns, through the binder's
+  /// function-resolution step like every engine expression.
+  Expr::Ptr Gen(int depth) { return Resolved(Node(depth)); }
+  /// A random tree whose root is a scalar function call.
+  Expr::Ptr GenFunctionCall(int depth) {
+    return Resolved(GenFunction(depth));
+  }
+  /// A random concat call (see GenConcat).
+  Expr::Ptr GenConcatCall(int depth) { return Resolved(GenConcat(depth)); }
+
+ private:
+  static Expr::Ptr Resolved(Expr::Ptr e) {
+    const Status st = ResolveFunctions(e.get());
+    EXPECT_TRUE(st.ok()) << st.ToString() << ": " << sql::PrintExpr(*e);
+    return e;
+  }
+
+  Expr::Ptr Node(int depth) {
     if (depth <= 0 || rng_->NextBernoulli(0.25)) return GenLeaf();
     switch (rng_->NextBounded(10)) {
       case 0: return GenArith(depth);
@@ -93,16 +113,13 @@ class ExprGen {
     }
   }
 
- private:
   Expr::Ptr GenLeaf() {
-    if (rng_->NextBernoulli(0.55)) {
-      // Bound column reference.
-      static const char* kCols[] = {"i1", "i2", "d1", "d2", "s1", "b1"};
-      const int idx = static_cast<int>(rng_->NextBounded(6));
-      auto e = sql::MakeColumnRef("", kCols[idx]);
-      e->bound_column = idx;
-      return e;
-    }
+    // Bound column reference (the all-NULL n1 is drawn by concat only).
+    if (rng_->NextBernoulli(0.55)) return Col(rng_->NextBounded(6));
+    return GenLiteral();
+  }
+
+  Expr::Ptr GenLiteral() {
     switch (rng_->NextBounded(5)) {
       case 0: return sql::MakeIntLit(rng_->NextInRange(-5, 5));
       case 1:
@@ -121,69 +138,69 @@ class ExprGen {
     static const BinaryOp kOps[] = {BinaryOp::kAdd, BinaryOp::kSub,
                                     BinaryOp::kMul, BinaryOp::kDiv,
                                     BinaryOp::kMod};
-    return sql::MakeBinary(kOps[rng_->NextBounded(5)], Gen(depth - 1),
-                           Gen(depth - 1));
+    return sql::MakeBinary(kOps[rng_->NextBounded(5)], Node(depth - 1),
+                           Node(depth - 1));
   }
 
   Expr::Ptr GenCompare(int depth) {
     static const BinaryOp kOps[] = {BinaryOp::kEq, BinaryOp::kNe,
                                     BinaryOp::kLt, BinaryOp::kLe,
                                     BinaryOp::kGt, BinaryOp::kGe};
-    return sql::MakeBinary(kOps[rng_->NextBounded(6)], Gen(depth - 1),
-                           Gen(depth - 1));
+    return sql::MakeBinary(kOps[rng_->NextBounded(6)], Node(depth - 1),
+                           Node(depth - 1));
   }
 
   Expr::Ptr GenLogic(int depth) {
     return sql::MakeBinary(
         rng_->NextBernoulli(0.5) ? BinaryOp::kAnd : BinaryOp::kOr,
-        Gen(depth - 1), Gen(depth - 1));
+        Node(depth - 1), Node(depth - 1));
   }
 
   Expr::Ptr GenUnary(int depth) {
     return sql::MakeUnary(
         rng_->NextBernoulli(0.5) ? UnaryOp::kNeg : UnaryOp::kNot,
-        Gen(depth - 1));
+        Node(depth - 1));
   }
 
   Expr::Ptr GenCase(int depth) {
     auto e = std::make_unique<Expr>(ExprKind::kCase);
     const size_t whens = 1 + rng_->NextBounded(2);
     for (size_t i = 0; i < whens; ++i) {
-      e->case_whens.push_back(Gen(depth - 1));
-      e->case_thens.push_back(Gen(depth - 1));
+      e->case_whens.push_back(Node(depth - 1));
+      e->case_thens.push_back(Node(depth - 1));
     }
-    if (rng_->NextBernoulli(0.7)) e->case_else = Gen(depth - 1);
+    if (rng_->NextBernoulli(0.7)) e->case_else = Node(depth - 1);
     return e;
   }
 
   Expr::Ptr GenIsNull(int depth) {
     auto e = std::make_unique<Expr>(ExprKind::kIsNull);
-    e->args.push_back(Gen(depth - 1));
+    e->args.push_back(Node(depth - 1));
     e->negated = rng_->NextBernoulli(0.5);
     return e;
   }
 
   Expr::Ptr GenInList(int depth) {
     auto e = std::make_unique<Expr>(ExprKind::kInList);
-    e->args.push_back(Gen(depth - 1));
+    e->args.push_back(Node(depth - 1));
     const size_t items = 1 + rng_->NextBounded(3);
-    for (size_t i = 0; i < items; ++i) e->args.push_back(Gen(depth - 1));
+    for (size_t i = 0; i < items; ++i) e->args.push_back(Node(depth - 1));
     e->negated = rng_->NextBernoulli(0.5);
     return e;
   }
 
   Expr::Ptr GenBetween(int depth) {
     auto e = std::make_unique<Expr>(ExprKind::kBetween);
-    e->args.push_back(Gen(depth - 1));
-    e->args.push_back(Gen(depth - 1));
-    e->args.push_back(Gen(depth - 1));
+    e->args.push_back(Node(depth - 1));
+    e->args.push_back(Node(depth - 1));
+    e->args.push_back(Node(depth - 1));
     e->negated = rng_->NextBernoulli(0.5);
     return e;
   }
 
   Expr::Ptr GenLike(int depth) {
     static const char* kPatterns[] = {"a%", "%b", "%a%", "a_", "_", "%"};
-    return sql::MakeBinary(BinaryOp::kLike, Gen(depth - 1),
+    return sql::MakeBinary(BinaryOp::kLike, Node(depth - 1),
                            sql::MakeStringLit(kPatterns[rng_->NextBounded(6)]));
   }
 
@@ -191,20 +208,72 @@ class ExprGen {
     // rand-family calls are fair game: draws are row-addressed, so the
     // batch kernels and the row interpreter produce identical values (each
     // generated call gets its own site id).
-    switch (rng_->NextBounded(11)) {
-      case 0: return Call("abs", Gen(depth - 1));
-      case 1: return Call("floor", Gen(depth - 1));
-      case 2: return Call("coalesce", Gen(depth - 1), Gen(depth - 1));
+    switch (rng_->NextBounded(16)) {
+      case 0: return Call("abs", Node(depth - 1));
+      case 1: return Call("floor", Node(depth - 1));
+      case 2: return Call("coalesce", Node(depth - 1), Node(depth - 1));
       case 3:
-        return Call("if", Gen(depth - 1), Gen(depth - 1), Gen(depth - 1));
-      case 4: return Call("length", Gen(depth - 1));
-      case 5: return Call("verdict_hash", Gen(depth - 1));
+        return Call("if", Node(depth - 1), Node(depth - 1), Node(depth - 1));
+      case 4: return Call("length", Node(depth - 1));
+      case 5: return Call("verdict_hash", Node(depth - 1));
       case 6: return Sited(Call("rand"));
       case 7: return Sited(Call("rand_poisson"));
-      case 8: return Call("ceil", Gen(depth - 1));
-      case 9: return Call("sqrt", Gen(depth - 1));
-      default: return Call("greatest", Gen(depth - 1), Gen(depth - 1));
+      case 8: return Call("ceil", Node(depth - 1));
+      case 9: return Call("sqrt", Node(depth - 1));
+      case 10: return Call("greatest", Node(depth - 1), Node(depth - 1));
+      case 11: return Call("year", GenIntOperand());
+      case 12: return Call("month", GenIntOperand());
+      case 13: return Call("upper", Node(depth - 1));
+      case 14:
+        return rng_->NextBernoulli(0.5)
+                   ? Call("substr", Node(depth - 1), GenIntOperand())
+                   : Call("substr", Node(depth - 1), GenIntOperand(),
+                          GenIntOperand());
+      default: return GenConcat(depth);
     }
+  }
+
+  /// An integer-valued operand (int column or literal): the date functions'
+  /// yyyymmdd argument and substr's bounds. Doubles stay out — AsInt on an
+  /// out-of-range double is undefined behavior.
+  Expr::Ptr GenIntOperand() {
+    if (rng_->NextBernoulli(0.5)) return Col(rng_->NextBounded(2));  // i1, i2
+    static const int64_t kPool[] = {0, 1, 3, -2, 20240315, 19991231};
+    return sql::MakeIntLit(kPool[rng_->NextBounded(6)]);
+  }
+
+  /// concat over 1-4 arguments drawn from every column type (the all-NULL
+  /// column included), literals of every type, a CASE whose branches mix
+  /// int and string, and arbitrary subtrees.
+  Expr::Ptr GenConcat(int depth) {
+    std::vector<Expr::Ptr> argv;
+    const size_t arity = 1 + rng_->NextBounded(4);
+    for (size_t i = 0; i < arity; ++i) {
+      switch (rng_->NextBounded(4)) {
+        case 0: argv.push_back(Col(rng_->NextBounded(7))); break;
+        case 1: argv.push_back(GenLiteral()); break;
+        case 2: {
+          auto c = std::make_unique<Expr>(ExprKind::kCase);
+          c->case_whens.push_back(Node(depth - 1));
+          c->case_thens.push_back(rng_->NextBernoulli(0.5)
+                                      ? Col(0)
+                                      : sql::MakeIntLit(7));
+          c->case_else = rng_->NextBernoulli(0.5) ? Col(4)
+                                                  : sql::MakeStringLit("s");
+          argv.push_back(std::move(c));
+          break;
+        }
+        default: argv.push_back(Node(depth - 1)); break;
+      }
+    }
+    return sql::MakeFunction("concat", std::move(argv));
+  }
+
+  Expr::Ptr Col(size_t idx) {
+    static const char* kCols[] = {"i1", "i2", "d1", "d2", "s1", "b1", "n1"};
+    auto e = sql::MakeColumnRef("", kCols[idx]);
+    e->bound_column = static_cast<int>(idx);
+    return e;
   }
 
   Expr::Ptr Sited(Expr::Ptr e) {
@@ -314,6 +383,25 @@ TEST(VectorEvalFuzz, BatchMatchesRowUnderSelectionVector) {
   }
 }
 
+TEST(VectorEvalFuzz, FunctionCallsMatchRow) {
+  // Function calls at the root, so every lane of a kernel's output is
+  // compared (inside a larger tree a comparison or IS NULL can mask it):
+  // concat's batch kernel on every other tree, the other builtins between.
+  Rng rng(0xC0C0A7);
+  auto t = MakeRandomTable(&rng, 203);
+  ExprGen gen(&rng);
+  for (int i = 0; i < 300; ++i) {
+    auto e = i % 2 == 0 ? gen.GenConcatCall(3) : gen.GenFunctionCall(3);
+    SelVector sel;
+    for (uint32_t r = 0; r < t->num_rows(); ++r) {
+      if (rng.NextBernoulli(0.5)) sel.push_back(r);
+    }
+    ExpectBatchMatchesRow(*e, Batch{t.get(), nullptr, /*rand_seed=*/5});
+    ExpectBatchMatchesRow(*e, Batch{t.get(), &sel, /*rand_seed=*/5});
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 TEST(VectorEvalFuzz, RandomNullPatterns) {
   // Tables whose nullable columns are mostly/entirely NULL stress the lazy
   // null-mask paths.
@@ -325,10 +413,11 @@ TEST(VectorEvalFuzz, RandomNullPatterns) {
   t->AddColumn("d2", TypeId::kDouble);
   t->AddColumn("s1", TypeId::kString);
   t->AddColumn("b1", TypeId::kBool);
+  t->AddColumn("n1", TypeId::kNull);
   for (size_t r = 0; r < 64; ++r) {
     t->AppendRow({Value::Null(), Value::Null(),
                   rng.NextBernoulli(0.1) ? Value::Double(1.5) : Value::Null(),
-                  Value::Null(), Value::Null(), Value::Null()});
+                  Value::Null(), Value::Null(), Value::Null(), Value::Null()});
   }
   ExprGen gen(&rng);
   for (int i = 0; i < 150; ++i) {
@@ -356,6 +445,7 @@ TablePtr MakeAdversarialTable(Rng* rng, size_t rows) {
   t->AddColumn("d2", TypeId::kDouble);
   t->AddColumn("s1", TypeId::kString);
   t->AddColumn("b1", TypeId::kBool);
+  t->AddColumn("n1", TypeId::kNull);
   const double kDoublePool[] = {
       std::numeric_limits<double>::quiet_NaN(),
       0.0,
@@ -390,6 +480,7 @@ TablePtr MakeAdversarialTable(Rng* rng, size_t rows) {
                       ? Value::Null()
                       : Value::String(kStrings[rng->NextBounded(4)]));
     row.push_back(Value::Bool(rng->NextBernoulli(0.5)));
+    row.push_back(Value::Null());
     t->AppendRow(row);
   }
   return t;
@@ -928,6 +1019,14 @@ TEST_F(LateMaterializationTest, RandomizedPredicates) {
     CheckQuery(pred, "select g, x, y", "order by x limit 23");
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST_F(LateMaterializationTest, FilterCountDistinctConcat) {
+  // The group-cardinality probe's shape: concat's batch kernel under
+  // morsel-parallel aggregation, NULL-bearing and mixed-type arguments.
+  CheckQuery("x > -200000",
+             "select count(distinct concat(g, '|', s)) as c, "
+             "count(distinct concat(y, '|', x > 0, '|', g)) as c2");
 }
 
 TEST_F(LateMaterializationTest, RandPredicateSeedReproducible) {

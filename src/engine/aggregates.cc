@@ -7,6 +7,7 @@
 
 #include "common/hash.h"
 #include "engine/agg_table.h"
+#include "engine/functions.h"
 #include "engine/hll.h"
 #include "engine/kernels/kernels.h"
 
@@ -89,35 +90,6 @@ std::unique_ptr<AggAccumulator> AggregateRegistry::Create(
 
 namespace {
 
-class CountAcc : public AggAccumulator {
- public:
-  explicit CountAcc(bool star) : star_(star) {}
-  void Add(const Value& v) override {
-    if (star_ || !v.is_null()) ++count_;
-  }
-  void AddBatch(const Column& col, const uint32_t* rows, size_t n) override {
-    if (star_) {
-      count_ += static_cast<int64_t>(n);
-      return;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (!col.IsNull(rows[i])) ++count_;
-    }
-  }
-  void AddRepeated(const Value& v, size_t n) override {
-    if (star_ || !v.is_null()) count_ += static_cast<int64_t>(n);
-  }
-  bool Mergeable() const override { return true; }
-  void Merge(const AggAccumulator& other) override {
-    count_ += static_cast<const CountAcc&>(other).count_;
-  }
-  Value Finalize() const override { return Value::Int(count_); }
-
- private:
-  bool star_;
-  int64_t count_ = 0;
-};
-
 /// COUNT(DISTINCT x): a flat open-addressing set of Values under the group
 /// equivalence — the same GroupTable, hash, and equality the group-id path
 /// uses, with no per-value string keys. The collision test mask applies so
@@ -165,226 +137,6 @@ inline void NeumaierAdd(double& sum, double& comp, double x) {
   }
   sum = t;
 }
-
-class SumAcc : public AggAccumulator {
- public:
-  void Add(const Value& v) override {
-    if (v.is_null()) return;
-    any_ = true;
-    if (v.type() != TypeId::kInt64) all_int_ = false;
-    NeumaierAdd(sum_, comp_, v.AsDouble());
-  }
-  void AddBatch(const Column& col, const uint32_t* rows, size_t n) override {
-    switch (col.type()) {
-      case TypeId::kInt64:
-        for (size_t i = 0; i < n; ++i) {
-          if (col.IsNull(rows[i])) continue;
-          any_ = true;
-          NeumaierAdd(sum_, comp_, static_cast<double>(col.GetInt(rows[i])));
-        }
-        break;
-      case TypeId::kDouble:
-        for (size_t i = 0; i < n; ++i) {
-          if (col.IsNull(rows[i])) continue;
-          any_ = true;
-          all_int_ = false;
-          NeumaierAdd(sum_, comp_, col.GetDouble(rows[i]));
-        }
-        break;
-      default:
-        AggAccumulator::AddBatch(col, rows, n);
-    }
-  }
-  bool Mergeable() const override { return true; }
-  void Merge(const AggAccumulator& other) override {
-    // Compensated merge: fold the partial's value and its error term.
-    const auto& o = static_cast<const SumAcc&>(other);
-    NeumaierAdd(sum_, comp_, o.sum_);
-    NeumaierAdd(sum_, comp_, o.comp_);
-    any_ = any_ || o.any_;
-    all_int_ = all_int_ && o.all_int_;
-  }
-  Value Finalize() const override {
-    if (!any_) return Value::Null();
-    const double total = sum_ + comp_;
-    if (all_int_) return Value::Int(static_cast<int64_t>(std::llround(total)));
-    return Value::Double(total);
-  }
-
- private:
-  double sum_ = 0.0;
-  double comp_ = 0.0;  // Neumaier error term
-  bool any_ = false;
-  bool all_int_ = true;
-};
-
-class AvgAcc : public AggAccumulator {
- public:
-  void Add(const Value& v) override {
-    if (v.is_null()) return;
-    NeumaierAdd(sum_, comp_, v.AsDouble());
-    ++n_;
-  }
-  void AddBatch(const Column& col, const uint32_t* rows, size_t n) override {
-    // GetNumeric matches Value::AsDouble for every type (strings read 0).
-    for (size_t i = 0; i < n; ++i) {
-      if (col.IsNull(rows[i])) continue;
-      NeumaierAdd(sum_, comp_, col.GetNumeric(rows[i]));
-      ++n_;
-    }
-  }
-  bool Mergeable() const override { return true; }
-  void Merge(const AggAccumulator& other) override {
-    const auto& o = static_cast<const AvgAcc&>(other);
-    NeumaierAdd(sum_, comp_, o.sum_);
-    NeumaierAdd(sum_, comp_, o.comp_);
-    n_ += o.n_;
-  }
-  Value Finalize() const override {
-    if (n_ == 0) return Value::Null();
-    return Value::Double((sum_ + comp_) / static_cast<double>(n_));
-  }
-
- private:
-  double sum_ = 0.0;
-  double comp_ = 0.0;  // Neumaier error term
-  int64_t n_ = 0;
-};
-
-class MinMaxAcc : public AggAccumulator {
- public:
-  explicit MinMaxAcc(bool is_min) : is_min_(is_min) {}
-  void Add(const Value& v) override {
-    if (v.is_null()) return;
-    if (!any_) {
-      best_ = v;
-      any_ = true;
-      return;
-    }
-    int c = v.Compare(best_);
-    if ((is_min_ && c < 0) || (!is_min_ && c > 0)) best_ = v;
-  }
-  void AddBatch(const Column& col, const uint32_t* rows, size_t n) override {
-    // Scan for the batch-local extremum in a typed loop, then merge it via
-    // Add so cross-batch state keeps the row-at-a-time semantics. Strict
-    // comparisons keep the first-seen value on ties and NaNs, like Compare.
-    switch (col.type()) {
-      case TypeId::kInt64: {
-        bool found = false;
-        int64_t best = 0;
-        for (size_t i = 0; i < n; ++i) {
-          if (col.IsNull(rows[i])) continue;
-          const int64_t x = col.GetInt(rows[i]);
-          if (!found || (is_min_ ? x < best : x > best)) {
-            best = x;
-            found = true;
-          }
-        }
-        if (found) Add(Value::Int(best));
-        break;
-      }
-      case TypeId::kDouble: {
-        bool found = false;
-        double best = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-          if (col.IsNull(rows[i])) continue;
-          const double x = col.GetDouble(rows[i]);
-          if (!found || (is_min_ ? x < best : x > best)) {
-            best = x;
-            found = true;
-          }
-        }
-        if (found) Add(Value::Double(best));
-        break;
-      }
-      case TypeId::kString: {
-        const std::string* best = nullptr;
-        for (size_t i = 0; i < n; ++i) {
-          if (col.IsNull(rows[i])) continue;
-          const std::string& x = col.GetString(rows[i]);
-          if (best == nullptr ||
-              (is_min_ ? x.compare(*best) < 0 : x.compare(*best) > 0)) {
-            best = &x;
-          }
-        }
-        if (best != nullptr) Add(Value::String(*best));
-        break;
-      }
-      default:
-        AggAccumulator::AddBatch(col, rows, n);
-    }
-  }
-  bool Mergeable() const override { return true; }
-  void Merge(const AggAccumulator& other) override {
-    const auto& o = static_cast<const MinMaxAcc&>(other);
-    // Add keeps the first-seen value on ties; merging in morsel order keeps
-    // that "first in row order" tie-break.
-    if (o.any_) Add(o.best_);
-  }
-  Value Finalize() const override { return any_ ? best_ : Value::Null(); }
-
- private:
-  bool is_min_;
-  bool any_ = false;
-  Value best_;
-};
-
-/// Welford online variance; finalizes to sample variance or stddev.
-class VarAcc : public AggAccumulator {
- public:
-  explicit VarAcc(bool stddev) : stddev_(stddev) {}
-  void Add(const Value& v) override {
-    if (v.is_null()) return;
-    double x = v.AsDouble();
-    ++n_;
-    double d = x - mean_;
-    mean_ += d / static_cast<double>(n_);
-    m2_ += d * (x - mean_);
-  }
-  void AddBatch(const Column& col, const uint32_t* rows, size_t n) override {
-    for (size_t i = 0; i < n; ++i) {
-      if (col.IsNull(rows[i])) continue;
-      const double x = col.GetNumeric(rows[i]);
-      ++n_;
-      const double d = x - mean_;
-      mean_ += d / static_cast<double>(n_);
-      m2_ += d * (x - mean_);
-    }
-  }
-  bool Mergeable() const override { return true; }
-  void Merge(const AggAccumulator& other) override {
-    // Chan et al.'s pairwise update of Welford state. Algebraically equal to
-    // the sequential recurrence (rounding can differ in the last ulps); the
-    // planner applies the same morsel decomposition and merge order at every
-    // thread count, so var/stddev are bit-identical across 1..N threads.
-    const auto& o = static_cast<const VarAcc&>(other);
-    if (o.n_ == 0) return;
-    if (n_ == 0) {
-      n_ = o.n_;
-      mean_ = o.mean_;
-      m2_ = o.m2_;
-      return;
-    }
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(o.n_);
-    const double delta = o.mean_ - mean_;
-    const double total = na + nb;
-    m2_ += o.m2_ + delta * delta * (na * nb / total);
-    mean_ += delta * (nb / total);
-    n_ += o.n_;
-  }
-  Value Finalize() const override {
-    if (n_ < 2) return Value::Null();
-    double var = m2_ / static_cast<double>(n_ - 1);
-    return Value::Double(stddev_ ? std::sqrt(var) : var);
-  }
-
- private:
-  bool stddev_;
-  int64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
 
 /// Exact quantile over collected values (sorting at finalize). This is the
 /// engine's `quantile(x, p)` / `median(x)` / `approx_median(x)`; like
@@ -447,35 +199,28 @@ class NdvAcc : public AggAccumulator {
 
 // ---------------------------------------------------- flat SoA accumulators
 //
-// One class per scatterable aggregate, each mirroring its object-path
-// counterpart above value for value: the same per-row recurrence in the same
-// row order, the same per-call batch semantics, the same merge algebra.
-// Group state lives in typed lane arrays indexed by gid; AddScatter is one
-// pass over a batch column, no per-group heap objects, no per-group
-// selection vectors.
+// One class per scatterable aggregate and the only implementation of it.
+// Each is pinned value for value against its row-at-a-time reference
+// accumulator in tests/test_flat_agg.cc: the same per-row recurrence in the
+// same row order, the same per-call batch semantics, the same merge algebra.
+// Group state lives in typed lane arrays indexed by gid; Scatter is one pass
+// over a batch column, no per-group heap objects, no per-group selection
+// vectors.
 
+/// COUNT(x) counts non-null values; COUNT(*) (`col` null) counts rows.
 class FlatCountAgg : public FlatAggregator {
  public:
-  explicit FlatCountAgg(bool star) : star_(star) {}
   void ResizeGroups(size_t n) override { counts_.resize(n, 0); }
-  void AddScatter(const Column* col, size_t base, const uint32_t* gids,
-                  size_t n) override {
-    if (star_ || col == nullptr) {
+  void Scatter(const Column* col, size_t base, const uint32_t* rows,
+               const uint32_t* gids, size_t n) override {
+    if (col == nullptr) {
       for (size_t k = 0; k < n; ++k) ++counts_[gids[k]];
       return;
     }
     for (size_t k = 0; k < n; ++k) {
-      if (!col->IsNull(base + k)) ++counts_[gids[k]];
-    }
-  }
-  void AddScatterSelected(const Column* col, size_t base, const uint32_t* rows,
-                          const uint32_t* gids, size_t n) override {
-    if (star_ || col == nullptr) {
-      for (size_t k = 0; k < n; ++k) ++counts_[gids[k]];
-      return;
-    }
-    for (size_t k = 0; k < n; ++k) {
-      if (!col->IsNull(base + rows[k])) ++counts_[gids[k]];
+      if (!col->IsNull(base + (rows == nullptr ? k : rows[k]))) {
+        ++counts_[gids[k]];
+      }
     }
   }
   void MergeGroup(const FlatAggregator& other, uint32_t dst,
@@ -491,12 +236,12 @@ class FlatCountAgg : public FlatAggregator {
   }
 
  private:
-  bool star_;
   std::vector<int64_t> counts_;
 };
 
 /// SUM via the scatter-sum kernel: per-gid (sum, comp) Neumaier lanes plus
-/// the any-value and saw-non-Int64 flags SumAcc tracks.
+/// an any-value flag and a saw-non-Int64 flag. A group that only ever added
+/// Int64 values finalizes to the rounded Int64 total.
 class FlatSumAgg : public FlatAggregator {
  public:
   void ResizeGroups(size_t n) override {
@@ -505,13 +250,39 @@ class FlatSumAgg : public FlatAggregator {
     any_.resize(n, 0);
     nonint_.resize(n, 0);
   }
-  void AddScatter(const Column* col, size_t base, const uint32_t* gids,
-                  size_t n) override {
-    Scatter(col, base, nullptr, gids, n);
-  }
-  void AddScatterSelected(const Column* col, size_t base, const uint32_t* rows,
-                          const uint32_t* gids, size_t n) override {
-    Scatter(col, base, rows, gids, n);
+  void Scatter(const Column* col, size_t base, const uint32_t* rows,
+               const uint32_t* gids, size_t n) override {
+    const uint8_t* nulls = col->NullData();
+    if (nulls != nullptr) nulls += base;
+    switch (col->type()) {
+      case TypeId::kInt64:
+        kernels::Ops().scatter_sum_i64(col->IntData() + base, nulls, rows,
+                                       gids, n, sums_.data(), comps_.data(),
+                                       any_.data(), nullptr);
+        return;
+      case TypeId::kDouble: {
+        kernels::Ops().scatter_sum_f64(col->DoubleData() + base, nulls, rows,
+                                       gids, n, sums_.data(), comps_.data(),
+                                       any_.data(), nullptr);
+        // Every non-null double marks its group non-integer (cheap second
+        // pass — the kernel carries one flag).
+        for (size_t k = 0; k < n; ++k) {
+          const size_t r = rows == nullptr ? k : rows[k];
+          if (nulls == nullptr || nulls[r] == 0) nonint_[gids[k]] = 1;
+        }
+        return;
+      }
+      default:
+        for (size_t k = 0; k < n; ++k) {
+          const size_t r = base + (rows == nullptr ? k : rows[k]);
+          const Value v = col->Get(r);
+          if (v.is_null()) continue;
+          const uint32_t g = gids[k];
+          any_[g] = 1;
+          if (v.type() != TypeId::kInt64) nonint_[g] = 1;
+          NeumaierAdd(sums_[g], comps_[g], v.AsDouble());
+        }
+    }
   }
   void MergeGroup(const FlatAggregator& other, uint32_t dst,
                   uint32_t src) override {
@@ -539,51 +310,17 @@ class FlatSumAgg : public FlatAggregator {
   }
 
  private:
-  void Scatter(const Column* col, size_t base, const uint32_t* rows,
-               const uint32_t* gids, size_t n) {
-    const uint8_t* nulls = col->NullData();
-    if (nulls != nullptr) nulls += base;
-    switch (col->type()) {
-      case TypeId::kInt64:
-        kernels::Ops().scatter_sum_i64(col->IntData() + base, nulls, rows,
-                                       gids, n, sums_.data(), comps_.data(),
-                                       any_.data(), nullptr);
-        return;
-      case TypeId::kDouble: {
-        kernels::Ops().scatter_sum_f64(col->DoubleData() + base, nulls, rows,
-                                       gids, n, sums_.data(), comps_.data(),
-                                       any_.data(), nullptr);
-        // SumAcc flips all_int_ per non-null double it adds; mark the same
-        // groups here (cheap second pass — the kernel carries one flag).
-        for (size_t k = 0; k < n; ++k) {
-          const size_t r = rows == nullptr ? k : rows[k];
-          if (nulls == nullptr || nulls[r] == 0) nonint_[gids[k]] = 1;
-        }
-        return;
-      }
-      default:
-        for (size_t k = 0; k < n; ++k) {
-          const size_t r = base + (rows == nullptr ? k : rows[k]);
-          const Value v = col->Get(r);
-          if (v.is_null()) continue;
-          const uint32_t g = gids[k];
-          any_[g] = 1;
-          if (v.type() != TypeId::kInt64) nonint_[g] = 1;
-          NeumaierAdd(sums_[g], comps_[g], v.AsDouble());
-        }
-    }
-  }
-
   std::vector<double> sums_;
   std::vector<double> comps_;
   std::vector<uint8_t> any_;
-  std::vector<uint8_t> nonint_;  // saw a non-Int64 value (inverse of all_int_)
+  std::vector<uint8_t> nonint_;  // saw a non-Int64 value
 };
 
-/// AVG: Neumaier (sum, comp) lanes plus the non-null count. AvgAcc adds
-/// GetNumeric for every column type; Int64/Bool lanes hit the i64 kernel
-/// (static_cast<double> of the raw storage — the same value GetNumeric
-/// reads), Double lanes the f64 kernel, everything else the generic loop.
+/// AVG: Neumaier (sum, comp) lanes plus the non-null count. Every value adds
+/// as GetNumeric (Value::AsDouble for every type); Int64/Bool lanes hit the
+/// i64 kernel (static_cast<double> of the raw storage — the same value
+/// GetNumeric reads), Double lanes the f64 kernel, everything else the
+/// generic loop.
 class FlatAvgAgg : public FlatAggregator {
  public:
   void ResizeGroups(size_t n) override {
@@ -591,36 +328,8 @@ class FlatAvgAgg : public FlatAggregator {
     comps_.resize(n, 0.0);
     ns_.resize(n, 0);
   }
-  void AddScatter(const Column* col, size_t base, const uint32_t* gids,
-                  size_t n) override {
-    Scatter(col, base, nullptr, gids, n);
-  }
-  void AddScatterSelected(const Column* col, size_t base, const uint32_t* rows,
-                          const uint32_t* gids, size_t n) override {
-    Scatter(col, base, rows, gids, n);
-  }
-  void MergeGroup(const FlatAggregator& other, uint32_t dst,
-                  uint32_t src) override {
-    const auto& o = static_cast<const FlatAvgAgg&>(other);
-    NeumaierAdd(sums_[dst], comps_[dst], o.sums_[src]);
-    NeumaierAdd(sums_[dst], comps_[dst], o.comps_[src]);
-    ns_[dst] += o.ns_[src];
-  }
-  void MoveGroup(FlatAggregator& other, uint32_t dst,
-                 uint32_t src) override {
-    const auto& o = static_cast<const FlatAvgAgg&>(other);
-    sums_[dst] = o.sums_[src];
-    comps_[dst] = o.comps_[src];
-    ns_[dst] = o.ns_[src];
-  }
-  Value FinalizeGroup(uint32_t g) const override {
-    if (ns_[g] == 0) return Value::Null();
-    return Value::Double((sums_[g] + comps_[g]) / static_cast<double>(ns_[g]));
-  }
-
- private:
   void Scatter(const Column* col, size_t base, const uint32_t* rows,
-               const uint32_t* gids, size_t n) {
+               const uint32_t* gids, size_t n) override {
     const uint8_t* nulls = col->NullData();
     if (nulls != nullptr) nulls += base;
     switch (col->type()) {
@@ -645,20 +354,41 @@ class FlatAvgAgg : public FlatAggregator {
         }
     }
   }
+  void MergeGroup(const FlatAggregator& other, uint32_t dst,
+                  uint32_t src) override {
+    const auto& o = static_cast<const FlatAvgAgg&>(other);
+    NeumaierAdd(sums_[dst], comps_[dst], o.sums_[src]);
+    NeumaierAdd(sums_[dst], comps_[dst], o.comps_[src]);
+    ns_[dst] += o.ns_[src];
+  }
+  void MoveGroup(FlatAggregator& other, uint32_t dst,
+                 uint32_t src) override {
+    const auto& o = static_cast<const FlatAvgAgg&>(other);
+    sums_[dst] = o.sums_[src];
+    comps_[dst] = o.comps_[src];
+    ns_[dst] = o.ns_[src];
+  }
+  Value FinalizeGroup(uint32_t g) const override {
+    if (ns_[g] == 0) return Value::Null();
+    return Value::Double((sums_[g] + comps_[g]) / static_cast<double>(ns_[g]));
+  }
 
+ private:
   std::vector<double> sums_;
   std::vector<double> comps_;
   std::vector<int64_t> ns_;
 };
 
-/// MIN/MAX. One AddScatter call is one reference AddBatch: each touched
-/// group's batch-local extremum is found with the same strict typed
-/// comparisons MinMaxAcc::AddBatch uses, then folded ONCE through the Add
-/// recurrence — NOT folded row by row, which would diverge on NaNs
-/// (Value::Compare buckets NaN as equal, so a NaN-then-smaller batch keeps
-/// the pre-batch best under batch semantics but takes the smaller value
-/// under row folding). Epoch-stamped scratch lanes avoid re-clearing
-/// per-group state on every call.
+/// MIN/MAX. One Scatter call is one batch: each touched group's batch-local
+/// extremum is found with strict typed comparisons, then folded ONCE
+/// through the Value::Compare recurrence (Fold) — NOT folded row by row,
+/// which would diverge on NaNs (Value::Compare buckets NaN as equal, so a
+/// NaN-then-smaller batch keeps the pre-batch best under batch semantics
+/// but takes the smaller value under row folding). Into an empty group the
+/// two agree: strict `<` treats NaN as incomparable just as Compare does,
+/// so a window partition (one batch) gets the row fold's answer.
+/// Epoch-stamped scratch lanes avoid re-clearing per-group state on every
+/// call.
 class FlatMinMaxAgg : public FlatAggregator {
  public:
   explicit FlatMinMaxAgg(bool is_min) : is_min_(is_min) {}
@@ -667,51 +397,8 @@ class FlatMinMaxAgg : public FlatAggregator {
     any_.resize(n, 0);
     epoch_.resize(n, 0);
   }
-  void AddScatter(const Column* col, size_t base, const uint32_t* gids,
-                  size_t n) override {
-    Scatter(col, base, nullptr, gids, n);
-  }
-  void AddScatterSelected(const Column* col, size_t base, const uint32_t* rows,
-                          const uint32_t* gids, size_t n) override {
-    Scatter(col, base, rows, gids, n);
-  }
-  void MergeGroup(const FlatAggregator& other, uint32_t dst,
-                  uint32_t src) override {
-    const auto& o = static_cast<const FlatMinMaxAgg&>(other);
-    if (o.any_[src]) Fold(dst, o.best_[src]);
-  }
-  void MoveGroup(FlatAggregator& other, uint32_t dst,
-                 uint32_t src) override {
-    const auto& o = static_cast<const FlatMinMaxAgg&>(other);
-    best_[dst] = o.best_[src];
-    any_[dst] = o.any_[src];
-  }
-  Value FinalizeGroup(uint32_t g) const override {
-    return any_[g] ? best_[g] : Value::Null();
-  }
-
- private:
-  /// MinMaxAcc::Add's exact recurrence (first-seen kept on ties and NaNs).
-  void Fold(uint32_t g, const Value& v) {
-    if (!any_[g]) {
-      best_[g] = v;
-      any_[g] = 1;
-      return;
-    }
-    const int c = v.Compare(best_[g]);
-    if ((is_min_ && c < 0) || (!is_min_ && c > 0)) best_[g] = v;
-  }
-
-  /// First touch of group g this call; stamps it and queues the fold.
-  bool Touch(uint32_t g) {
-    if (epoch_[g] == cur_epoch_) return false;
-    epoch_[g] = cur_epoch_;
-    touched_.push_back(g);
-    return true;
-  }
-
   void Scatter(const Column* col, size_t base, const uint32_t* rows,
-               const uint32_t* gids, size_t n) {
+               const uint32_t* gids, size_t n) override {
     ++cur_epoch_;
     touched_.clear();
     switch (col->type()) {
@@ -759,7 +446,7 @@ class FlatMinMaxAgg : public FlatAggregator {
         return;
       }
       default:
-        // MinMaxAcc::AddBatch falls back to row-at-a-time Add here; so do we.
+        // Bool and mixed lanes fold row at a time.
         for (size_t k = 0; k < n; ++k) {
           const size_t r = base + (rows == nullptr ? k : rows[k]);
           const Value v = col->Get(r);
@@ -767,6 +454,41 @@ class FlatMinMaxAgg : public FlatAggregator {
         }
     }
   }
+  void MergeGroup(const FlatAggregator& other, uint32_t dst,
+                  uint32_t src) override {
+    const auto& o = static_cast<const FlatMinMaxAgg&>(other);
+    if (o.any_[src]) Fold(dst, o.best_[src]);
+  }
+  void MoveGroup(FlatAggregator& other, uint32_t dst,
+                 uint32_t src) override {
+    const auto& o = static_cast<const FlatMinMaxAgg&>(other);
+    best_[dst] = o.best_[src];
+    any_[dst] = o.any_[src];
+  }
+  Value FinalizeGroup(uint32_t g) const override {
+    return any_[g] ? best_[g] : Value::Null();
+  }
+
+ private:
+  /// The row-at-a-time recurrence (first-seen kept on ties and NaNs).
+  void Fold(uint32_t g, const Value& v) {
+    if (!any_[g]) {
+      best_[g] = v;
+      any_[g] = 1;
+      return;
+    }
+    const int c = v.Compare(best_[g]);
+    if ((is_min_ && c < 0) || (!is_min_ && c > 0)) best_[g] = v;
+  }
+
+  /// First touch of group g this call; stamps it and queues the fold.
+  bool Touch(uint32_t g) {
+    if (epoch_[g] == cur_epoch_) return false;
+    epoch_[g] = cur_epoch_;
+    touched_.push_back(g);
+    return true;
+  }
+
 
   bool is_min_;
   std::vector<Value> best_;
@@ -780,8 +502,8 @@ class FlatMinMaxAgg : public FlatAggregator {
   std::vector<const std::string*> batch_str_;
 };
 
-/// VAR/STDDEV: Welford (n, mean, m2) lanes, Chan pairwise merge — the exact
-/// recurrences of VarAcc in the same row order.
+/// VAR/STDDEV: Welford (n, mean, m2) lanes in row order, Chan pairwise
+/// merge; finalizes to the sample variance or standard deviation.
 class FlatVarAgg : public FlatAggregator {
  public:
   explicit FlatVarAgg(bool stddev) : stddev_(stddev) {}
@@ -790,13 +512,39 @@ class FlatVarAgg : public FlatAggregator {
     means_.resize(n, 0.0);
     m2s_.resize(n, 0.0);
   }
-  void AddScatter(const Column* col, size_t base, const uint32_t* gids,
-                  size_t n) override {
-    Scatter(col, base, nullptr, gids, n);
-  }
-  void AddScatterSelected(const Column* col, size_t base, const uint32_t* rows,
-                          const uint32_t* gids, size_t n) override {
-    Scatter(col, base, rows, gids, n);
+  void Scatter(const Column* col, size_t base, const uint32_t* rows,
+               const uint32_t* gids, size_t n) override {
+    // Each value adds as GetNumeric; the typed lanes below read the raw
+    // storage, which is the same value.
+    const uint8_t* nulls = col->NullData();
+    if (nulls != nullptr) nulls += base;
+    switch (col->type()) {
+      case TypeId::kBool:
+      case TypeId::kInt64: {
+        const int64_t* data = col->IntData() + base;
+        for (size_t k = 0; k < n; ++k) {
+          const size_t r = rows == nullptr ? k : rows[k];
+          if (nulls != nullptr && nulls[r] != 0) continue;
+          Welford(gids[k], static_cast<double>(data[r]));
+        }
+        return;
+      }
+      case TypeId::kDouble: {
+        const double* data = col->DoubleData() + base;
+        for (size_t k = 0; k < n; ++k) {
+          const size_t r = rows == nullptr ? k : rows[k];
+          if (nulls != nullptr && nulls[r] != 0) continue;
+          Welford(gids[k], data[r]);
+        }
+        return;
+      }
+      default:
+        for (size_t k = 0; k < n; ++k) {
+          const size_t r = base + (rows == nullptr ? k : rows[k]);
+          if (col->IsNull(r)) continue;
+          Welford(gids[k], col->GetNumeric(r));
+        }
+    }
   }
   void MergeGroup(const FlatAggregator& other, uint32_t dst,
                   uint32_t src) override {
@@ -836,40 +584,6 @@ class FlatVarAgg : public FlatAggregator {
     means_[g] += d / static_cast<double>(ns_[g]);
     m2s_[g] += d * (x - means_[g]);
   }
-  void Scatter(const Column* col, size_t base, const uint32_t* rows,
-               const uint32_t* gids, size_t n) {
-    // VarAcc::AddBatch reads GetNumeric per row for every type; the typed
-    // lanes below read the raw storage, which is the same value.
-    const uint8_t* nulls = col->NullData();
-    if (nulls != nullptr) nulls += base;
-    switch (col->type()) {
-      case TypeId::kBool:
-      case TypeId::kInt64: {
-        const int64_t* data = col->IntData() + base;
-        for (size_t k = 0; k < n; ++k) {
-          const size_t r = rows == nullptr ? k : rows[k];
-          if (nulls != nullptr && nulls[r] != 0) continue;
-          Welford(gids[k], static_cast<double>(data[r]));
-        }
-        return;
-      }
-      case TypeId::kDouble: {
-        const double* data = col->DoubleData() + base;
-        for (size_t k = 0; k < n; ++k) {
-          const size_t r = rows == nullptr ? k : rows[k];
-          if (nulls != nullptr && nulls[r] != 0) continue;
-          Welford(gids[k], data[r]);
-        }
-        return;
-      }
-      default:
-        for (size_t k = 0; k < n; ++k) {
-          const size_t r = base + (rows == nullptr ? k : rows[k]);
-          if (col->IsNull(r)) continue;
-          Welford(gids[k], col->GetNumeric(r));
-        }
-    }
-  }
 
   bool stddev_;
   std::vector<int64_t> ns_;
@@ -890,13 +604,32 @@ class ObjectLaneAgg : public FlatAggregator {
       : spec_(spec), mergeable_(first->Mergeable()), spare_(std::move(first)) {}
   bool Mergeable() const override { return mergeable_; }
   void ResizeGroups(size_t n) override { accs_.resize(n); }
-  void AddScatter(const Column* col, size_t base, const uint32_t* gids,
-                  size_t n) override {
-    Scatter(col, base, nullptr, gids, n);
-  }
-  void AddScatterSelected(const Column* col, size_t base, const uint32_t* rows,
-                          const uint32_t* gids, size_t n) override {
-    Scatter(col, base, rows, gids, n);
+  void Scatter(const Column* col, size_t base, const uint32_t* rows,
+               const uint32_t* gids, size_t n) override {
+    // Counting sort by gid: group g's rows land in
+    // [start[g], start[g + 1]) of `bucketed`, in row order.
+    const size_t ngroups = accs_.size();
+    std::vector<size_t> start(ngroups + 1, 0);
+    for (size_t k = 0; k < n; ++k) ++start[size_t{gids[k]} + 1];
+    for (size_t g = 0; g < ngroups; ++g) start[g + 1] += start[g];
+    if (col == nullptr) {  // star argument: count(*)-style
+      for (uint32_t g = 0; g < ngroups; ++g) {
+        const size_t cnt = start[g + 1] - start[g];
+        if (cnt > 0) Acc(g).AddRepeated(Value::Int(1), cnt);
+      }
+      return;
+    }
+    std::vector<uint32_t> bucketed(n);
+    std::vector<size_t> next(start.begin(), start.end() - 1);
+    for (size_t k = 0; k < n; ++k) {
+      // Row indices fit uint32: grouped inputs pass CheckGroupableRows.
+      bucketed[next[gids[k]]++] =
+          static_cast<uint32_t>(base + (rows == nullptr ? k : rows[k]));
+    }
+    for (uint32_t g = 0; g < ngroups; ++g) {
+      const size_t cnt = start[g + 1] - start[g];
+      if (cnt > 0) Acc(g).AddBatch(*col, bucketed.data() + start[g], cnt);
+    }
   }
   void MergeGroup(const FlatAggregator& other, uint32_t dst,
                   uint32_t src) override {
@@ -925,34 +658,6 @@ class ObjectLaneAgg : public FlatAggregator {
     return *accs_[g];
   }
 
-  void Scatter(const Column* col, size_t base, const uint32_t* rows,
-               const uint32_t* gids, size_t n) {
-    // Counting sort by gid: group g's rows land in
-    // [start[g], start[g + 1]) of `bucketed`, in row order.
-    const size_t ngroups = accs_.size();
-    std::vector<size_t> start(ngroups + 1, 0);
-    for (size_t k = 0; k < n; ++k) ++start[size_t{gids[k]} + 1];
-    for (size_t g = 0; g < ngroups; ++g) start[g + 1] += start[g];
-    if (col == nullptr) {  // star argument: count(*)-style
-      for (uint32_t g = 0; g < ngroups; ++g) {
-        const size_t cnt = start[g + 1] - start[g];
-        if (cnt > 0) Acc(g).AddRepeated(Value::Int(1), cnt);
-      }
-      return;
-    }
-    std::vector<uint32_t> bucketed(n);
-    std::vector<size_t> next(start.begin(), start.end() - 1);
-    for (size_t k = 0; k < n; ++k) {
-      // Row indices fit uint32: grouped inputs pass CheckGroupableRows.
-      bucketed[next[gids[k]]++] =
-          static_cast<uint32_t>(base + (rows == nullptr ? k : rows[k]));
-    }
-    for (uint32_t g = 0; g < ngroups; ++g) {
-      const size_t cnt = start[g + 1] - start[g];
-      if (cnt > 0) Acc(g).AddBatch(*col, bucketed.data() + start[g], cnt);
-    }
-  }
-
   AggSpec spec_;
   bool mergeable_;
   std::unique_ptr<AggAccumulator> spare_;  // empty; null once used
@@ -961,30 +666,51 @@ class ObjectLaneAgg : public FlatAggregator {
 
 }  // namespace
 
-Result<std::unique_ptr<AggAccumulator>> CreateAccumulator(const AggSpec& s) {
-  if (s.name == "count") {
-    if (s.distinct) return std::unique_ptr<AggAccumulator>(new DistinctCountAcc());
-    return std::unique_ptr<AggAccumulator>(new CountAcc(s.arg == nullptr));
+Result<AggSpec> AggSpecFromCall(const sql::Expr& call) {
+  AggSpec s;
+  s.name = call.name;
+  s.distinct = call.distinct;
+  const bool star =
+      call.args.empty() || call.args[0]->kind == sql::ExprKind::kStar;
+  s.arg = star ? nullptr : call.args[0].get();
+  const std::string fn = "aggregate function '" + s.name + "'";
+  if (s.distinct && s.name != "count") {
+    return Status::InvalidArgument(fn + " does not support DISTINCT");
   }
-  if (s.name == "sum") return std::unique_ptr<AggAccumulator>(new SumAcc());
-  if (s.name == "avg") return std::unique_ptr<AggAccumulator>(new AvgAcc());
-  if (s.name == "min") return std::unique_ptr<AggAccumulator>(new MinMaxAcc(true));
-  if (s.name == "max") return std::unique_ptr<AggAccumulator>(new MinMaxAcc(false));
-  if (s.name == "var" || s.name == "var_samp" || s.name == "variance") {
-    return std::unique_ptr<AggAccumulator>(new VarAcc(false));
-  }
-  if (s.name == "stddev" || s.name == "stddev_samp") {
-    return std::unique_ptr<AggAccumulator>(new VarAcc(true));
+  if (star && (s.distinct || (s.name != "count" &&
+                              IsBuiltinAggregateFunction(s.name)))) {
+    return Status::InvalidArgument(fn + " needs a column or expression "
+                                   "argument; '*' is valid only in count(*)");
   }
   if (s.name == "quantile" || s.name == "percentile") {
-    return std::unique_ptr<AggAccumulator>(new QuantileAcc(s.param));
+    const sql::Expr* p = call.args.size() == 2 ? call.args[1].get() : nullptr;
+    const bool numeric = p != nullptr &&
+                         p->kind == sql::ExprKind::kLiteral &&
+                         (p->literal.type() == TypeId::kInt64 ||
+                          p->literal.type() == TypeId::kDouble);
+    if (!numeric ||
+        !(p->literal.AsDouble() >= 0.0 && p->literal.AsDouble() <= 1.0)) {
+      return Status::InvalidArgument(
+          fn + " needs a numeric literal fraction in [0, 1] as its second "
+               "argument");
+    }
+    s.param = p->literal.AsDouble();
+  }
+  return s;
+}
+
+Result<std::unique_ptr<AggAccumulator>> CreateAccumulator(const AggSpec& s) {
+  using Ptr = std::unique_ptr<AggAccumulator>;
+  if (s.name == "count" && s.distinct) return Ptr(new DistinctCountAcc());
+  if (s.name == "quantile" || s.name == "percentile") {
+    return Ptr(new QuantileAcc(s.param));
   }
   if (s.name == "median" || s.name == "approx_median") {
-    return std::unique_ptr<AggAccumulator>(new QuantileAcc(0.5));
+    return Ptr(new QuantileAcc(0.5));
   }
   if (s.name == "ndv" || s.name == "approx_distinct" ||
       s.name == "approx_count_distinct") {
-    return std::unique_ptr<AggAccumulator>(new NdvAcc());
+    return Ptr(new NdvAcc());
   }
   auto uda = AggregateRegistry::Global().Create(s.name);
   if (uda) return uda;
@@ -994,20 +720,19 @@ Result<std::unique_ptr<AggAccumulator>> CreateAccumulator(const AggSpec& s) {
 Result<std::unique_ptr<FlatAggregator>> CreateFlatAggregator(
     const AggSpec& s) {
   using Ptr = std::unique_ptr<FlatAggregator>;
-  if (!s.distinct) {
-    if (s.name == "count") return Ptr(new FlatCountAgg(s.arg == nullptr));
-    if (s.name == "sum") return Ptr(new FlatSumAgg());
-    if (s.name == "avg") return Ptr(new FlatAvgAgg());
-    if (s.name == "min") return Ptr(new FlatMinMaxAgg(true));
-    if (s.name == "max") return Ptr(new FlatMinMaxAgg(false));
-    if (s.name == "var" || s.name == "var_samp" || s.name == "variance") {
-      return Ptr(new FlatVarAgg(false));
-    }
-    if (s.name == "stddev" || s.name == "stddev_samp") {
-      return Ptr(new FlatVarAgg(true));
-    }
+  if (s.name == "count" && !s.distinct) return Ptr(new FlatCountAgg());
+  if (s.name == "sum") return Ptr(new FlatSumAgg());
+  if (s.name == "avg") return Ptr(new FlatAvgAgg());
+  if (s.name == "min") return Ptr(new FlatMinMaxAgg(true));
+  if (s.name == "max") return Ptr(new FlatMinMaxAgg(false));
+  if (s.name == "var" || s.name == "var_samp" || s.name == "variance") {
+    return Ptr(new FlatVarAgg(false));
   }
-  // DISTINCT sets, quantile vectors, HLL sketches and UDAs keep objects.
+  if (s.name == "stddev" || s.name == "stddev_samp") {
+    return Ptr(new FlatVarAgg(true));
+  }
+  // Count-distinct sets, quantile vectors, HLL sketches and UDAs keep
+  // objects.
   auto acc = CreateAccumulator(s);
   if (!acc.ok()) return acc.status();
   return Ptr(new ObjectLaneAgg(s, std::move(acc).ValueOrDie()));

@@ -1,4 +1,5 @@
-// Aggregate function accumulators and the UDA (user-defined aggregate)
+// Aggregate functions — one FlatAggregator implementation per aggregate,
+// used by GROUP BY and windows alike — and the UDA (user-defined aggregate)
 // registry. VerdictDB supports any UDA that converges to a non-degenerate
 // distribution (paper §2.2); UDAs registered here are usable both in plain
 // engine queries and in VerdictDB-rewritten queries.
@@ -28,7 +29,17 @@ struct AggSpec {
   double param = 0.5;               // quantile fraction (2nd argument)
 };
 
-/// Streaming accumulator for one aggregate within one group.
+/// Builds the AggSpec for aggregate call `call` (a GROUP BY aggregate or a
+/// window), validating what the call shape alone decides: `*` (or no
+/// argument) is valid only in count(*), DISTINCT only in count(distinct x),
+/// and quantile/percentile take a numeric literal fraction in [0, 1] as
+/// their second argument. Violations are kInvalidArgument naming the
+/// function. A UDA may take `*`: it then receives Value::Int(1) per row.
+Result<AggSpec> AggSpecFromCall(const sql::Expr& call);
+
+/// Streaming accumulator for one aggregate within one group: the per-group
+/// state of the object-lane aggregates (count distinct, quantile/median,
+/// ndv) and the interface a UDA implements.
 class AggAccumulator {
  public:
   virtual ~AggAccumulator() = default;
@@ -36,9 +47,9 @@ class AggAccumulator {
   virtual void Add(const Value& v) = 0;
   /// Adds rows `rows[0..n)` of a materialized argument column (the
   /// vectorized executor's selection-vector interface). The default loops
-  /// over Add; builtin numeric accumulators override with typed kernels.
+  /// over Add; accumulators may override with typed loops.
   virtual void AddBatch(const Column& col, const uint32_t* rows, size_t n);
-  /// Adds the same value n times (count(*) over a group of n rows).
+  /// Adds the same value n times (a `*` argument over a group of n rows).
   virtual void AddRepeated(const Value& v, size_t n);
   /// True if this accumulator supports Merge. A query with any
   /// non-mergeable accumulator aggregates its whole input as one morsel.
@@ -48,21 +59,19 @@ class AggAccumulator {
   /// accumulator type, and both Mergeable(). The planner aggregates every
   /// mergeable query through per-morsel partials merged strictly in morsel
   /// order — the same decomposition at every thread count — so results are
-  /// bit-identical between serial and N-thread runs. Floating-point partials
-  /// (sum/avg) carry Neumaier compensation so the morsel split costs no
-  /// accuracy either.
+  /// bit-identical between serial and N-thread runs.
   virtual void Merge(const AggAccumulator& other);
   virtual Value Finalize() const = 0;
 };
 
-/// Per-group aggregate state indexed by dense group id, fed
-/// column-at-a-time by the planner's grouped-aggregation driver. The builtin
-/// numeric aggregates keep SoA (structure-of-arrays) typed lanes that mirror
-/// their AggAccumulator counterpart's arithmetic exactly — same per-value
-/// recurrence, same per-call batch semantics, same merge algebra; every
-/// other aggregate keeps one AggAccumulator per group. Both forms produce
-/// what per-group accumulators fed the same rows would, bit for bit (pinned
-/// by the FlatAggTest differential fuzz against a test-side oracle).
+/// Per-group aggregate state indexed by dense group id: the one production
+/// implementation of every aggregate, fed column-at-a-time by both the
+/// grouped-aggregation driver and window evaluation. count/sum/avg/min/max/
+/// var/stddev keep SoA (structure-of-arrays) typed lanes; every other
+/// aggregate keeps one AggAccumulator per group. Both forms produce, bit for
+/// bit, what the row-at-a-time reference accumulators in
+/// tests/test_flat_agg.cc compute from the same rows under the same batch
+/// and merge decomposition (pinned by the FlatAggTest differential fuzz).
 class FlatAggregator {
  public:
   virtual ~FlatAggregator() = default;
@@ -71,23 +80,19 @@ class FlatAggregator {
   virtual bool Mergeable() const { return true; }
   /// Grows state to `n` groups (never shrinks). New groups start empty.
   virtual void ResizeGroups(size_t n) = 0;
-  /// Accumulates col[base + k] into group gids[k] for k in [0, n), in k
-  /// order. `col` is nullptr for count(*). `base` is the row offset of batch
-  /// position 0 — nonzero when the planner feeds a table column directly
-  /// at the morsel's start row instead of slicing it (the zero-copy
-  /// direct-column path). One call is one batch: aggregates with per-batch
-  /// semantics (min/max's batch-local extremum fold) treat the whole call as
-  /// one AddBatch per group.
-  virtual void AddScatter(const Column* col, size_t base, const uint32_t* gids,
-                          size_t n) = 0;
-  /// Bitmap-selected form: accumulates col[base + rows[k]] into gids[k].
-  /// `rows` ascends, so selective GROUP BYs skip mask expansion without
-  /// changing accumulation order.
-  virtual void AddScatterSelected(const Column* col, size_t base,
-                                  const uint32_t* rows, const uint32_t* gids,
-                                  size_t n) = 0;
-  /// Folds group `src` of `other` into group `dst` of this — the mirror of
-  /// AggAccumulator::Merge. `other` is the same concrete type. Merging
+  /// Accumulates col[base + r_k] into group gids[k] for k in [0, n), in k
+  /// order, where r_k is rows[k] or, when `rows` is null, k. `rows` ascends,
+  /// so selective GROUP BYs skip mask expansion without changing
+  /// accumulation order. `col` is nullptr for a `*` argument. `base` is the
+  /// row offset of batch position 0 — nonzero when the planner feeds a table
+  /// column directly at the morsel's start row instead of slicing it (the
+  /// zero-copy direct-column path). One call is one batch: aggregates with
+  /// per-batch semantics (min/max's batch-local extremum fold) treat the
+  /// whole call as one AddBatch per group.
+  virtual void Scatter(const Column* col, size_t base, const uint32_t* rows,
+                       const uint32_t* gids, size_t n) = 0;
+  /// Folds group `src` of `other` into group `dst` of this (AggAccumulator::
+  /// Merge's algebra, per group). `other` is the same concrete type. Merging
   /// morsel partials strictly in morsel order keeps results bit-identical
   /// across thread counts.
   virtual void MergeGroup(const FlatAggregator& other, uint32_t dst,
@@ -127,7 +132,9 @@ class AggregateRegistry {
   std::map<std::string, UdaFactory> factories_ GUARDED_BY(mu_);  // vdb-lint: allow(string-keyed-map) UDA registry: looked up once per aggregate at plan time
 };
 
-/// Creates the accumulator for a builtin or registered aggregate.
+/// Creates the per-group accumulator of an object-lane aggregate: count
+/// distinct, quantile/percentile/median, ndv, or a registered UDA. The
+/// SoA-lane aggregates have no accumulator form. Fails for unknown names.
 Result<std::unique_ptr<AggAccumulator>> CreateAccumulator(const AggSpec& spec);
 
 /// Serializes a value into a byte key usable for grouping / distinct sets;

@@ -98,12 +98,14 @@ bool AnyNull(const std::vector<Value>& args) {
 
 }  // namespace
 
+bool IsBuiltinAggregateFunction(const std::string& name) {
+  return std::binary_search(kBuiltinAggregates.begin(),
+                            kBuiltinAggregates.end(), std::string_view(name));
+}
+
 bool IsAggregateFunction(const std::string& name) {
-  if (std::binary_search(kBuiltinAggregates.begin(), kBuiltinAggregates.end(),
-                         std::string_view(name))) {
-    return true;
-  }
-  return AggregateRegistry::Global().Has(name);
+  return IsBuiltinAggregateFunction(name) ||
+         AggregateRegistry::Global().Has(name);
 }
 
 Status ResolveScalarFunction(sql::Expr* call) {

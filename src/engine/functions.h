@@ -25,6 +25,9 @@ namespace vdb::engine {
 /// the UDA registry.
 bool IsAggregateFunction(const std::string& name);
 
+/// True if `name` (lowercase) is a built-in aggregate (not a UDA).
+bool IsBuiltinAggregateFunction(const std::string& name);
+
 /// Built-in scalar functions. The bind step resolves each scalar call's
 /// name (aliases included) to one of these ids exactly once
 /// (ResolveScalarFunction) and stores it on the node (sql::Expr::scalar_fn);

@@ -743,15 +743,9 @@ class SelectExecutor {
           VDB_RETURN_IF_ERROR(BindExpr(arg.get(), scope));
         }
       }
-      AggSpec s;
-      s.name = a->name;
-      s.distinct = a->distinct;
-      bool star = !a->args.empty() && a->args[0]->kind == ExprKind::kStar;
-      s.arg = (a->args.empty() || star) ? nullptr : a->args[0].get();
-      if (a->args.size() >= 2 && a->args[1]->kind == ExprKind::kLiteral) {
-        s.param = a->args[1]->literal.AsDouble();
-      }
-      specs.push_back(s);
+      auto s = AggSpecFromCall(*a);
+      if (!s.ok()) return s.status();
+      specs.push_back(std::move(s).ValueOrDie());
     }
 
     // One driver for every grouped query: each morsel evaluates the keys and
@@ -882,12 +876,8 @@ class SelectExecutor {
         f->ResizeGroups(ngroups);
         const Column* col = specs[i].arg != nullptr ? acols[i].col : nullptr;
         const size_t base = specs[i].arg != nullptr ? acols[i].base : 0;
-        if (filter != nullptr) {
-          f->AddScatterSelected(col, base, sel_local.data(),
-                                res.ga.gid_of_row.data(), ln);
-        } else {
-          f->AddScatter(col, base, res.ga.gid_of_row.data(), ln);
-        }
+        f->Scatter(col, base, filter != nullptr ? sel_local.data() : nullptr,
+                   res.ga.gid_of_row.data(), ln);
         res.parts.push_back(std::move(f));
       }
       return Status::Ok();

@@ -5,7 +5,6 @@
 
 #include "engine/agg_table.h"
 #include "engine/aggregates.h"
-#include "engine/expr_eval.h"
 #include "engine/vector_eval.h"
 
 namespace vdb::engine {
@@ -15,11 +14,11 @@ Result<Column> EvalWindowExpr(const sql::Expr& e, const Table& table,
   if (e.kind != sql::ExprKind::kFunction || !e.is_window) {
     return Status::Internal("EvalWindowExpr on a non-window expression");
   }
-  AggSpec spec;
-  spec.name = e.name;
-  spec.distinct = e.distinct;
-  bool star = !e.args.empty() && e.args[0]->kind == sql::ExprKind::kStar;
-  spec.arg = (e.args.empty() || star) ? nullptr : e.args[0].get();
+  auto spec = AggSpecFromCall(e);
+  if (!spec.ok()) return spec.status();
+  auto made = CreateFlatAggregator(spec.value());
+  if (!made.ok()) return made.status();
+  std::unique_ptr<FlatAggregator> agg = std::move(made).ValueOrDie();
 
   const size_t n = table.num_rows();
   // Partition ids: evaluate each PARTITION BY expression column-at-a-time
@@ -42,28 +41,30 @@ Result<Column> EvalWindowExpr(const sql::Expr& e, const Table& table,
   VDB_RETURN_IF_ERROR(CheckGroupableRows(n));
   const GroupAssignment ga = AssignGroupIds(pptrs, n);
 
-  std::vector<std::unique_ptr<AggAccumulator>> accs;
-  accs.reserve(ga.num_groups());
-  for (size_t g = 0; g < ga.num_groups(); ++g) {
-    auto acc = CreateAccumulator(spec);
-    if (!acc.ok()) return acc.status();
-    accs.push_back(std::move(acc).ValueOrDie());
+  // The argument column: a bound column ref is read in place (as the
+  // grouped driver does); any other expression is evaluated over the whole
+  // frame as one batch. `*` passes no column.
+  const sql::Expr* arg = spec.value().arg;
+  Column owned;
+  const Column* col = nullptr;
+  if (arg != nullptr && arg->kind == sql::ExprKind::kColumnRef &&
+      arg->bound_column >= 0) {
+    col = &table.column(static_cast<size_t>(arg->bound_column));
+  } else if (arg != nullptr) {
+    auto c = EvalExprBatch(*arg, batch);
+    if (!c.ok()) return c.status();
+    owned = std::move(c).ValueOrDie();
+    col = &owned;
   }
 
-  // Accumulate in row order (the reference order the per-row path used).
-  for (size_t r = 0; r < n; ++r) {
-    Value arg = Value::Int(1);
-    if (spec.arg != nullptr) {
-      RowCtx ctx{&table, r, rand_seed};
-      auto v = EvalExpr(*spec.arg, ctx);
-      if (!v.ok()) return v.status();
-      arg = std::move(v).ValueOrDie();
-    }
-    accs[ga.gid_of_row[r]]->Add(arg);
+  // Every partition starts empty and receives its rows, in row order, as
+  // one batch.
+  agg->ResizeGroups(ga.num_groups());
+  agg->Scatter(col, 0, nullptr, ga.gid_of_row.data(), n);
+  std::vector<Value> results(ga.num_groups());
+  for (uint32_t g = 0; g < results.size(); ++g) {
+    results[g] = agg->FinalizeGroup(g);
   }
-
-  std::vector<Value> results(accs.size());
-  for (size_t i = 0; i < accs.size(); ++i) results[i] = accs[i]->Finalize();
 
   Column out;
   out.Reserve(n);

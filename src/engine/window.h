@@ -18,7 +18,8 @@ namespace vdb::engine {
 /// one result column aligned with the input rows. `e.args[0]` and each
 /// partition expression must already be bound against `table`'s scope.
 /// `rand_seed` is the per-statement query seed (row-addressed rand draws).
-/// Supported window aggregates: sum, count, avg, min, max.
+/// Every aggregate runs on its CreateFlatAggregator lanes: each partition
+/// gets its rows, in row order, as one batch.
 Result<Column> EvalWindowExpr(const sql::Expr& e, const Table& table,
                               uint64_t rand_seed);
 

@@ -319,9 +319,9 @@ TEST_F(EngineTest, ErrorOnUngroupedColumn) {
   EXPECT_FALSE(rs.ok());
 }
 
-// Misplaced aggregate/window calls and unknown functions are bind errors
-// naming the function — never INTERNAL, and never deferred to a row that
-// may not exist.
+// Misplaced or malformed aggregate/window calls and unknown functions are
+// bind errors naming the function — never INTERNAL, never a crash, and never
+// deferred to a row that may not exist.
 TEST_F(EngineTest, AggregateOrWindowInRowContextIsABindError) {
   ASSERT_TRUE(
       db_.Execute("create table empty_orders as select * from orders "
@@ -343,6 +343,25 @@ TEST_F(EngineTest, AggregateOrWindowInRowContextIsABindError) {
       {"select city, count(*) from orders group by city "
        "having rank() over () > 1",
        "'rank'"},
+      // `*` is an argument of count alone among the built-in aggregates.
+      {"select sum(*) from orders", "'sum'"},
+      {"select avg(*) from orders", "'avg'"},
+      {"select min(*) from orders", "'min'"},
+      {"select var(*) from orders", "'var'"},
+      {"select median(*) from orders", "'median'"},
+      {"select sum(*) over (partition by city) from orders", "'sum'"},
+      {"select sum(*) from empty_orders", "'sum'"},
+      // DISTINCT is implemented for count alone.
+      {"select sum(distinct price) from orders", "'sum'"},
+      // The quantile fraction is a numeric literal in [0, 1].
+      {"select quantile(price, 2) from orders", "'quantile'"},
+      {"select quantile(price, -1) from orders", "'quantile'"},
+      {"select quantile(price, 0.5 + 0.4) from orders", "'quantile'"},
+      {"select quantile(price, qty) from orders", "'quantile'"},
+      {"select quantile(price) from orders", "'quantile'"},
+      {"select quantile(price, 2) over (partition by city) from orders",
+       "'quantile'"},
+      {"select percentile(price, 1.5) from empty_orders", "'percentile'"},
   };
   for (const Case& c : cases) {
     auto rs = db_.Execute(c.sql);

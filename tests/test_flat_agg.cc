@@ -1,10 +1,15 @@
-// Differential tests for grouped aggregation: every grouped query the
-// engine runs (per-morsel group ids + FlatAggregator lanes, engine/agg_table.h
-// + engine/aggregates.h, merged in morsel order) must be BIT-identical —
-// doubles compared by bit pattern — to a test-side oracle. The oracle fetches
-// the key and argument columns with a plain SELECT and aggregates them with
-// AggAccumulator objects over the same MorselRows() decomposition and
-// morsel-order merge (one morsel when an accumulator cannot merge). Axes:
+// Differential tests for the one aggregate implementation: every grouped
+// query the engine runs (per-morsel group ids + FlatAggregator lanes,
+// engine/agg_table.h + engine/aggregates.h, merged in morsel order) and every
+// window aggregate (the same lanes, one batch per partition) must be
+// BIT-identical — doubles compared by bit pattern — to a test-side oracle.
+// The oracle fetches the key and argument columns with a plain SELECT and
+// aggregates them with row-at-a-time reference accumulators: the SoA-lane
+// aggregates' recurrences live only here, the object-lane ones come from
+// CreateAccumulator. GROUP BY references run over the same MorselRows()
+// decomposition and morsel-order merge (one morsel when an accumulator
+// cannot merge); window references feed each partition's rows through Add
+// in row order. Axes:
 //
 //   - 1, 2 and 8 threads (morsel partials merged in fixed morsel order),
 //   - scalar vs. native SIMD dispatch (VDB_SIMD's mechanism),
@@ -14,6 +19,7 @@
 //     table's representative-row verification, not on hash quality),
 //   - SoA lanes beside per-group object lanes (DISTINCT, median, ndv) and a
 //     non-mergeable UDA,
+//   - window partitions over every key shape, `over ()` included,
 //   - adversarial values: NaN and ±0.0 group keys, full-mantissa doubles,
 //     NULL-heavy columns, all-NULL aggregate inputs, and morsel sizes that
 //     leave ragged tails.
@@ -126,6 +132,224 @@ void ExpectBitIdentical(const ResultSet& ref, const ResultSet& got,
 }
 
 // ---------------------------------------------------------------------------
+// Row-at-a-time reference accumulators
+// ---------------------------------------------------------------------------
+//
+// The reference semantics of the SoA-lane aggregates, one value at a time.
+// AddBatch and AddRepeated are AggAccumulator's loops over Add, except for
+// min/max: one batch folds its batch-local extremum once.
+
+/// Kahan–Babuška–Neumaier compensated addition, as the engine's lanes do it.
+void NeumaierAdd(double& sum, double& comp, double x) {
+  const double t = sum + x;
+  if (std::abs(sum) >= std::abs(x)) {
+    comp += (sum - t) + x;
+  } else {
+    comp += (x - t) + sum;
+  }
+  sum = t;
+}
+
+class RefCountAcc : public AggAccumulator {
+ public:
+  explicit RefCountAcc(bool star) : star_(star) {}
+  void Add(const Value& v) override {
+    if (star_ || !v.is_null()) ++count_;
+  }
+  bool Mergeable() const override { return true; }
+  void Merge(const AggAccumulator& other) override {
+    count_ += static_cast<const RefCountAcc&>(other).count_;
+  }
+  Value Finalize() const override { return Value::Int(count_); }
+
+ private:
+  bool star_;
+  int64_t count_ = 0;
+};
+
+/// Sums in double; finalizes to the rounded Int64 total when every added
+/// value was an Int64.
+class RefSumAcc : public AggAccumulator {
+ public:
+  void Add(const Value& v) override {
+    if (v.is_null()) return;
+    any_ = true;
+    if (v.type() != TypeId::kInt64) all_int_ = false;
+    NeumaierAdd(sum_, comp_, v.AsDouble());
+  }
+  bool Mergeable() const override { return true; }
+  void Merge(const AggAccumulator& other) override {
+    // Compensated merge: fold the partial's value and its error term.
+    const auto& o = static_cast<const RefSumAcc&>(other);
+    NeumaierAdd(sum_, comp_, o.sum_);
+    NeumaierAdd(sum_, comp_, o.comp_);
+    any_ = any_ || o.any_;
+    all_int_ = all_int_ && o.all_int_;
+  }
+  Value Finalize() const override {
+    if (!any_) return Value::Null();
+    const double total = sum_ + comp_;
+    if (all_int_) return Value::Int(static_cast<int64_t>(std::llround(total)));
+    return Value::Double(total);
+  }
+
+ private:
+  double sum_ = 0.0;
+  double comp_ = 0.0;
+  bool any_ = false;
+  bool all_int_ = true;
+};
+
+class RefAvgAcc : public AggAccumulator {
+ public:
+  void Add(const Value& v) override {
+    if (v.is_null()) return;
+    NeumaierAdd(sum_, comp_, v.AsDouble());
+    ++n_;
+  }
+  bool Mergeable() const override { return true; }
+  void Merge(const AggAccumulator& other) override {
+    const auto& o = static_cast<const RefAvgAcc&>(other);
+    NeumaierAdd(sum_, comp_, o.sum_);
+    NeumaierAdd(sum_, comp_, o.comp_);
+    n_ += o.n_;
+  }
+  Value Finalize() const override {
+    if (n_ == 0) return Value::Null();
+    return Value::Double((sum_ + comp_) / static_cast<double>(n_));
+  }
+
+ private:
+  double sum_ = 0.0;
+  double comp_ = 0.0;
+  int64_t n_ = 0;
+};
+
+class RefMinMaxAcc : public AggAccumulator {
+ public:
+  explicit RefMinMaxAcc(bool is_min) : is_min_(is_min) {}
+  void Add(const Value& v) override {
+    if (v.is_null()) return;
+    if (!any_) {
+      best_ = v;
+      any_ = true;
+      return;
+    }
+    const int c = v.Compare(best_);
+    if ((is_min_ && c < 0) || (!is_min_ && c > 0)) best_ = v;
+  }
+  void AddBatch(const Column& col, const uint32_t* rows, size_t n) override {
+    // The batch-local extremum under strict typed comparisons (first-seen
+    // kept on ties and NaNs), merged once through Add.
+    if (col.type() != TypeId::kInt64 && col.type() != TypeId::kDouble &&
+        col.type() != TypeId::kString) {
+      AggAccumulator::AddBatch(col, rows, n);
+      return;
+    }
+    bool found = false;
+    Value best;
+    for (size_t i = 0; i < n; ++i) {
+      if (col.IsNull(rows[i])) continue;
+      Value x = col.Get(rows[i]);
+      bool better = !found;
+      if (!better && col.type() == TypeId::kInt64) {
+        better = is_min_ ? x.AsInt() < best.AsInt() : x.AsInt() > best.AsInt();
+      } else if (!better && col.type() == TypeId::kDouble) {
+        better = is_min_ ? x.AsDouble() < best.AsDouble()
+                         : x.AsDouble() > best.AsDouble();
+      } else if (!better) {
+        const int c = x.AsString().compare(best.AsString());
+        better = is_min_ ? c < 0 : c > 0;
+      }
+      if (better) {
+        best = std::move(x);
+        found = true;
+      }
+    }
+    if (found) Add(best);
+  }
+  bool Mergeable() const override { return true; }
+  void Merge(const AggAccumulator& other) override {
+    // Add keeps the first-seen value on ties; merging in morsel order keeps
+    // that "first in row order" tie-break.
+    const auto& o = static_cast<const RefMinMaxAcc&>(other);
+    if (o.any_) Add(o.best_);
+  }
+  Value Finalize() const override { return any_ ? best_ : Value::Null(); }
+
+ private:
+  bool is_min_;
+  bool any_ = false;
+  Value best_;
+};
+
+/// Welford online variance; finalizes to sample variance or stddev.
+class RefVarAcc : public AggAccumulator {
+ public:
+  explicit RefVarAcc(bool stddev) : stddev_(stddev) {}
+  void Add(const Value& v) override {
+    if (v.is_null()) return;
+    const double x = v.AsDouble();
+    ++n_;
+    const double d = x - mean_;
+    mean_ += d / static_cast<double>(n_);
+    m2_ += d * (x - mean_);
+  }
+  bool Mergeable() const override { return true; }
+  void Merge(const AggAccumulator& other) override {
+    // Chan et al.'s pairwise update of Welford state.
+    const auto& o = static_cast<const RefVarAcc&>(other);
+    if (o.n_ == 0) return;
+    if (n_ == 0) {
+      n_ = o.n_;
+      mean_ = o.mean_;
+      m2_ = o.m2_;
+      return;
+    }
+    const double na = static_cast<double>(n_);
+    const double nb = static_cast<double>(o.n_);
+    const double delta = o.mean_ - mean_;
+    const double total = na + nb;
+    m2_ += o.m2_ + delta * delta * (na * nb / total);
+    mean_ += delta * (nb / total);
+    n_ += o.n_;
+  }
+  Value Finalize() const override {
+    if (n_ < 2) return Value::Null();
+    const double var = m2_ / static_cast<double>(n_ - 1);
+    return Value::Double(stddev_ ? std::sqrt(var) : var);
+  }
+
+ private:
+  bool stddev_;
+  int64_t n_ = 0;
+  double mean_ = 0.0;
+  double m2_ = 0.0;
+};
+
+/// The reference accumulator for `s`: the recurrences above for the SoA-lane
+/// aggregates, the engine's own object-lane accumulators otherwise.
+std::unique_ptr<AggAccumulator> MakeReference(const AggSpec& s) {
+  using Ptr = std::unique_ptr<AggAccumulator>;
+  if (!s.distinct) {
+    if (s.name == "count") return Ptr(new RefCountAcc(s.arg == nullptr));
+    if (s.name == "sum") return Ptr(new RefSumAcc());
+    if (s.name == "avg") return Ptr(new RefAvgAcc());
+    if (s.name == "min") return Ptr(new RefMinMaxAcc(true));
+    if (s.name == "max") return Ptr(new RefMinMaxAcc(false));
+    if (s.name == "var" || s.name == "var_samp" || s.name == "variance") {
+      return Ptr(new RefVarAcc(false));
+    }
+    if (s.name == "stddev" || s.name == "stddev_samp") {
+      return Ptr(new RefVarAcc(true));
+    }
+  }
+  auto acc = CreateAccumulator(s);
+  EXPECT_TRUE(acc.ok()) << acc.status().ToString();
+  return std::move(acc).ValueOrDie();
+}
+
+// ---------------------------------------------------------------------------
 // Test-side oracle
 // ---------------------------------------------------------------------------
 
@@ -133,6 +357,22 @@ struct Agg {
   std::string fn;   // aggregate function name
   std::string arg;  // argument column; "*" for count(*)
   bool distinct = false;
+  std::string param{};  // quantile fraction literal, if any
+
+  std::string Call() const {
+    return fn + "(" + (distinct ? "distinct " : "") + arg +
+           (param.empty() ? "" : ", " + param) + ")";
+  }
+  /// The spec the oracle builds its reference from; `arg_expr` stands in for
+  /// the argument (the reference only tests it for null).
+  AggSpec Spec(const sql::Expr* arg_expr) const {
+    AggSpec s;
+    s.name = fn;
+    s.distinct = distinct;
+    if (arg != "*") s.arg = arg_expr;
+    if (!param.empty()) s.param = std::stod(param);
+    return s;
+  }
 };
 
 /// A grouped query in parts, so the oracle can fetch its inputs.
@@ -144,8 +384,7 @@ struct GroupQuery {
   std::string Sql() const {
     std::vector<std::string> items = keys;
     for (size_t i = 0; i < aggs.size(); ++i) {
-      items.push_back(aggs[i].fn + "(" + (aggs[i].distinct ? "distinct " : "") +
-                      aggs[i].arg + ") as a" + std::to_string(i));
+      items.push_back(aggs[i].Call() + " as a" + std::to_string(i));
     }
     std::string sql = "select " + Join(items) + " " + from;
     if (!keys.empty()) sql += " group by " + Join(keys);
@@ -161,24 +400,20 @@ struct GroupQuery {
 
 /// Runs `q` without the engine's grouped path: a plain SELECT (fresh
 /// database, same seed, so rand() draws match) fetches keys and arguments
-/// in row order; per-morsel AggAccumulator groups in first-occurrence order
-/// then merge in morsel order — first occurrences moved, later ones Merged.
+/// in row order; per-morsel reference groups in first-occurrence order then
+/// merge in morsel order — first occurrences moved, later ones Merged.
 ResultSet RunOracle(size_t rows, const GroupQuery& q) {
   const size_t nk = q.keys.size();
   std::vector<std::string> fetch = q.keys;
   std::vector<size_t> arg_col(q.aggs.size(), 0);
-  sql::Expr placeholder;  // CreateAccumulator only tests arg for null
+  sql::Expr placeholder;
   std::vector<AggSpec> specs;
   for (size_t i = 0; i < q.aggs.size(); ++i) {
-    AggSpec s;
-    s.name = q.aggs[i].fn;
-    s.distinct = q.aggs[i].distinct;
     if (q.aggs[i].arg != "*") {
-      s.arg = &placeholder;
       arg_col[i] = fetch.size();
       fetch.push_back(q.aggs[i].arg + " as __arg" + std::to_string(i));
     }
-    specs.push_back(s);
+    specs.push_back(q.aggs[i].Spec(&placeholder));
   }
   auto fetched =
       MakeDb(rows, 1)->Execute("select " + GroupQuery::Join(fetch) + " " +
@@ -190,11 +425,7 @@ ResultSet RunOracle(size_t rows, const GroupQuery& q) {
   using Accs = std::vector<std::unique_ptr<AggAccumulator>>;
   auto make_accs = [&] {
     Accs accs;
-    for (const AggSpec& s : specs) {
-      auto acc = CreateAccumulator(s);
-      EXPECT_TRUE(acc.ok()) << acc.status().ToString();
-      accs.push_back(std::move(acc).ValueOrDie());
-    }
+    for (const AggSpec& s : specs) accs.push_back(MakeReference(s));
     return accs;
   };
   auto key_of = [&](size_t r) {
@@ -275,6 +506,47 @@ void ExpectMatchesOracle(const ResultSet& ref, size_t rows, int threads,
   ExpectBitIdentical(ref, got.value(),
                      q.Sql() + " @" + std::to_string(threads) + " threads, " +
                          what);
+}
+
+/// The reference for `agg OVER (PARTITION BY keys)`: a plain SELECT fetches
+/// keys and argument in row order, and each partition (ValueGroupKey
+/// equivalence, first-occurrence order) feeds its rows, in row order, one at
+/// a time through its reference accumulator's Add — the row-at-a-time
+/// window semantics. Every row gets its partition's result.
+ResultSet RunWindowOracle(size_t rows, const std::vector<std::string>& keys,
+                          const Agg& agg) {
+  const size_t nk = keys.size();
+  std::vector<std::string> fetch = keys;
+  if (agg.arg != "*") fetch.push_back(agg.arg + " as __arg");
+  if (fetch.empty()) fetch.push_back("1 as __one");
+  auto fetched = MakeDb(rows, 1)->Execute("select " + GroupQuery::Join(fetch) +
+                                          " from t");
+  EXPECT_TRUE(fetched.ok()) << fetched.status().ToString();
+  const ResultSet in = std::move(fetched).ValueOrDie();
+  const size_t n = in.NumRows();
+
+  sql::Expr placeholder;
+  const AggSpec spec = agg.Spec(&placeholder);
+  std::map<std::vector<std::string>, size_t> index;
+  std::vector<std::unique_ptr<AggAccumulator>> accs;
+  std::vector<size_t> part_of_row(n);
+  for (size_t r = 0; r < n; ++r) {
+    std::vector<std::string> k;
+    for (size_t c = 0; c < nk; ++c) k.push_back(ValueGroupKey(in.Get(r, c)));
+    auto ins = index.emplace(std::move(k), accs.size());
+    if (ins.second) accs.push_back(MakeReference(spec));
+    part_of_row[r] = ins.first->second;
+    accs[part_of_row[r]]->Add(agg.arg == "*" ? Value::Int(1) : in.Get(r, nk));
+  }
+  std::vector<Value> results;
+  for (const auto& acc : accs) results.push_back(acc->Finalize());
+  Column col;
+  for (size_t r = 0; r < n; ++r) col.Append(results[part_of_row[r]]);
+  ResultSet out;
+  out.table = std::make_shared<Table>();
+  out.names.push_back("w");
+  out.table->AddColumn("w", std::move(col));
+  return out;
 }
 
 // Restores every knob the tests twist, so suites sharing the binary see
@@ -536,6 +808,42 @@ TEST_F(FlatAggTest, DerivedTableProjectionPruning) {
   ASSERT_TRUE(f.ok()) << f.status().ToString();
   ASSERT_TRUE(g.ok()) << g.status().ToString();
   EXPECT_EQ(f.value().Get(0, 0).AsInt(), g.value().Get(0, 0).AsInt());
+}
+
+TEST_F(FlatAggTest, WindowsMatchRowAtATimeOracle) {
+  // Windows run on the same FlatAggregator lanes as GROUP BY, one batch per
+  // partition. Every aggregate, over every partition shape, must return the
+  // bits the row-at-a-time reference returns — NaN/±0.0/NULL partition keys
+  // and arguments, NULL-heavy and full-mantissa columns included.
+  const size_t kRows = 3001;
+  const Agg kAggs[] = {
+      {"count", "*"},  {"count", "v"},       {"sum", "v"},
+      {"sum", "w"},    {"sum", "gd"},        {"avg", "v"},
+      {"avg", "gd"},   {"min", "v"},         {"max", "v"},
+      {"min", "gd"},   {"max", "gd"},        {"min", "gs"},
+      {"max", "w"},    {"var", "v"},         {"stddev", "v"},
+      {"count", "gs", true},                 {"median", "v"},
+      {"quantile", "v", false, "0.9"},       {"ndv", "gi"},
+  };
+  const std::vector<std::vector<std::string>> kPartitions = {
+      {"gi"}, {"gd"}, {"gs"}, {"gi", "gs"}, {}};
+  for (const auto& keys : kPartitions) {
+    const std::string over =
+        keys.empty() ? "over ()"
+                     : "over (partition by " + GroupQuery::Join(keys) + ")";
+    for (const Agg& agg : kAggs) {
+      const ResultSet ref = RunWindowOracle(kRows, keys, agg);
+      const std::string sql =
+          "select " + agg.Call() + " " + over + " as w from t";
+      for (int threads : {1, 8}) {
+        auto got = MakeDb(kRows, threads)->Execute(sql);
+        ASSERT_TRUE(got.ok()) << sql << " -> " << got.status().ToString();
+        ExpectBitIdentical(ref, got.value(),
+                           sql + " @" + std::to_string(threads) + " threads");
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 TEST_F(FlatAggTest, TinyMorselsAndTinyTables) {

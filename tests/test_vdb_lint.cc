@@ -151,14 +151,14 @@ TEST(VdbLintScopeTree, SyncSafeClassRequiresEveryMemberSynchronized) {
 
 // ---- unit layer: LintSource over in-memory sources -------------------------
 
-TEST(VdbLintUnit, RuleRegistryListsAllTenContracts) {
+TEST(VdbLintUnit, RuleRegistryListsAllElevenContracts) {
   const std::vector<std::string>& names = RuleNames();
-  ASSERT_EQ(names.size(), 10u);
+  ASSERT_EQ(names.size(), 11u);
   for (const char* expected :
        {"rng-outside-random", "simd-outside-kernel-tu", "string-keyed-map",
         "raw-double-accumulate", "naked-size-narrowing", "naked-reserve",
         "unordered-iteration-in-result-path", "ungoverned-loop", "raw-mutex",
-        "mutable-shared-static"}) {
+        "mutable-shared-static", "row-interpreter-call"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "missing rule " << expected;
   }
@@ -392,6 +392,35 @@ TEST(VdbLintUnit, MutableSharedStaticAcceptsSynchronizedShapes) {
             0u);
 }
 
+TEST(VdbLintUnit, RowInterpreterCallConfinedToTheInterpreterTu) {
+  const std::string src =
+      "Status Fill(const Expr& e, const Table& t) {\n"
+      "  for (size_t r = 0; r < t.num_rows(); ++r) {\n"
+      "    auto v = EvalExpr(e, RowCtx{&t, r});\n"
+      "    if (!EvalPredicate(e, RowCtx{&t, r}).ok()) return v.status();\n"
+      "  }\n"
+      "  return EvalExprBatch(e, Batch{&t}).status();\n"
+      "}\n";
+  // Both row-interpreter calls fire in an operator; the batch call does not.
+  EXPECT_EQ(CountRule(LintOne("src/engine/window.cc", src),
+                      "row-interpreter-call"),
+            2u);
+  EXPECT_EQ(CountRule(LintOne("src/core/verdict_context.cc", src),
+                      "row-interpreter-call"),
+            2u);
+  // The interpreter itself (and its header) may call it; tests may too.
+  EXPECT_TRUE(LintOne("src/engine/expr_eval.cc", src).ok());
+  EXPECT_TRUE(LintOne("src/engine/expr_eval.h", src).ok());
+  EXPECT_TRUE(LintOne("tests/test_vector_eval.cc", src).ok());
+  // The batch evaluator's fallback is acknowledged in place.
+  const Report fallback = LintOne(
+      "src/engine/vector_eval.cc",
+      "auto r = EvalExpr(e, ctx);  // vdb-lint: allow(row-interpreter-call) "
+      "RowFallback\n");
+  EXPECT_TRUE(fallback.ok());
+  EXPECT_EQ(fallback.suppressions_used, 1u);
+}
+
 TEST(VdbLintUnit, StatsTableCoversEveryRule) {
   const Report r = LintOne("src/engine/foo.cc", "int f() { return rand(); }\n");
   ASSERT_EQ(r.rule_stats.size(), RuleNames().size());
@@ -417,7 +446,7 @@ TEST(VdbLintFixtures, PassTreeIsCleanAndCountsSuppressions) {
   EXPECT_TRUE(r.ok()) << (r.violations.empty()
                               ? ""
                               : FormatDiagnostic(r.violations.front()));
-  EXPECT_EQ(r.files_scanned, 8u);
+  EXPECT_EQ(r.files_scanned, 9u);
   // suppressed.cc acknowledges three findings; engine/agg_table.cc two;
   // src/engine/ordered_result.cc and engine/operators.cc one each.
   EXPECT_EQ(r.suppressions_used, 7u);
@@ -425,7 +454,7 @@ TEST(VdbLintFixtures, PassTreeIsCleanAndCountsSuppressions) {
 
 TEST(VdbLintFixtures, FailTreeTriggersEveryRule) {
   const Report r = LintPaths({Fixture("fail")});
-  EXPECT_EQ(r.files_scanned, 10u);
+  EXPECT_EQ(r.files_scanned, 11u);
   EXPECT_EQ(CountRule(r, "rng-outside-random"), 5u);
   EXPECT_EQ(CountRule(r, "simd-outside-kernel-tu"), 3u);
   EXPECT_EQ(CountRule(r, "string-keyed-map"), 2u);
@@ -436,7 +465,8 @@ TEST(VdbLintFixtures, FailTreeTriggersEveryRule) {
   EXPECT_EQ(CountRule(r, "ungoverned-loop"), 1u);
   EXPECT_EQ(CountRule(r, "raw-mutex"), 4u);
   EXPECT_EQ(CountRule(r, "mutable-shared-static"), 2u);
-  EXPECT_EQ(r.violations.size(), 26u);
+  EXPECT_EQ(CountRule(r, "row-interpreter-call"), 2u);
+  EXPECT_EQ(r.violations.size(), 28u);
   EXPECT_EQ(r.suppressions_used, 0u);
 }
 
@@ -453,8 +483,8 @@ TEST(VdbLintFixtures, MultiFileScanSortsDiagnosticsByFileThenLine) {
 
 TEST(VdbLintFixtures, MixedRootsAggregateAcrossDirectories) {
   const Report r = LintPaths({Fixture("pass"), Fixture("fail")});
-  EXPECT_EQ(r.files_scanned, 18u);
-  EXPECT_EQ(r.violations.size(), 26u);
+  EXPECT_EQ(r.files_scanned, 20u);
+  EXPECT_EQ(r.violations.size(), 28u);
   EXPECT_EQ(r.suppressions_used, 7u);
 }
 

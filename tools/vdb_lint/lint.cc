@@ -567,6 +567,33 @@ void RuleMutableSharedStatic(Ctx& ctx) {
   }
 }
 
+// --- row-interpreter-call ---------------------------------------------------
+//
+// Operators evaluate expressions column-at-a-time (EvalExprBatch /
+// EvalPredicateBatch) and aggregate through the FlatAggregator lanes. A call
+// to the row interpreter under src/ is how a per-row evaluation loop — a
+// second, slower implementation beside the batch one — creeps back into an
+// operator. The interpreter's own TU and header are exempt; the batch
+// evaluator's RowFallback carries the one acknowledged allow().
+void RuleRowInterpreterCall(Ctx& ctx) {
+  static const char* kRule = "row-interpreter-call";
+  if (!ctx.PathContains("src/") || ctx.PathEndsWith("engine/expr_eval.cc") ||
+      ctx.PathEndsWith("engine/expr_eval.h")) {
+    return;
+  }
+  const std::vector<Token>& toks = ctx.src.tokens;
+  for (size_t k = 0; k + 1 < toks.size(); ++k) {
+    if ((IsIdent(toks[k], "EvalExpr") || IsIdent(toks[k], "EvalPredicate")) &&
+        IsPunct(toks[k + 1], "(")) {
+      ctx.Emit(kRule, toks[k].line,
+               "'" + toks[k].text +
+                   "' evaluates one row at a time; operators evaluate "
+                   "column-at-a-time through EvalExprBatch / "
+                   "EvalPredicateBatch (engine/vector_eval.h)");
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Registry, meta checks, entry points
 // ---------------------------------------------------------------------------
@@ -621,6 +648,10 @@ const std::vector<RuleEntry>& Registry() {
        "Non-const statics and globals under src/engine/ must be atomic, "
        "Mutex-guarded, or const",
        RuleMutableSharedStatic},
+      {"row-interpreter-call",
+       "Per-row EvalExpr/EvalPredicate calls under src/ are confined to "
+       "engine/expr_eval.*; operators evaluate column-at-a-time",
+       RuleRowInterpreterCall},
   };
   return kRules;
 }

@@ -3,7 +3,7 @@
 // A deliberately small structural analyzer — a preprocessor-aware tokenizer
 // feeding a brace-matched scope tree (see analyzer.h), no libclang — that
 // turns this repo's written-down invariants into pass/fail CI diagnostics.
-// The ten rules (see docs/INVARIANTS.md for the history behind each):
+// The eleven rules (see docs/INVARIANTS.md for the history behind each):
 //
 //   rng-outside-random      rand()/srand/std::mt19937/std::random_device &
 //                           friends anywhere but common/random.* — every
@@ -57,6 +57,12 @@
 //                           atomic/Mutex protection — shared mutable state
 //                           invisible to the annotation layer is how the
 //                           PR 8 Database races happened.
+//   row-interpreter-call    EvalExpr( / EvalPredicate( under src/ outside
+//                           engine/expr_eval.* — operators evaluate
+//                           column-at-a-time; a per-row interpreter loop
+//                           in an operator is a second, slower path beside
+//                           the batch evaluator. The batch evaluator's
+//                           RowFallback is the one allow().
 //
 // Any diagnostic can be acknowledged in place with a trailing comment:
 //     ... code ...  // vdb-lint: allow(rule-name[, rule-name]) <rationale>

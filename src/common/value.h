@@ -1,7 +1,7 @@
-// Dynamically-typed scalar value used by the expression interpreter and the
-// row-at-a-time executor boundary. Columns store data natively (see
-// engine/column.h); Value is only materialized per-cell during expression
-// evaluation and result-set access.
+// Dynamically-typed scalar value used by the expression evaluator's
+// per-value paths (CallScalarFunction, mixed-type lanes) and the result-set
+// boundary. Columns store data natively (see engine/column.h); Value is only
+// materialized per-cell during expression evaluation and result-set access.
 
 #ifndef VDB_COMMON_VALUE_H_
 #define VDB_COMMON_VALUE_H_

@@ -9,6 +9,7 @@
 
 #include "common/hash.h"
 #include "engine/aggregates.h"
+#include "engine/kernels/kernels_scalar.h"
 
 namespace vdb::engine {
 
@@ -145,6 +146,60 @@ bool LikeMatch(const std::string& text, const std::string& pattern) {
   return p == pattern.size();
 }
 
+Result<Value> ApplyBinaryOp(sql::BinaryOp op, const Value& l, const Value& r) {
+  using sql::BinaryOp;
+  if (l.is_null() || r.is_null()) return Value::Null();
+
+  switch (op) {
+    case BinaryOp::kAdd:
+    case BinaryOp::kSub:
+    case BinaryOp::kMul: {
+      const kernels::ArithOp kop =
+          op == BinaryOp::kAdd
+              ? kernels::ArithOp::kAdd
+              : (op == BinaryOp::kSub ? kernels::ArithOp::kSub
+                                      : kernels::ArithOp::kMul);
+      if (l.type() == TypeId::kInt64 && r.type() == TypeId::kInt64) {
+        return Value::Int(
+            kernels::scalar::ArithApply(kop, l.AsInt(), r.AsInt()));
+      }
+      return Value::Double(
+          kernels::scalar::ArithApply(kop, l.AsDouble(), r.AsDouble()));
+    }
+    case BinaryOp::kDiv: {
+      const double b = r.AsDouble();
+      if (b == 0.0) return Value::Null();
+      return Value::Double(l.AsDouble() / b);
+    }
+    case BinaryOp::kMod: {
+      const int64_t b = r.AsInt();
+      if (b == 0) return Value::Null();
+      return Value::Int(IntMod(l.AsInt(), b));
+    }
+    case BinaryOp::kEq: return Value::Bool(l.Compare(r) == 0);
+    case BinaryOp::kNe: return Value::Bool(l.Compare(r) != 0);
+    case BinaryOp::kLt: return Value::Bool(l.Compare(r) < 0);
+    case BinaryOp::kLe: return Value::Bool(l.Compare(r) <= 0);
+    case BinaryOp::kGt: return Value::Bool(l.Compare(r) > 0);
+    case BinaryOp::kGe: return Value::Bool(l.Compare(r) >= 0);
+    case BinaryOp::kLike:
+      return Value::Bool(LikeMatch(l.ToString(), r.ToString()));
+    default:
+      return Status::Internal("unhandled binary op");
+  }
+}
+
+Value NegateValue(const Value& v) {
+  if (v.is_null()) return Value::Null();
+  if (v.type() == TypeId::kInt64) {
+    // Unsigned negation: defined two's-complement wrap (-INT64_MIN ==
+    // INT64_MIN), matching the engine's uint64-wrap arithmetic kernels.
+    return Value::Int(
+        static_cast<int64_t>(0ull - static_cast<uint64_t>(v.AsInt())));
+  }
+  return Value::Double(-v.AsDouble());
+}
+
 Result<Value> CallScalarFunction(ScalarFn fn, const std::vector<Value>& args,
                                  const RandAddr& rand_addr) {
   // The rand family, coalesce, if and nullif see NULL arguments; every later
@@ -155,8 +210,8 @@ Result<Value> CallScalarFunction(ScalarFn fn, const std::vector<Value>& args,
     case ScalarFn::kUnresolved:
       return Status::Internal("scalar function call was not resolved at bind");
     // Row-addressed: the value depends only on (query seed, row id, call
-    // site), so the row interpreter and the batch kernels in vector_eval.cc
-    // agree bit for bit.
+    // site), so this spec and the batch rand kernel in vector_eval.cc agree
+    // bit for bit.
     case ScalarFn::kRand:
       return Value::Double(RandAt(rand_addr));
     case ScalarFn::kRandPoisson:
@@ -200,7 +255,7 @@ Result<Value> CallScalarFunction(ScalarFn fn, const std::vector<Value>& args,
     case ScalarFn::kMod: {
       const int64_t d = args[1].AsInt();
       if (d == 0) return Value::Null();
-      return Value::Int(args[0].AsInt() % d);
+      return Value::Int(IntMod(args[0].AsInt(), d));
     }
     case ScalarFn::kRound: {
       const double x = args[0].AsDouble();

@@ -31,7 +31,7 @@ bool IsBuiltinAggregateFunction(const std::string& name);
 /// Built-in scalar functions. The bind step resolves each scalar call's
 /// name (aliases included) to one of these ids exactly once
 /// (ResolveScalarFunction) and stores it on the node (sql::Expr::scalar_fn);
-/// the row interpreter and the batch kernels dispatch on the id and never
+/// CallScalarFunction and the batch kernels dispatch on the id and never
 /// compare names per row. Every id after kNullif is NULL in -> NULL out.
 enum class ScalarFn : uint8_t {
   kUnresolved = 0,
@@ -83,6 +83,19 @@ Status ResolveScalarFunction(sql::Expr* call);
 /// never a stream draw (common/random.h). kUnresolved is an internal error.
 Result<Value> CallScalarFunction(ScalarFn fn, const std::vector<Value>& args,
                                  const RandAddr& rand_addr);
+
+/// Combines two already-evaluated operands of a non-logical binary operator
+/// (arithmetic, comparison, LIKE) with NULL propagation: the per-value
+/// semantics of the batch evaluator's mixed-type lanes. Int64 add/sub/mul
+/// wrap mod 2^64 through the typed lanes' kernels::scalar::ArithApply.
+Result<Value> ApplyBinaryOp(sql::BinaryOp op, const Value& l, const Value& r);
+
+/// Unary minus with NULL propagation (Int64 stays integral and wraps).
+Value NegateValue(const Value& v);
+
+/// Integer remainder for a nonzero divisor (callers map b == 0 to NULL).
+/// b == -1 yields 0, the exact remainder; `INT64_MIN % -1` itself traps.
+inline int64_t IntMod(int64_t a, int64_t b) { return b == -1 ? 0 : a % b; }
 
 /// SQL LIKE with % and _ wildcards.
 bool LikeMatch(const std::string& text, const std::string& pattern);

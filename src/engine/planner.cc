@@ -11,7 +11,6 @@
 #include "engine/agg_table.h"
 #include "engine/aggregates.h"
 #include "engine/binder.h"
-#include "engine/expr_eval.h"
 #include "engine/functions.h"
 #include "engine/group_ids.h"
 #include "engine/kernels/bitmap.h"

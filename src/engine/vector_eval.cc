@@ -5,7 +5,6 @@
 
 #include "common/hash.h"
 #include "common/thread_pool.h"
-#include "engine/expr_eval.h"
 #include "engine/functions.h"
 #include "engine/kernels/kernels.h"
 
@@ -119,7 +118,7 @@ kernels::CmpOp ToCmpOp(BinaryOp op) {
 
 /// Intermediate vector: borrows a whole input column (zero-copy column
 /// reference), owns a materialized column, broadcasts a one-row constant, or
-/// — for row-fallback results whose per-row types differ (coalesce/CASE over
+/// — for per-row results whose types differ (coalesce/CASE over
 /// heterogeneous branches) — boxes the raw Values so that Value-level
 /// semantics (boolean-ness, string vs numeric comparison) survive until the
 /// output boundary.
@@ -333,13 +332,13 @@ IntView ResolveInt(const Vec& v) {
 // Each compare is phrased under the engine's three-way convention — built
 // from < and > only, exactly like Value::Compare / ThreeWayD — so NaN
 // operands (which compare neither < nor >) land in the cmp == 0 bucket, and
-// the lanes cannot drift from the row interpreter. NaN-compares-equal
+// the lanes cannot drift from Value::Compare. NaN-compares-equal
 // deviates from IEEE/standard SQL, but it is this engine's deliberate
 // repo-wide convention (Value::Compare ordering, ValueGroupKey grouping,
-// JoinKeysEqual — "NaN joins NaN"), and the row interpreter is the semantic
-// reference the differential fuzz enforces. The kernel layer (engine/kernels)
-// carries the same convention: its CmpOp table is specified against the
-// scalar reference built from </> only, at every dispatch level.
+// JoinKeysEqual — "NaN joins NaN"), and the row oracle in tests/ is the
+// semantic reference the differential fuzz enforces. The kernel layer
+// (engine/kernels) carries the same convention: its CmpOp table is specified
+// against the scalar reference built from </> only, at every dispatch level.
 //
 // Constant-vs-vector shapes route through the VC kernel with the operator
 // mirrored (MirrorCmp: c < x[k] == x[k] > c), so only VV and VC kernels
@@ -602,24 +601,6 @@ TriMask LikeVecs(const Vec& l, const Vec& r, size_t n) {
   return t;
 }
 
-/// Row-interpreter fallback for node types without a batch kernel (most
-/// scalar functions, mixed-type CASE): evaluates the subtree per selected
-/// row. rand-family draws inside the subtree are row-addressed, so the
-/// fallback and the batch kernels produce identical values regardless of
-/// which path a node takes.
-Result<Vec> RowFallback(const Expr& e, const Batch& b) {
-  const size_t n = b.size();
-  std::vector<Value> vals;
-  vals.reserve(n);
-  for (size_t k = 0; k < n; ++k) {
-    RowCtx ctx{b.table, b.RowAt(k), b.rand_seed, b.row_id_offset};
-    auto r = EvalExpr(e, ctx);  // vdb-lint: allow(row-interpreter-call) RowFallback: the batch evaluator's per-row fallback
-    if (!r.ok()) return r.status();
-    vals.push_back(std::move(r).ValueOrDie());
-  }
-  return VecFromValues(std::move(vals));
-}
-
 Result<Vec> ColumnRefVec(const Expr& e, const Batch& b) {
   if (e.bound_column < 0) {
     return Status::Internal("unbound column reference: " + e.name);
@@ -808,7 +789,7 @@ Result<Vec> EvalArith(const Expr& e, const Batch& b) {
           set_null(k);
           continue;
         }
-        out[k] = l.AsIntAt(k) % c;
+        out[k] = IntMod(l.AsIntAt(k), c);
       }
       Vec v;
       v.owned = Column::FromData(TypeId::kInt64, std::move(out), {}, {},
@@ -861,13 +842,47 @@ Result<Vec> EvalCase(const Expr& e, const Batch& b) {
 
 // ---- Scalar function kernels ------------------------------------------------
 // Dispatch is on the id the bind step stored on the node (engine/binder.h);
-// ids without a batch kernel, and operand shapes a kernel does not cover,
-// take the row interpreter's per-element path.
+// ids without a typed kernel, and operand shapes a kernel does not cover,
+// apply CallScalarFunction per row over batch-evaluated arguments (CallVec).
+
+/// Evaluates each argument of a call once for the whole batch.
+Result<std::vector<Vec>> EvalArgs(const Expr& e, const Batch& b) {
+  std::vector<Vec> args;
+  args.reserve(e.args.size());
+  for (const auto& a : e.args) {
+    auto av = EvalVec(*a, b);
+    if (!av.ok()) return av.status();
+    args.push_back(std::move(av).ValueOrDie());
+  }
+  return args;
+}
+
+/// The generic call kernel: CallScalarFunction — the per-value spec of every
+/// id — runs per row over the argument lanes, with no per-row tree walk.
+/// rand-family draws are row-addressed, so a call here and in RandVec agree
+/// bit for bit.
+Result<Vec> CallVec(const Expr& e, const Batch& b,
+                    const std::vector<Vec>& args) {
+  const size_t n = b.size();
+  const ScalarFn fn = BoundScalarFn(e);
+  const uint64_t site = static_cast<uint64_t>(e.rand_site);
+  std::vector<Value> argv(args.size());
+  std::vector<Value> vals;
+  vals.reserve(n);
+  for (size_t k = 0; k < n; ++k) {
+    for (size_t i = 0; i < args.size(); ++i) argv[i] = args[i].At(k);
+    auto r = CallScalarFunction(fn, argv,
+                                RandAddr{b.rand_seed, b.RowIdAt(k), site});
+    if (!r.ok()) return r.status();
+    vals.push_back(std::move(r).ValueOrDie());
+  }
+  return VecFromValues(std::move(vals));
+}
 
 /// rand-family batch kernels (the variational-subsampling hot path:
 /// __vdb_sid assignment and Bernoulli predicates). Each lane value is the
 /// row-addressed draw CounterRandom(seed, row id, call site) — a pure
-/// function of row identity, so the kernel, the row fallback, and every
+/// function of row identity, so the kernel, CallScalarFunction, and every
 /// morsel decomposition agree bit for bit.
 Vec RandVec(const Expr& e, const Batch& b) {
   const size_t n = b.size();
@@ -897,71 +912,32 @@ Vec RandVec(const Expr& e, const Batch& b) {
   return v;
 }
 
-/// Unary numeric math (floor/ceil/abs/sqrt): typed lanes instead of a
-/// per-row tree walk — floor() wraps every rand() in the rewritten sid
-/// expression `1 + floor(rand() * b)`, so without this kernel the rand
-/// kernel above would never be reached on the AQP hot path. String and
-/// mixed operands keep the row interpreter's Value semantics.
+/// floor/ceil over numeric operands: typed lanes instead of a per-value
+/// call — floor() wraps every rand() in the rewritten sid expression
+/// `1 + floor(rand() * b)`, so without this kernel the rand kernel above
+/// would never be reached on the AQP hot path. String and mixed operands
+/// take CallVec over the already-evaluated argument.
 Result<Vec> UnaryMathVec(const Expr& e, const Batch& b) {
   const size_t n = b.size();
-  const ScalarFn fn = BoundScalarFn(e);
-  auto av = EvalVec(*e.args[0], b);
+  auto av = EvalArgs(e, b);
   if (!av.ok()) return av.status();
-  const Vec& a = av.value();
-  if (a.mixed || a.type() == TypeId::kString) return RowFallback(e, b);
+  const Vec& a = av.value()[0];
+  if (a.mixed || a.type() == TypeId::kString) return CallVec(e, b, av.value());
   if (a.type() == TypeId::kNull) return ConstVec(Value::Null());
   std::vector<uint8_t> nulls;
-  auto set_null = [&](size_t k) {
-    if (nulls.empty()) nulls.assign(n, 0);
-    nulls[k] = 1;
-  };
-  Vec v;
-  // abs over Int64 storage keeps the integer lane (matching
-  // CallScalarFunction's integer abs; Bool values take the double lane
-  // there, so they do here too).
-  if (fn == ScalarFn::kAbs && a.type() == TypeId::kInt64) {
-    std::vector<int64_t> out(n, 0);
-    for (size_t k = 0; k < n; ++k) {
-      if (a.IsNull(k)) {
-        set_null(k);
-      } else {
-        // Wrap-defined abs: abs(INT64_MIN) == INT64_MIN (see
-        // CallScalarFunction).
-        const int64_t x = a.IntRaw(k);
-        out[k] = x < 0 ? static_cast<int64_t>(0ull - static_cast<uint64_t>(x))
-                       : x;
-      }
-    }
-    v.owned = Column::FromData(TypeId::kInt64, std::move(out), {}, {},
-                               std::move(nulls));
-    return v;
-  }
-  if (fn == ScalarFn::kAbs || fn == ScalarFn::kSqrt) {
-    std::vector<double> out(n, 0.0);
-    const bool is_abs = fn == ScalarFn::kAbs;
-    for (size_t k = 0; k < n; ++k) {
-      if (a.IsNull(k)) {
-        set_null(k);
-      } else {
-        const double x = a.Num(k);
-        out[k] = is_abs ? std::abs(x) : std::sqrt(x);
-      }
-    }
-    v.owned = Column::FromData(TypeId::kDouble, {}, std::move(out), {},
-                               std::move(nulls));
-    return v;
-  }
-  // floor/ceil return Int64, like the row interpreter.
+  // floor/ceil return Int64, like CallScalarFunction.
   std::vector<int64_t> out(n, 0);
-  const bool is_floor = fn == ScalarFn::kFloor;
+  const bool is_floor = BoundScalarFn(e) == ScalarFn::kFloor;
   for (size_t k = 0; k < n; ++k) {
     if (a.IsNull(k)) {
-      set_null(k);
+      if (nulls.empty()) nulls.assign(n, 0);
+      nulls[k] = 1;
     } else {
       const double x = a.Num(k);
       out[k] = static_cast<int64_t>(is_floor ? std::floor(x) : std::ceil(x));
     }
   }
+  Vec v;
   v.owned = Column::FromData(TypeId::kInt64, std::move(out), {}, {},
                              std::move(nulls));
   return v;
@@ -996,15 +972,11 @@ Result<Vec> UnitHashVec(const Expr& e, const Batch& b) {
 /// count(distinct concat(g1, '|', g2)) runs through here.
 Result<Vec> ConcatVec(const Expr& e, const Batch& b) {
   const size_t n = b.size();
-  std::vector<Vec> args;
-  args.reserve(e.args.size());
-  for (const auto& a : e.args) {
-    auto av = EvalVec(*a, b);
-    if (!av.ok()) return av.status();
-    if (!av.value().mixed && av.value().type() == TypeId::kNull) {
-      return ConstVec(Value::Null());
-    }
-    args.push_back(std::move(av).ValueOrDie());
+  auto av = EvalArgs(e, b);
+  if (!av.ok()) return av.status();
+  const std::vector<Vec>& args = av.value();
+  for (const Vec& a : args) {
+    if (!a.mixed && a.type() == TypeId::kNull) return ConstVec(Value::Null());
   }
   std::vector<std::string> out(n);
   std::vector<uint8_t> nulls;
@@ -1041,15 +1013,16 @@ Result<Vec> EvalFunction(const Expr& e, const Batch& b) {
       return RandVec(e, b);
     case ScalarFn::kFloor:
     case ScalarFn::kCeil:
-    case ScalarFn::kAbs:
-    case ScalarFn::kSqrt:
       return UnaryMathVec(e, b);
     case ScalarFn::kUnitHash:
       return UnitHashVec(e, b);
     case ScalarFn::kConcat:
       return ConcatVec(e, b);
-    default:
-      return RowFallback(e, b);
+    default: {
+      auto args = EvalArgs(e, b);
+      if (!args.ok()) return args.status();
+      return CallVec(e, b, args.value());
+    }
   }
 }
 
@@ -1060,7 +1033,7 @@ Result<TriMask> EvalTri(const Expr& e, const Batch& b) {
       if (e.binary_op == BinaryOp::kAnd) {
         // Selection-aware conjunction: a false left operand decides the row,
         // so the right operand only needs the rows where the left came out
-        // true or unknown — like the row interpreter's short-circuit, but
+        // true or unknown — like a per-row short-circuit, but
         // batch-at-a-time over a sub-selection. Evaluating the sub-batch
         // costs a gather per column reference, so it pays off only when the
         // left side is selective; above the cutover the contiguous
@@ -1127,7 +1100,7 @@ Result<TriMask> EvalTri(const Expr& e, const Batch& b) {
       if (e.binary_op == BinaryOp::kOr) {
         // Kleene logic over full child masks; data-dependent NULLs
         // (div-by-zero etc.) are values, not errors, so results agree with
-        // the short-circuiting row interpreter.
+        // a short-circuiting per-row evaluation.
         auto lt = EvalTri(*e.args[0], b);
         if (!lt.ok()) return lt.status();
         auto rt = EvalTri(*e.args[1], b);

@@ -1,17 +1,18 @@
-// Batch-at-a-time (vectorized) expression evaluation.
+// Batch-at-a-time (vectorized) expression evaluation: the library's one
+// expression evaluator.
 //
-// The row interpreter in expr_eval.h materializes a boxed Value per cell and
-// re-walks the expression tree per row; on scan-shaped paths (WHERE, HAVING,
-// projection, join residuals, sample preparation) that interpretation cost
-// dominates. The batch evaluator walks the tree once per batch and runs
-// type-specialized inner loops directly over the columnar storage
-// (engine/column.h), materializing NULL masks lazily. Node types without a
-// specialized kernel (most scalar functions, mixed-type CASE) fall back to
-// the row interpreter per element, so the row evaluator remains the semantic
-// reference; tests/test_vector_eval.cc asserts batch == row on randomized
-// expressions. rand-family functions have true batch kernels: their values
-// are row-addressed (common/random.h), so the kernel and the row fallback
-// agree bit for bit and rand()-bearing queries need no serial pinning.
+// The evaluator walks the tree once per batch and runs type-specialized
+// inner loops directly over the columnar storage (engine/column.h),
+// materializing NULL masks lazily; it never re-walks a subtree per row. A
+// scalar call without a typed kernel evaluates each argument once for the
+// batch, then applies CallScalarFunction (engine/functions.h), the per-value
+// spec of every function id, per row over the argument lanes; mixed-type
+// lanes combine Values through ApplyBinaryOp and NegateValue the same way.
+// A row-at-a-time interpreter lives in tests/oracle/ as the differential
+// oracle: tests/test_vector_eval.cc asserts batch == row on randomized
+// expressions. rand-family values are row-addressed (common/random.h), so
+// the rand kernel, CallScalarFunction and every morsel split agree bit for
+// bit and rand()-bearing queries need no serial pinning.
 
 #ifndef VDB_ENGINE_VECTOR_EVAL_H_
 #define VDB_ENGINE_VECTOR_EVAL_H_
@@ -72,8 +73,9 @@ Batch ViewBatch(const RowView& view, uint64_t rand_seed);
 
 /// Evaluates a bound expression for every batch position, column-at-a-time.
 /// Returns a column of batch.size() rows, position i holding the value for
-/// batch row i. Per-row semantics match EvalExpr, with two deliberate
-/// deviations from the pre-vectorization executor:
+/// batch row i. Per-row semantics are SQL's (the row oracle in tests/ walks
+/// the same semantics one row at a time), with two deliberate deviations
+/// from the pre-vectorization executor:
 ///  - Boolean-valued expressions produce kBool columns (the old per-row
 ///    Column::Append materialization folded Bool into Int64); only
 ///    heterogeneous per-row type mixes still coerce through Column::Append.
@@ -84,14 +86,14 @@ Batch ViewBatch(const RowView& view, uint64_t rand_seed);
 ///    (division by zero etc.) are values, not errors, so results agree.
 ///    AND is selection-aware: when the left conjunct is selective (it
 ///    decides at least 3/4 of the rows false), the right conjunct is
-///    evaluated only over the surviving rows (matching the row
-///    interpreter's short-circuit); otherwise contiguous whole-batch lanes
+///    evaluated only over the surviving rows (a per-row short-circuit,
+///    batch-at-a-time); otherwise contiguous whole-batch lanes
 ///    stay cheaper and the decided rows are masked out afterwards.
 Result<Column> EvalExprBatch(const sql::Expr& e, const Batch& batch);
 
 /// Evaluates a predicate over the batch and appends the physical row indices
-/// for which it is non-null and true to `*out` (in batch order). Three-valued
-/// NULL logic matches EvalPredicate.
+/// for which it is non-null and true to `*out` (in batch order), with SQL's
+/// three-valued NULL logic.
 Status EvalPredicateBatch(const sql::Expr& e, const Batch& batch,
                           SelVector* out);
 

@@ -41,7 +41,7 @@ enum class BinaryOp {
 };
 
 /// Expression node. A single struct (rather than a class hierarchy) keeps the
-/// tree-walking interpreter and the rewriter compact.
+/// expression evaluator and the rewriter compact.
 struct Expr {
   using Ptr = std::unique_ptr<Expr>;
 

@@ -1,6 +1,8 @@
-#include "engine/expr_eval.h"
+// The row interpreter: an independent per-row tree walk over bound
+// expressions. Per-value semantics (CallScalarFunction, ApplyBinaryOp,
+// NegateValue) are the library's own, so the walk is what it checks.
 
-#include <cmath>
+#include "oracle/row_interpreter.h"
 
 #include "engine/functions.h"
 
@@ -49,62 +51,6 @@ Result<Value> EvalBinary(const Expr& e, const RowCtx& ctx) {
 }
 
 }  // namespace
-
-Result<Value> ApplyBinaryOp(BinaryOp op, const Value& l, const Value& r) {
-  if (l.is_null() || r.is_null()) return Value::Null();
-
-  switch (op) {
-    case BinaryOp::kAdd:
-    case BinaryOp::kSub:
-    case BinaryOp::kMul: {
-      bool ints = l.type() == TypeId::kInt64 && r.type() == TypeId::kInt64;
-      if (ints) {
-        int64_t a = l.AsInt(), b = r.AsInt();
-        switch (op) {
-          case BinaryOp::kAdd: return Value::Int(a + b);
-          case BinaryOp::kSub: return Value::Int(a - b);
-          default: return Value::Int(a * b);
-        }
-      }
-      double a = l.AsDouble(), b = r.AsDouble();
-      switch (op) {
-        case BinaryOp::kAdd: return Value::Double(a + b);
-        case BinaryOp::kSub: return Value::Double(a - b);
-        default: return Value::Double(a * b);
-      }
-    }
-    case BinaryOp::kDiv: {
-      double b = r.AsDouble();
-      if (b == 0.0) return Value::Null();
-      return Value::Double(l.AsDouble() / b);
-    }
-    case BinaryOp::kMod: {
-      int64_t b = r.AsInt();
-      if (b == 0) return Value::Null();
-      return Value::Int(l.AsInt() % b);
-    }
-    case BinaryOp::kEq: return Value::Bool(l.Compare(r) == 0);
-    case BinaryOp::kNe: return Value::Bool(l.Compare(r) != 0);
-    case BinaryOp::kLt: return Value::Bool(l.Compare(r) < 0);
-    case BinaryOp::kLe: return Value::Bool(l.Compare(r) <= 0);
-    case BinaryOp::kGt: return Value::Bool(l.Compare(r) > 0);
-    case BinaryOp::kGe: return Value::Bool(l.Compare(r) >= 0);
-    case BinaryOp::kLike:
-      return Value::Bool(LikeMatch(l.ToString(), r.ToString()));
-    default:
-      return Status::Internal("unhandled binary op");
-  }
-}
-
-Value NegateValue(const Value& v) {
-  if (v.is_null()) return Value::Null();
-  if (v.type() == TypeId::kInt64) {
-    // Unsigned negation: defined two's-complement wrap (-INT64_MIN ==
-    // INT64_MIN), matching the engine's uint64-wrap arithmetic kernels.
-    return Value::Int(static_cast<int64_t>(0ull - static_cast<uint64_t>(v.AsInt())));
-  }
-  return Value::Double(-v.AsDouble());
-}
 
 Result<Value> EvalExpr(const Expr& e, const RowCtx& ctx) {
   switch (e.kind) {

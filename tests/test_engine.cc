@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -10,9 +12,9 @@
 #include "engine/aggregates.h"
 #include "engine/binder.h"
 #include "engine/database.h"
-#include "engine/expr_eval.h"
 #include "engine/functions.h"
 #include "engine/hll.h"
+#include "engine/vector_eval.h"
 #include "sql/ast.h"
 
 namespace vdb::engine {
@@ -408,7 +410,8 @@ TEST_F(EngineTest, WrongArgumentCountIsABindError) {
 // one fixed argument list — the Value the name-dispatched evaluator
 // returned before resolution moved to bind time (captured from it,
 // doubles as hex literals). Guards the name table against a dropped or
-// swapped alias.
+// swapped alias. Each call runs through the production batch evaluator
+// over a one-row batch whose row id is 7.
 TEST(ScalarFunctionTable, EveryBuiltinNameKeepsItsValue) {
   struct Case {
     const char* name;
@@ -439,6 +442,9 @@ TEST(ScalarFunctionTable, EveryBuiltinNameKeepsItsValue) {
       {"power", {Value::Double(2.0), Value::Int(10)}, Value::Double(0x1p+10)},
       {"pow", {Value::Double(2.0), Value::Int(10)}, Value::Double(0x1p+10)},
       {"mod", {Value::Int(17), Value::Int(5)}, Value::Int(2)},
+      {"mod",
+       {Value::Int(std::numeric_limits<int64_t>::min()), Value::Int(-1)},
+       Value::Int(0)},
       {"round", {Value::Double(2.71828), Value::Int(2)},
        Value::Double(0x1.5c28f5c28f5c3p+1)},
       {"sign", {Value::Double(-0.5)}, Value::Int(-1)},
@@ -466,6 +472,11 @@ TEST(ScalarFunctionTable, EveryBuiltinNameKeepsItsValue) {
       {"cast_int", {Value::Double(7.9)}, Value::Int(7)},
       {"to_int", {Value::Double(7.9)}, Value::Int(7)},
   };
+  Table one_row;
+  one_row.AddColumn("x", TypeId::kInt64);
+  one_row.AppendRow({Value::Int(0)});
+  const Batch batch{&one_row, nullptr, /*rand_seed=*/42, 0,
+                    Batch::kWholeTable, /*row_id_offset=*/7};
   for (const Case& c : cases) {
     std::vector<sql::Expr::Ptr> argv;
     for (const Value& a : c.args) argv.push_back(sql::MakeLiteral(a));
@@ -476,9 +487,10 @@ TEST(ScalarFunctionTable, EveryBuiltinNameKeepsItsValue) {
     EXPECT_EQ(sql::IsRandFunctionExpr(*call),
               fn == ScalarFn::kRand || fn == ScalarFn::kRandPoisson)
         << c.name;
-    auto got = EvalExpr(*call, RowCtx{nullptr, /*row=*/7, /*rand_seed=*/42});
+    auto got = EvalExprBatch(*call, batch);
     ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
-    const Value& v = got.value();
+    ASSERT_EQ(got.value().size(), 1u) << c.name;
+    const Value v = got.value().Get(0);
     ASSERT_EQ(v.type(), c.want.type()) << c.name << ": " << v.ToString();
     if (v.type() == TypeId::kDouble) {
       EXPECT_EQ(v.AsDouble(), c.want.AsDouble()) << c.name;
@@ -492,7 +504,7 @@ TEST(ScalarFunctionTable, EveryBuiltinNameKeepsItsValue) {
   std::vector<sql::Expr::Ptr> argv;
   argv.push_back(sql::MakeIntLit(-7));
   auto unresolved = sql::MakeFunction("abs", std::move(argv));
-  auto r = EvalExpr(*unresolved, RowCtx{});
+  auto r = EvalExprBatch(*unresolved, batch);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
 }

@@ -392,7 +392,7 @@ TEST(VdbLintUnit, MutableSharedStaticAcceptsSynchronizedShapes) {
             0u);
 }
 
-TEST(VdbLintUnit, RowInterpreterCallConfinedToTheInterpreterTu) {
+TEST(VdbLintUnit, RowInterpreterCallFiresAnywhereUnderSrc) {
   const std::string src =
       "Status Fill(const Expr& e, const Table& t) {\n"
       "  for (size_t r = 0; r < t.num_rows(); ++r) {\n"
@@ -408,17 +408,17 @@ TEST(VdbLintUnit, RowInterpreterCallConfinedToTheInterpreterTu) {
   EXPECT_EQ(CountRule(LintOne("src/core/verdict_context.cc", src),
                       "row-interpreter-call"),
             2u);
-  // The interpreter itself (and its header) may call it; tests may too.
-  EXPECT_TRUE(LintOne("src/engine/expr_eval.cc", src).ok());
-  EXPECT_TRUE(LintOne("src/engine/expr_eval.h", src).ok());
+  // No TU under src/ is exempt, the batch evaluator's and one named for an
+  // interpreter included.
+  EXPECT_EQ(CountRule(LintOne("src/engine/vector_eval.cc", src),
+                      "row-interpreter-call"),
+            2u);
+  EXPECT_EQ(CountRule(LintOne("src/engine/expr_eval.cc", src),
+                      "row-interpreter-call"),
+            2u);
+  // The oracle under tests/ and the differential suites may call it.
+  EXPECT_TRUE(LintOne("tests/oracle/row_interpreter.cc", src).ok());
   EXPECT_TRUE(LintOne("tests/test_vector_eval.cc", src).ok());
-  // The batch evaluator's fallback is acknowledged in place.
-  const Report fallback = LintOne(
-      "src/engine/vector_eval.cc",
-      "auto r = EvalExpr(e, ctx);  // vdb-lint: allow(row-interpreter-call) "
-      "RowFallback\n");
-  EXPECT_TRUE(fallback.ok());
-  EXPECT_EQ(fallback.suppressions_used, 1u);
 }
 
 TEST(VdbLintUnit, StatsTableCoversEveryRule) {

@@ -1,8 +1,8 @@
 // Differential tests for the vectorized expression evaluator: the batch
-// evaluator (engine/vector_eval.h) must agree with the row-at-a-time
-// interpreter (engine/expr_eval.h) — values and NULLs, including three-valued
-// logic — on randomized expression trees and NULL patterns, plus
-// selection-vector edge cases (empty, all-pass, single-row).
+// evaluator (engine/vector_eval.h) must agree with the row-at-a-time oracle
+// (tests/oracle/row_interpreter.h) — values and NULLs, including
+// three-valued logic — on randomized expression trees and NULL patterns,
+// plus selection-vector edge cases (empty, all-pass, single-row).
 //
 // The late-materialization section at the bottom fuzzes the full engine
 // pipeline: every query runs through the view pipeline (WHERE survivors stay
@@ -24,10 +24,10 @@
 #include "common/thread_pool.h"
 #include "engine/binder.h"
 #include "engine/database.h"
-#include "engine/expr_eval.h"
 #include "engine/kernels/kernels.h"
 #include "engine/table.h"
 #include "engine/vector_eval.h"
+#include "oracle/row_interpreter.h"
 #include "sql/ast.h"
 #include "sql/printer.h"
 
@@ -205,32 +205,60 @@ class ExprGen {
   }
 
   Expr::Ptr GenFunction(int depth) {
-    // rand-family calls are fair game: draws are row-addressed, so the
-    // batch kernels and the row interpreter produce identical values (each
-    // generated call gets its own site id).
-    switch (rng_->NextBounded(16)) {
-      case 0: return Call("abs", Node(depth - 1));
-      case 1: return Call("floor", Node(depth - 1));
-      case 2: return Call("coalesce", Node(depth - 1), Node(depth - 1));
-      case 3:
-        return Call("if", Node(depth - 1), Node(depth - 1), Node(depth - 1));
-      case 4: return Call("length", Node(depth - 1));
-      case 5: return Call("verdict_hash", Node(depth - 1));
+    // Every ScalarFn id. rand-family calls are fair game: draws are
+    // row-addressed, so the batch kernels and the row interpreter produce
+    // identical values (each generated call gets its own site id).
+    switch (rng_->NextBounded(29)) {
+      case 0: return Call("abs", Arg(depth));
+      case 1: return Call("floor", Arg(depth));
+      case 2: return Call("coalesce", Arg(depth), Arg(depth));
+      case 3: return Call("if", Arg(depth), Arg(depth), Arg(depth));
+      case 4: return Call("length", Arg(depth));
+      case 5: return Call("verdict_hash", Arg(depth));
       case 6: return Sited(Call("rand"));
       case 7: return Sited(Call("rand_poisson"));
-      case 8: return Call("ceil", Node(depth - 1));
-      case 9: return Call("sqrt", Node(depth - 1));
-      case 10: return Call("greatest", Node(depth - 1), Node(depth - 1));
+      case 8: return Call("ceil", Arg(depth));
+      case 9: return Call("sqrt", Arg(depth));
+      case 10: return Call("greatest", Arg(depth), Arg(depth));
       case 11: return Call("year", GenIntOperand());
       case 12: return Call("month", GenIntOperand());
-      case 13: return Call("upper", Node(depth - 1));
+      case 13: return Call("upper", Arg(depth));
       case 14:
         return rng_->NextBernoulli(0.5)
-                   ? Call("substr", Node(depth - 1), GenIntOperand())
-                   : Call("substr", Node(depth - 1), GenIntOperand(),
+                   ? Call("substr", Arg(depth), GenIntOperand())
+                   : Call("substr", Arg(depth), GenIntOperand(),
                           GenIntOperand());
+      case 15: return Call("nullif", Arg(depth), Arg(depth));
+      case 16: return Call("exp", Arg(depth));
+      case 17: return Call("ln", Arg(depth));
+      case 18: return Call("power", Arg(depth), Arg(depth));
+      case 19: return Call("mod", GenBoundedOperand(), GenBoundedOperand());
+      case 20:
+        return rng_->NextBernoulli(0.5)
+                   ? Call("round", GenBoundedOperand())
+                   : Call("round", GenBoundedOperand(), GenBoundedOperand());
+      case 21: return Call("sign", Arg(depth));
+      case 22: return Call("least", Arg(depth), Arg(depth), Arg(depth));
+      case 23: return Call("crc32", Arg(depth));
+      case 24: return Call("hash64", Arg(depth));
+      case 25: return Call("lower", Arg(depth));
+      case 26: return Call("to_double", Arg(depth));
+      case 27: return Call("to_int", GenBoundedOperand());
       default: return GenConcat(depth);
     }
+  }
+
+  /// A call argument: often another call or a CASE, so call kernels run
+  /// over nested call and CASE lanes; otherwise any subtree.
+  Expr::Ptr Arg(int depth) {
+    if (depth > 1) {
+      switch (rng_->NextBounded(4)) {
+        case 0: return GenFunction(depth - 1);
+        case 1: return GenCase(depth - 1);
+        default: break;
+      }
+    }
+    return Node(depth - 1);
   }
 
   /// An integer-valued operand (int column or literal): the date functions'
@@ -240,6 +268,15 @@ class ExprGen {
     if (rng_->NextBernoulli(0.5)) return Col(rng_->NextBounded(2));  // i1, i2
     static const int64_t kPool[] = {0, 1, 3, -2, 20240315, 19991231};
     return sql::MakeIntLit(kPool[rng_->NextBounded(6)]);
+  }
+
+  /// A numeric operand for the ids that convert doubles to Int64 (mod,
+  /// round, to_int): an integer operand or a small double literal, never a
+  /// computed or column double that may be out of Int64 range.
+  Expr::Ptr GenBoundedOperand() {
+    if (rng_->NextBernoulli(0.5)) return GenIntOperand();
+    return sql::MakeDoubleLit(
+        static_cast<double>(rng_->NextInRange(-10, 10)) / 4.0);
   }
 
   /// concat over 1-4 arguments drawn from every column type (the all-NULL
@@ -676,6 +713,56 @@ TEST_F(VectorEvalEdgeTest, SingleRowSelection) {
   ASSERT_TRUE(col.ok());
   ASSERT_EQ(col.value().size(), 1u);
   EXPECT_TRUE(SameValue(col.value().Get(0), table_->Get(7, 2)));
+}
+
+// INT64_MIN % -1 is the one remainder that traps in hardware; every
+// remainder lane (typed %, mod(), the mixed-type lane) returns its exact
+// value 0, and a zero divisor stays NULL. The mixed-type lane's Int64
+// arithmetic wraps exactly like the typed lanes: the CASE yields a double
+// on row 1, so its rows combine Value by Value.
+TEST_F(VectorEvalEdgeTest, Int64MinRemainderAndMixedLaneWrap) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  auto t = std::make_shared<Table>();
+  t->AddColumn("x", TypeId::kInt64);
+  t->AddColumn("m", TypeId::kInt64);
+  t->AppendRow({Value::Int(kMin), Value::Int(-1)});
+  t->AppendRow({Value::Null(), Value::Int(-1)});
+  t->AppendRow({Value::Int(kMin), Value::Int(0)});
+  t->AppendRow({Value::Int(7), Value::Int(-1)});
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("t", t).ok());
+  const std::string mixed =
+      "case when m = -1 and x is null then 1.5 else x end";
+  const std::string remainders[] = {"select x % m from t",
+                                    "select mod(x, m) from t",
+                                    "select " + mixed + " % m from t"};
+  for (const std::string& sql : remainders) {
+    auto rs = db.Execute(sql);
+    ASSERT_TRUE(rs.ok()) << sql << ": " << rs.status().ToString();
+    const ResultSet& r = rs.value();
+    ASSERT_EQ(r.NumRows(), 4u) << sql;
+    EXPECT_EQ(r.Get(0, 0).ToString(), "0") << sql;
+    EXPECT_EQ(r.Get(1, 0).is_null(), sql.find("case") == std::string::npos)
+        << sql;
+    EXPECT_TRUE(r.Get(2, 0).is_null()) << sql;
+    EXPECT_EQ(r.Get(3, 0).ToString(), "0") << sql;
+  }
+
+  auto wrapped = db.Execute("select " + mixed + " - 1 from t");
+  ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
+  EXPECT_EQ(wrapped.value().Get(1, 0).AsDouble(), 0.5);
+  // Compared before the output column coerces the mixed lane to double.
+  const std::string kMaxText =
+      std::to_string(std::numeric_limits<int64_t>::max());
+  auto same = db.Execute("select (" + mixed + " - 1) = (x - 1), " + mixed +
+                         " - 1 = " + kMaxText + " from t");
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  const ResultSet& r = same.value();
+  for (size_t row : {size_t{0}, size_t{2}, size_t{3}}) {
+    EXPECT_EQ(r.Get(row, 0).ToString(), "true") << "row " << row;
+  }
+  EXPECT_TRUE(r.Get(1, 0).is_null());
+  EXPECT_EQ(r.Get(0, 1).ToString(), "true");
 }
 
 // ---------------------------------------------------------------------------

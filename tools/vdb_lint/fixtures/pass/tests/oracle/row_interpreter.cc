@@ -1,5 +1,6 @@
-// Fixture counterpart to fail/src/engine/row_loop.cc: the row interpreter's
-// own TU recurses through EvalExpr/EvalPredicate freely.
+// Fixture counterpart to fail/src/engine/row_loop.cc: the row interpreter is
+// a test oracle outside src/, so it recurses through EvalExpr/EvalPredicate
+// freely.
 namespace vdb::engine {
 
 Result<bool> EvalPredicate(const Expr& e, const RowCtx& ctx) {

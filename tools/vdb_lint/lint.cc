@@ -570,17 +570,14 @@ void RuleMutableSharedStatic(Ctx& ctx) {
 // --- row-interpreter-call ---------------------------------------------------
 //
 // Operators evaluate expressions column-at-a-time (EvalExprBatch /
-// EvalPredicateBatch) and aggregate through the FlatAggregator lanes. A call
-// to the row interpreter under src/ is how a per-row evaluation loop — a
-// second, slower implementation beside the batch one — creeps back into an
-// operator. The interpreter's own TU and header are exempt; the batch
-// evaluator's RowFallback carries the one acknowledged allow().
+// EvalPredicateBatch) and aggregate through the FlatAggregator lanes. The
+// row interpreter is a test oracle (tests/oracle/); a call to it under src/
+// is how a per-row evaluation loop — a second, slower implementation beside
+// the batch one — creeps back into the library. No file under src/ is
+// exempt.
 void RuleRowInterpreterCall(Ctx& ctx) {
   static const char* kRule = "row-interpreter-call";
-  if (!ctx.PathContains("src/") || ctx.PathEndsWith("engine/expr_eval.cc") ||
-      ctx.PathEndsWith("engine/expr_eval.h")) {
-    return;
-  }
+  if (!ctx.PathContains("src/")) return;
   const std::vector<Token>& toks = ctx.src.tokens;
   for (size_t k = 0; k + 1 < toks.size(); ++k) {
     if ((IsIdent(toks[k], "EvalExpr") || IsIdent(toks[k], "EvalPredicate")) &&
@@ -649,8 +646,8 @@ const std::vector<RuleEntry>& Registry() {
        "Mutex-guarded, or const",
        RuleMutableSharedStatic},
       {"row-interpreter-call",
-       "Per-row EvalExpr/EvalPredicate calls under src/ are confined to "
-       "engine/expr_eval.*; operators evaluate column-at-a-time",
+       "No per-row EvalExpr/EvalPredicate calls under src/; the row "
+       "interpreter is a test oracle and operators evaluate column-at-a-time",
        RuleRowInterpreterCall},
   };
   return kRules;

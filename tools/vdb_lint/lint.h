@@ -57,12 +57,12 @@
 //                           atomic/Mutex protection — shared mutable state
 //                           invisible to the annotation layer is how the
 //                           PR 8 Database races happened.
-//   row-interpreter-call    EvalExpr( / EvalPredicate( under src/ outside
-//                           engine/expr_eval.* — operators evaluate
-//                           column-at-a-time; a per-row interpreter loop
-//                           in an operator is a second, slower path beside
-//                           the batch evaluator. The batch evaluator's
-//                           RowFallback is the one allow().
+//   row-interpreter-call    EvalExpr( / EvalPredicate( anywhere under
+//                           src/ — the row interpreter is a test oracle
+//                           (tests/oracle/); operators evaluate
+//                           column-at-a-time, and a per-row interpreter
+//                           loop in the library is a second, slower path
+//                           beside the batch evaluator.
 //
 // Any diagnostic can be acknowledged in place with a trailing comment:
 //     ... code ...  // vdb-lint: allow(rule-name[, rule-name]) <rationale>

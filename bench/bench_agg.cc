@@ -6,10 +6,14 @@
 //   - group-count sweep: GROUP BY g, sum+count over 10 / 1K / 100K / 1M
 //     distinct groups — from a handful of cache-resident accumulator lanes
 //     to group tables far beyond LLC, where probe misses dominate.
-//   - sid shape: GROUP BY (g10, sid) over a derived table assigning a
+//   - sid shape: GROUP BY (g, sid) over a derived table assigning a
 //     row-addressed `1 + floor(rand() * 100)` subsample id — the AQP hot
 //     path the VerdictDB rewriter emits (Figure 7's inner loop), with its
-//     Double sid key and 1000-group (10 x 100) product.
+//     Double sid key. Two sizes: 1M rows over g10 (1000 groups of ~1000
+//     rows), and a sample-sized 20K rows over g25 with six sum/stddev
+//     aggregates (2500 groups of ~8 rows) — the shape of a rewritten query
+//     over a sample, where per-group merge and finalize costs are not
+//     amortized over many rows.
 //
 // Results are bit-identical at every thread count (pinned by FlatAggTest);
 // speedups are against the 1-thread run. --smoke shrinks rows/reps for the
@@ -107,6 +111,22 @@ void RunSidShape(bool smoke) {
           "group by (g10, sid)", rows, reps);
 }
 
+void RunSampleSidShape(bool smoke) {
+  const size_t rows = 20'000;
+  const int reps = smoke ? 1 : 21;
+  std::printf("\n== GROUP BY (g25, sid): %zu rows, b = 100, 6 aggs ==\n",
+              rows);
+  std::printf("%-34s %10s %12s %10s\n", "sink", "ms", "rows/s", "speedup");
+  Database db(4242);
+  if (!db.RegisterTable("t", BuildTable(rows, 25, 29)).ok()) return;
+  RunCase(&db,
+          "select g, sid, sum(v) as s1, stddev(v) as d1, sum(v * v) as s2, "
+          "stddev(v * v) as d2, sum(v + g) as s3, stddev(v + g) as d3 from "
+          "(select *, 1 + floor(rand() * 100) as sid from t) as d "
+          "group by g, sid",
+          "group by (g25, sid) sample", rows, reps);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -114,6 +134,7 @@ int main(int argc, char** argv) {
   const bool smoke = vdb::bench::HasFlag(argc, argv, "--smoke");
   RunGroupSweep(smoke);
   RunSidShape(smoke);
+  RunSampleSidShape(smoke);
   vdb::bench::BenchJsonWrite();
   return 0;
 }

@@ -127,10 +127,6 @@ Result<ApproxAnswer> VerdictContext::ExecuteApprox(const std::string& sql,
   auto approx = TryApproximate(sql, ei, &handled);
   ei->peak_memory_bytes = guard_.peak_reserved_bytes();
   if (handled) return approx;
-  if (!approx.ok() && approx.status().code() != StatusCode::kOk) {
-    // TryApproximate only returns an error when it also sets handled; fall
-    // through to passthrough otherwise.
-  }
   // Passthrough: unsupported queries run unchanged on the underlying DB —
   // except that correlated comparison subqueries are still flattened, since
   // flattening is semantics-preserving and many engines (including ours)

@@ -132,6 +132,20 @@ inline bool NumRowsEqual(const KeyLane* lanes, size_t nlanes, uint32_t a,
   return true;
 }
 
+/// Appends src rows `rows[0..n)` to *dst with Column::Append's per-value
+/// semantics (Int64 and Double promote, a string/numeric clash stores
+/// NULL, a Bool lands as Int64). AppendSelected already appends mismatched
+/// types value by value; only its adoption of a Bool lane into an empty
+/// column differs.
+void AppendAsValues(const Column& src, const uint32_t* rows, size_t n,
+                    Column* dst) {
+  if (src.type() != TypeId::kBool) {
+    dst->AppendSelected(src, rows, n);
+    return;
+  }
+  for (size_t k = 0; k < n; ++k) dst->Append(src.Get(rows[k]));
+}
+
 }  // namespace
 
 void SetGroupHashMaskForTest(uint64_t mask) {
@@ -226,27 +240,43 @@ void GroupTable::Grow() {
 }
 
 void GroupMergeTable::Reset(size_t arity, size_t expected) {
-  arity_ = arity;
   table_.Reset(expected);
-  keys_.clear();
+  morsel_keys_.clear();
+  origin_.clear();
+  merged_.assign(arity, Column());
 }
 
-uint32_t GroupMergeTable::FindOrInsert(uint64_t h, const Value* keys,
-                                       bool* inserted) {
-  const uint32_t gid = table_.FindOrInsert(
-      h,
-      [&](uint32_t g) {
-        const Value* gk = keys_.data() + static_cast<size_t>(g) * arity_;
-        for (size_t i = 0; i < arity_; ++i) {
-          if (!GroupValuesEqual(gk[i], keys[i])) return false;
-        }
-        return true;
+void GroupMergeTable::MergeMorsel(std::vector<Column> keys,
+                                  const uint64_t* hashes, size_t n,
+                                  uint32_t* dst_gid, uint8_t* fresh) {
+  // Morsel and row indices fit uint32: grouped inputs pass
+  // CheckGroupableRows, and a morsel has at most one group per row.
+  const auto morsel = static_cast<uint32_t>(morsel_keys_.size());  // vdb-lint: allow(naked-size-narrowing) morsel count <= row count, guarded by CheckGroupableRows
+  std::vector<const Column*> cur(keys.size());
+  std::vector<const Column*> cand(keys.size());
+  for (size_t c = 0; c < keys.size(); ++c) cur[c] = &keys[c];
+  std::vector<uint32_t> fresh_rows;
+  std::fill(fresh, fresh + n, uint8_t{0});
+  table_.FindOrInsertBatch(
+      hashes, n,
+      [&](size_t k, uint32_t g) {
+        const Origin o = origin_[g];
+        const std::vector<Column>& src =
+            o.morsel == morsel ? keys : morsel_keys_[o.morsel];
+        for (size_t c = 0; c < src.size(); ++c) cand[c] = &src[c];
+        return JoinKeysEqual(cand, o.row, cur, k);
       },
-      inserted);
-  if (*inserted) {
-    for (size_t i = 0; i < arity_; ++i) keys_.push_back(keys[i]);
+      [&](size_t k, uint32_t) {
+        origin_.push_back(Origin{morsel, static_cast<uint32_t>(k)});
+        fresh_rows.push_back(static_cast<uint32_t>(k));
+        fresh[k] = 1;
+      },
+      dst_gid);
+  for (size_t c = 0; c < keys.size(); ++c) {
+    AppendAsValues(keys[c], fresh_rows.data(), fresh_rows.size(),
+                   &merged_[c]);
   }
-  return gid;
+  morsel_keys_.push_back(std::move(keys));
 }
 
 GroupAssignment AssignGroupIds(const std::vector<const Column*>& cols,

@@ -7,8 +7,9 @@
 //
 //   - AssignGroupIds / AssignGroupIdsSelected: dense group-id assignment
 //     over column key tuples (kernel-backed hashing via HashGroupColumn);
-//   - GroupMergeTable: the morsel-partial merge, keyed on group-key Value
-//     tuples whose hashes the producing morsels already computed;
+//   - GroupMergeTable: the morsel-partial merge, keyed on each morsel's
+//     typed group-key columns (one row per local group) and the group
+//     hashes the producing morsel already computed;
 //   - the flat DISTINCT value set in aggregates.cc.
 
 #ifndef VDB_ENGINE_AGG_TABLE_H_
@@ -20,7 +21,6 @@
 
 #include "common/governor.h"
 #include "common/status.h"
-#include "common/value.h"
 #include "engine/column.h"
 #include "engine/group_ids.h"
 
@@ -180,36 +180,56 @@ class GroupTable {
   Status guard_status_ = Status::Ok();  // first growth failure, latched
 };
 
-/// Hashed merge table over group-key Value tuples: replaces the string-keyed
-/// merge map in the morsel-partial aggregation merge. Keys arrive with their
-/// hash already computed by the producing morsel's AssignGroupIds
-/// (GroupAssignment::group_hash — a pure function of the key values, so
-/// every morsel agrees); equality is GroupValuesEqual per component.
+/// Hashed merge table of the morsel-partial aggregation merge. Each morsel
+/// hands in its local groups as typed key columns (row k = local group k's
+/// key, gathered from its representative row) plus the group hashes its
+/// AssignGroupIds computed (GroupAssignment::group_hash — a pure function
+/// of the key values, so every morsel agrees). Same-hash candidates are
+/// verified with JoinKeysEqual's cross-typed cell equality (NULL == NULL,
+/// NaN == NaN, -0.0 == 0.0, 5 == 5.0), so a key that evaluates to Int64 in
+/// one morsel and Double in another still merges. Candidates are compared
+/// against their first occurrence's cells in that morsel's own columns, not
+/// against the merged columns: those follow Column::Append's coercions
+/// (Int64 -> Double rounding past 2^53, NULL on a string/numeric clash),
+/// which would split groups that GroupValuesEqual joins.
 class GroupMergeTable {
  public:
+  /// Clears to zero groups over `arity` key columns, sized so `expected`
+  /// groups fit without growth.
   void Reset(size_t arity, size_t expected);
 
   /// Guard plumbing: forwards to the underlying GroupTable (growth charged
   /// at site "agg_group_grow", failures latched). Set before Reset; check
-  /// guard_status() after each merge batch.
+  /// guard_status() after each MergeMorsel.
   void set_guard(const ExecGuard* guard) { table_.set_guard(guard); }
   const Status& guard_status() const { return table_.guard_status(); }
 
   size_t num_groups() const { return table_.num_groups(); }
 
-  /// Key tuple of group `gid` (`arity` values, insertion order).
-  const Value* group_keys(uint32_t gid) const {
-    return keys_.data() + static_cast<size_t>(gid) * arity_;
-  }
+  /// Merges one morsel's n local groups in local order: keys[c] (arity
+  /// columns of n rows) holds their key tuples and hashes[k] group k's hash.
+  /// dst_gid[k] receives group k's merged id and fresh[k] is 1 when group k
+  /// created it (its key then appends to the merged key columns), else 0.
+  /// Keeps `keys` to verify later morsels' candidates against.
+  void MergeMorsel(std::vector<Column> keys, const uint64_t* hashes,
+                   size_t n, uint32_t* dst_gid, uint8_t* fresh);
 
-  /// Finds or inserts the group whose key tuple is keys[0..arity); `h` must
-  /// be that tuple's group hash.
-  uint32_t FindOrInsert(uint64_t h, const Value* keys, bool* inserted);
+  /// The merged key columns, one row per group in merged-id order: exactly
+  /// what Column::Append builds from each group's first-occurrence key.
+  /// Reset before reusing the table afterwards.
+  std::vector<Column> TakeKeyColumns() { return std::move(merged_); }
 
  private:
+  /// First occurrence of a merged group: its morsel and local row there.
+  struct Origin {
+    uint32_t morsel;
+    uint32_t row;
+  };
+
   GroupTable table_;
-  std::vector<Value> keys_;
-  size_t arity_ = 0;
+  std::vector<std::vector<Column>> morsel_keys_;  // per merged morsel
+  std::vector<Origin> origin_;                     // per merged group
+  std::vector<Column> merged_;                     // per key column
 };
 
 /// Assigns dense group ids over the selected rows rows[0..n) (ascending) of

@@ -138,6 +138,22 @@ inline void NeumaierAdd(double& sum, double& comp, double x) {
   sum = t;
 }
 
+/// Wraps n = nulls.size() per-group results as the column Column::Append
+/// builds from them in gid order: all NULL (or no groups) is a kNull column,
+/// and a NULL-free result carries no null mask. NULL groups (nulls[g] = 1)
+/// hold zero placeholders in `ints` / `dbls`, the lane `type` selects.
+Column ResultColumn(TypeId type, std::vector<int64_t> ints,
+                    std::vector<double> dbls, std::vector<uint8_t> nulls) {
+  const size_t num_null =
+      static_cast<size_t>(std::count(nulls.begin(), nulls.end(), 1));
+  if (num_null == nulls.size()) {
+    return Column::FromData(TypeId::kNull, {}, {}, {}, std::move(nulls));
+  }
+  if (num_null == 0) nulls.clear();
+  return Column::FromData(type, std::move(ints), std::move(dbls), {},
+                          std::move(nulls));
+}
+
 /// Exact quantile over collected values (sorting at finalize). This is the
 /// engine's `quantile(x, p)` / `median(x)` / `approx_median(x)`; like
 /// Redshift's percentile functions it needs all qualifying values (a full
@@ -223,16 +239,19 @@ class FlatCountAgg : public FlatAggregator {
       }
     }
   }
-  void MergeGroup(const FlatAggregator& other, uint32_t dst,
-                  uint32_t src) override {
-    counts_[dst] += static_cast<const FlatCountAgg&>(other).counts_[src];
+  void MergeFrom(FlatAggregator& other, const uint32_t* dst_gid,
+                 const uint8_t* fresh, size_t n) override {
+    const auto& o = static_cast<const FlatCountAgg&>(other);
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t d = dst_gid[k];
+      counts_[d] = fresh[k] != 0 ? o.counts_[k] : counts_[d] + o.counts_[k];
+    }
   }
-  void MoveGroup(FlatAggregator& other, uint32_t dst,
-                 uint32_t src) override {
-    counts_[dst] = static_cast<const FlatCountAgg&>(other).counts_[src];
-  }
-  Value FinalizeGroup(uint32_t g) const override {
-    return Value::Int(counts_[g]);
+  Column FinalizeColumn(size_t n) const override {
+    return ResultColumn(TypeId::kInt64,
+                        std::vector<int64_t>(counts_.data(),
+                                             counts_.data() + n),
+                        {}, std::vector<uint8_t>(n, 0));
   }
 
  private:
@@ -284,29 +303,51 @@ class FlatSumAgg : public FlatAggregator {
         }
     }
   }
-  void MergeGroup(const FlatAggregator& other, uint32_t dst,
-                  uint32_t src) override {
+  void MergeFrom(FlatAggregator& other, const uint32_t* dst_gid,
+                 const uint8_t* fresh, size_t n) override {
     const auto& o = static_cast<const FlatSumAgg&>(other);
-    NeumaierAdd(sums_[dst], comps_[dst], o.sums_[src]);
-    NeumaierAdd(sums_[dst], comps_[dst], o.comps_[src]);
-    any_[dst] |= o.any_[src];
-    nonint_[dst] |= o.nonint_[src];
-  }
-  void MoveGroup(FlatAggregator& other, uint32_t dst,
-                 uint32_t src) override {
-    const auto& o = static_cast<const FlatSumAgg&>(other);
-    sums_[dst] = o.sums_[src];
-    comps_[dst] = o.comps_[src];
-    any_[dst] = o.any_[src];
-    nonint_[dst] = o.nonint_[src];
-  }
-  Value FinalizeGroup(uint32_t g) const override {
-    if (!any_[g]) return Value::Null();
-    const double total = sums_[g] + comps_[g];
-    if (!nonint_[g]) {
-      return Value::Int(static_cast<int64_t>(std::llround(total)));
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t d = dst_gid[k];
+      if (fresh[k] != 0) {
+        sums_[d] = o.sums_[k];
+        comps_[d] = o.comps_[k];
+        any_[d] = o.any_[k];
+        nonint_[d] = o.nonint_[k];
+        continue;
+      }
+      NeumaierAdd(sums_[d], comps_[d], o.sums_[k]);
+      NeumaierAdd(sums_[d], comps_[d], o.comps_[k]);
+      any_[d] |= o.any_[k];
+      nonint_[d] |= o.nonint_[k];
     }
-    return Value::Double(total);
+  }
+  /// A group that only ever added Int64 values finalizes to the rounded
+  /// Int64 total, any other non-empty group to the Double total; one Double
+  /// group makes the column Double (the Int totals promote, as Append does).
+  Column FinalizeColumn(size_t n) const override {
+    std::vector<uint8_t> nulls(n);
+    bool any_double = false;
+    for (size_t g = 0; g < n; ++g) {
+      nulls[g] = any_[g] == 0;
+      any_double = any_double || (any_[g] != 0 && nonint_[g] != 0);
+    }
+    if (any_double) {
+      std::vector<double> out(n, 0.0);
+      for (size_t g = 0; g < n; ++g) {
+        if (any_[g] == 0) continue;
+        const double total = sums_[g] + comps_[g];
+        out[g] = nonint_[g] != 0
+                     ? total
+                     : static_cast<double>(std::llround(total));
+      }
+      return ResultColumn(TypeId::kDouble, {}, std::move(out),
+                          std::move(nulls));
+    }
+    std::vector<int64_t> out(n, 0);
+    for (size_t g = 0; g < n; ++g) {
+      if (any_[g] != 0) out[g] = std::llround(sums_[g] + comps_[g]);
+    }
+    return ResultColumn(TypeId::kInt64, std::move(out), {}, std::move(nulls));
   }
 
  private:
@@ -354,23 +395,32 @@ class FlatAvgAgg : public FlatAggregator {
         }
     }
   }
-  void MergeGroup(const FlatAggregator& other, uint32_t dst,
-                  uint32_t src) override {
+  void MergeFrom(FlatAggregator& other, const uint32_t* dst_gid,
+                 const uint8_t* fresh, size_t n) override {
     const auto& o = static_cast<const FlatAvgAgg&>(other);
-    NeumaierAdd(sums_[dst], comps_[dst], o.sums_[src]);
-    NeumaierAdd(sums_[dst], comps_[dst], o.comps_[src]);
-    ns_[dst] += o.ns_[src];
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t d = dst_gid[k];
+      if (fresh[k] != 0) {
+        sums_[d] = o.sums_[k];
+        comps_[d] = o.comps_[k];
+        ns_[d] = o.ns_[k];
+        continue;
+      }
+      NeumaierAdd(sums_[d], comps_[d], o.sums_[k]);
+      NeumaierAdd(sums_[d], comps_[d], o.comps_[k]);
+      ns_[d] += o.ns_[k];
+    }
   }
-  void MoveGroup(FlatAggregator& other, uint32_t dst,
-                 uint32_t src) override {
-    const auto& o = static_cast<const FlatAvgAgg&>(other);
-    sums_[dst] = o.sums_[src];
-    comps_[dst] = o.comps_[src];
-    ns_[dst] = o.ns_[src];
-  }
-  Value FinalizeGroup(uint32_t g) const override {
-    if (ns_[g] == 0) return Value::Null();
-    return Value::Double((sums_[g] + comps_[g]) / static_cast<double>(ns_[g]));
+  Column FinalizeColumn(size_t n) const override {
+    std::vector<double> out(n, 0.0);
+    std::vector<uint8_t> nulls(n);
+    for (size_t g = 0; g < n; ++g) {
+      nulls[g] = ns_[g] == 0;
+      if (ns_[g] != 0) {
+        out[g] = (sums_[g] + comps_[g]) / static_cast<double>(ns_[g]);
+      }
+    }
+    return ResultColumn(TypeId::kDouble, {}, std::move(out), std::move(nulls));
   }
 
  private:
@@ -454,19 +504,27 @@ class FlatMinMaxAgg : public FlatAggregator {
         }
     }
   }
-  void MergeGroup(const FlatAggregator& other, uint32_t dst,
-                  uint32_t src) override {
-    const auto& o = static_cast<const FlatMinMaxAgg&>(other);
-    if (o.any_[src]) Fold(dst, o.best_[src]);
+  void MergeFrom(FlatAggregator& other, const uint32_t* dst_gid,
+                 const uint8_t* fresh, size_t n) override {
+    auto& o = static_cast<FlatMinMaxAgg&>(other);
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t d = dst_gid[k];
+      if (fresh[k] != 0) {
+        best_[d] = std::move(o.best_[k]);
+        any_[d] = o.any_[k];
+      } else if (o.any_[k]) {
+        Fold(d, o.best_[k]);
+      }
+    }
   }
-  void MoveGroup(FlatAggregator& other, uint32_t dst,
-                 uint32_t src) override {
-    const auto& o = static_cast<const FlatMinMaxAgg&>(other);
-    best_[dst] = o.best_[src];
-    any_[dst] = o.any_[src];
-  }
-  Value FinalizeGroup(uint32_t g) const override {
-    return any_[g] ? best_[g] : Value::Null();
+  /// The extremes are Values of the argument's type (Bool, String, ...), so
+  /// they append one by one.
+  Column FinalizeColumn(size_t n) const override {
+    Column out;
+    for (size_t g = 0; g < n; ++g) {
+      out.Append(any_[g] ? best_[g] : Value::Null());
+    }
+    return out;
   }
 
  private:
@@ -546,35 +604,39 @@ class FlatVarAgg : public FlatAggregator {
         }
     }
   }
-  void MergeGroup(const FlatAggregator& other, uint32_t dst,
-                  uint32_t src) override {
+  /// Chan's pairwise merge; a fresh or still-empty destination takes the
+  /// partial's state verbatim.
+  void MergeFrom(FlatAggregator& other, const uint32_t* dst_gid,
+                 const uint8_t* fresh, size_t n) override {
     const auto& o = static_cast<const FlatVarAgg&>(other);
-    if (o.ns_[src] == 0) return;
-    if (ns_[dst] == 0) {
-      ns_[dst] = o.ns_[src];
-      means_[dst] = o.means_[src];
-      m2s_[dst] = o.m2s_[src];
-      return;
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t d = dst_gid[k];
+      if (fresh[k] == 0 && o.ns_[k] == 0) continue;
+      if (fresh[k] != 0 || ns_[d] == 0) {
+        ns_[d] = o.ns_[k];
+        means_[d] = o.means_[k];
+        m2s_[d] = o.m2s_[k];
+        continue;
+      }
+      const double na = static_cast<double>(ns_[d]);
+      const double nb = static_cast<double>(o.ns_[k]);
+      const double delta = o.means_[k] - means_[d];
+      const double total = na + nb;
+      m2s_[d] += o.m2s_[k] + delta * delta * (na * nb / total);
+      means_[d] += delta * (nb / total);
+      ns_[d] += o.ns_[k];
     }
-    const double na = static_cast<double>(ns_[dst]);
-    const double nb = static_cast<double>(o.ns_[src]);
-    const double delta = o.means_[src] - means_[dst];
-    const double total = na + nb;
-    m2s_[dst] += o.m2s_[src] + delta * delta * (na * nb / total);
-    means_[dst] += delta * (nb / total);
-    ns_[dst] += o.ns_[src];
   }
-  void MoveGroup(FlatAggregator& other, uint32_t dst,
-                 uint32_t src) override {
-    const auto& o = static_cast<const FlatVarAgg&>(other);
-    ns_[dst] = o.ns_[src];
-    means_[dst] = o.means_[src];
-    m2s_[dst] = o.m2s_[src];
-  }
-  Value FinalizeGroup(uint32_t g) const override {
-    if (ns_[g] < 2) return Value::Null();
-    const double var = m2s_[g] / static_cast<double>(ns_[g] - 1);
-    return Value::Double(stddev_ ? std::sqrt(var) : var);
+  Column FinalizeColumn(size_t n) const override {
+    std::vector<double> out(n, 0.0);
+    std::vector<uint8_t> nulls(n);
+    for (size_t g = 0; g < n; ++g) {
+      nulls[g] = ns_[g] < 2;
+      if (ns_[g] < 2) continue;
+      const double var = m2s_[g] / static_cast<double>(ns_[g] - 1);
+      out[g] = stddev_ ? std::sqrt(var) : var;
+    }
+    return ResultColumn(TypeId::kDouble, {}, std::move(out), std::move(nulls));
   }
 
  private:
@@ -631,18 +693,31 @@ class ObjectLaneAgg : public FlatAggregator {
       if (cnt > 0) Acc(g).AddBatch(*col, bucketed.data() + start[g], cnt);
     }
   }
-  void MergeGroup(const FlatAggregator& other, uint32_t dst,
-                  uint32_t src) override {
-    const auto& o = static_cast<const ObjectLaneAgg&>(other);
-    if (o.accs_[src] != nullptr) Acc(dst).Merge(*o.accs_[src]);
+  void MergeFrom(FlatAggregator& other, const uint32_t* dst_gid,
+                 const uint8_t* fresh, size_t n) override {
+    auto& o = static_cast<ObjectLaneAgg&>(other);
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t d = dst_gid[k];
+      if (fresh[k] != 0) {
+        accs_[d] = std::move(o.accs_[k]);
+      } else if (o.accs_[k] != nullptr) {
+        Acc(d).Merge(*o.accs_[k]);
+      }
+    }
   }
-  void MoveGroup(FlatAggregator& other, uint32_t dst, uint32_t src) override {
-    accs_[dst] = std::move(static_cast<ObjectLaneAgg&>(other).accs_[src]);
-  }
-  Value FinalizeGroup(uint32_t g) const override {
-    if (accs_[g] != nullptr) return accs_[g]->Finalize();
-    if (spare_ != nullptr) return spare_->Finalize();
-    return Fresh()->Finalize();
+  /// Finalize returns arbitrary Values (a UDA's included), so they append
+  /// one by one. A never-touched group finalizes an empty accumulator.
+  Column FinalizeColumn(size_t n) const override {
+    Column out;
+    for (size_t g = 0; g < n; ++g) {
+      if (accs_[g] != nullptr) {
+        out.Append(accs_[g]->Finalize());
+      } else {
+        out.Append(spare_ != nullptr ? spare_->Finalize()
+                                     : Fresh()->Finalize());
+      }
+    }
+    return out;
   }
 
  private:

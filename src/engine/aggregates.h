@@ -91,20 +91,23 @@ class FlatAggregator {
   /// whole call as one AddBatch per group.
   virtual void Scatter(const Column* col, size_t base, const uint32_t* rows,
                        const uint32_t* gids, size_t n) = 0;
-  /// Folds group `src` of `other` into group `dst` of this (AggAccumulator::
-  /// Merge's algebra, per group). `other` is the same concrete type. Merging
-  /// morsel partials strictly in morsel order keeps results bit-identical
-  /// across thread counts.
-  virtual void MergeGroup(const FlatAggregator& other, uint32_t dst,
-                          uint32_t src) = 0;
-  /// Moves group `src` of `other` into group `dst` verbatim, leaving the
-  /// source group unspecified — how a group's first-occurrence partial
-  /// enters the merged state. Merging into an empty group instead would
-  /// re-round compensated sums (NeumaierAdd(0, 0, sum) then comp collapses
-  /// the error term), so first occurrences must move, not merge.
-  virtual void MoveGroup(FlatAggregator& other, uint32_t dst,
-                         uint32_t src) = 0;
-  virtual Value FinalizeGroup(uint32_t gid) const = 0;
+  /// Folds groups [0, n) of `other` (one morsel's partial, the same concrete
+  /// type) into this, group k into dst_gid[k], in k order. A group with
+  /// fresh[k] != 0 is its first occurrence: it MOVES in verbatim, leaving
+  /// the source group unspecified. The others merge (AggAccumulator::Merge's
+  /// algebra, per group). Merging into an empty group instead of moving
+  /// would re-round compensated sums (NeumaierAdd(0, 0, sum) then comp
+  /// collapses the error term). dst groups must already exist
+  /// (ResizeGroups); calling this once per morsel, strictly in morsel
+  /// order, keeps results bit-identical across thread counts.
+  virtual void MergeFrom(FlatAggregator& other, const uint32_t* dst_gid,
+                         const uint8_t* fresh, size_t n) = 0;
+  /// The finalized values of groups [0, n) as one column — the column that
+  /// appending each group's result Value in gid order (Column::Append)
+  /// builds: Int and Double groups promote to Double, NULL groups hold
+  /// placeholders, an all-NULL result is a kNull column, and n == 0 is an
+  /// empty kNull column.
+  virtual Column FinalizeColumn(size_t n) const = 0;
 };
 
 /// Creates the group state for `spec`: SoA lanes for count/sum/avg/min/max/

@@ -778,7 +778,7 @@ class SelectExecutor {
 
     struct MorselFlat {
       GroupAssignment ga;
-      std::vector<std::vector<Value>> keys;  // per local group
+      std::vector<Column> keys;  // per key column, one row per local group
       std::vector<std::unique_ptr<FlatAggregator>> parts;
     };
 
@@ -860,12 +860,19 @@ class SelectExecutor {
         res.ga = AssignGroupIdsBased(kcs, ln);
       }
       const size_t ngroups = res.ga.num_groups();
-      res.keys.resize(ngroups);
-      for (size_t g = 0; g < ngroups; ++g) {
-        res.keys[g].reserve(gcols.size());
-        for (const auto& gc : gcols) {
-          res.keys[g].push_back(gc.col->Get(gc.base + res.ga.rep_row[g]));
+      // Key columns gathered once from the representative rows, types kept.
+      res.keys.resize(gcols.size());
+      std::vector<uint32_t> reps;
+      for (size_t i = 0; i < gcols.size(); ++i) {
+        const uint32_t* rows = res.ga.rep_row.data();
+        if (gcols[i].base != 0) {
+          reps.resize(ngroups);
+          for (size_t g = 0; g < ngroups; ++g) {
+            reps[g] = static_cast<uint32_t>(gcols[i].base + rows[g]);
+          }
+          rows = reps.data();
         }
+        res.keys[i].AppendSelected(*gcols[i].col, rows, ngroups);
       }
       res.parts.reserve(specs.size());
       for (size_t i = 0; i < specs.size(); ++i) {
@@ -889,56 +896,57 @@ class SelectExecutor {
     if (!parts_or.ok()) return parts_or.status();
     std::vector<MorselFlat> parts = std::move(parts_or).ValueOrDie();
 
+    // Batched merge in two passes. First every morsel's groups probe the
+    // merge table together, in morsel order, which fixes each local group's
+    // merged id and whether it is a first occurrence. Then the lanes grow
+    // once to the final group count and each aggregate folds every partial,
+    // in morsel order, with one MergeFrom call per morsel. The largest
+    // morsel's group count is a lower bound on the merged count; sizing the
+    // table for it skips the growth steps every merge would otherwise repeat.
+    size_t expected = 0;
+    for (const MorselFlat& part : parts) {
+      expected = std::max(expected, part.ga.num_groups());
+    }
     GroupMergeTable merge;  // global key tuple -> dense gid
     merge.set_guard(guard_);
-    merge.Reset(stmt->group_by.size(), 64);
-    for (MorselFlat& part : parts) {
-      for (uint32_t g = 0; g < part.keys.size(); ++g) {
-        bool inserted;
-        const uint32_t gid = merge.FindOrInsert(part.ga.group_hash[g],
-                                                part.keys[g].data(), &inserted);
-        if (inserted) {
-          for (auto& f : flats) f->ResizeGroups(merge.num_groups());
-          for (size_t i = 0; i < specs.size(); ++i) {
-            flats[i]->MoveGroup(*part.parts[i], gid, g);
-          }
-        } else {
-          for (size_t i = 0; i < specs.size(); ++i) {
-            flats[i]->MergeGroup(*part.parts[i], gid, g);
-          }
-        }
-      }
+    merge.Reset(stmt->group_by.size(), expected);
+    std::vector<std::vector<uint32_t>> dst_gid(parts.size());
+    std::vector<std::vector<uint8_t>> fresh(parts.size());
+    for (size_t p = 0; p < parts.size(); ++p) {
+      const size_t n = parts[p].ga.num_groups();
+      dst_gid[p].resize(n);
+      fresh[p].resize(n);
+      merge.MergeMorsel(std::move(parts[p].keys), parts[p].ga.group_hash.data(),
+                        n, dst_gid[p].data(), fresh[p].data());
+      // A budget trip during merge-table growth latches instead of
+      // throwing mid-probe; discard the partially merged state here.
+      VDB_RETURN_IF_ERROR(merge.guard_status());
     }
-    // A budget trip during merge-table growth latches instead of throwing
-    // mid-probe; discard the partially merged state here.
-    VDB_RETURN_IF_ERROR(merge.guard_status());
-    size_t ngroups = merge.num_groups();
     // An aggregate without GROUP BY keys emits one row even over an empty
     // input (count(*) = 0, sum = NULL, ...).
-    if (stmt->group_by.empty() && ngroups == 0) {
-      ngroups = 1;
-      for (auto& f : flats) f->ResizeGroups(1);
+    const size_t ngroups =
+        stmt->group_by.empty() ? std::max<size_t>(merge.num_groups(), 1)
+                               : merge.num_groups();
+    for (auto& f : flats) f->ResizeGroups(ngroups);
+    for (size_t p = 0; p < parts.size(); ++p) {
+      for (size_t i = 0; i < specs.size(); ++i) {
+        flats[i]->MergeFrom(*parts[p].parts[i], dst_gid[p].data(),
+                            fresh[p].data(), dst_gid[p].size());
+      }
     }
 
     // Materialize the aggregate table: group cols then agg cols.
     auto agg_table = std::make_shared<Table>();
     const size_t gk = stmt->group_by.size();
     {
-      std::vector<Column> cols(gk + specs.size());
-      for (uint32_t g = 0; g < ngroups; ++g) {
-        const Value* keys = merge.group_keys(g);
-        for (size_t i = 0; i < gk; ++i) cols[i].Append(keys[i]);
-        for (size_t i = 0; i < specs.size(); ++i) {
-          cols[gk + i].Append(flats[i]->FinalizeGroup(g));
-        }
-      }
+      std::vector<Column> keys = merge.TakeKeyColumns();
       // Empty result columns still need registration.
       for (size_t i = 0; i < gk; ++i) {
-        agg_table->AddColumn("__g" + std::to_string(i), std::move(cols[i]));
+        agg_table->AddColumn("__g" + std::to_string(i), std::move(keys[i]));
       }
       for (size_t i = 0; i < specs.size(); ++i) {
         agg_table->AddColumn("__a" + std::to_string(i),
-                             std::move(cols[gk + i]));
+                             flats[i]->FinalizeColumn(ngroups));
       }
     }
 

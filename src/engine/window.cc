@@ -61,14 +61,12 @@ Result<Column> EvalWindowExpr(const sql::Expr& e, const Table& table,
   // one batch.
   agg->ResizeGroups(ga.num_groups());
   agg->Scatter(col, 0, nullptr, ga.gid_of_row.data(), n);
-  std::vector<Value> results(ga.num_groups());
-  for (uint32_t g = 0; g < results.size(); ++g) {
-    results[g] = agg->FinalizeGroup(g);
-  }
-
+  // Every row takes its partition's result: one gather by gid. The
+  // finalized column already has Column::Append's types, so the gather
+  // builds what appending each row's Value would.
+  const Column results = agg->FinalizeColumn(ga.num_groups());
   Column out;
-  out.Reserve(n);
-  for (size_t r = 0; r < n; ++r) out.Append(results[ga.gid_of_row[r]]);
+  out.AppendSelected(results, ga.gid_of_row.data(), n);
   return out;
 }
 

@@ -22,7 +22,10 @@
 //   - window partitions over every key shape, `over ()` included,
 //   - adversarial values: NaN and ±0.0 group keys, full-mantissa doubles,
 //     NULL-heavy columns, all-NULL aggregate inputs, and morsel sizes that
-//     leave ragged tails.
+//     leave ragged tails,
+//   - key and argument lanes whose type changes from morsel to morsel
+//     (Int64 / Double / kNull), and result columns mixing Int, Double and
+//     NULL groups.
 
 #include <gtest/gtest.h>
 
@@ -47,6 +50,8 @@ namespace vdb::engine {
 namespace {
 
 constexpr uint64_t kSeed = 20260808;
+// FlatAggTest's morsel size: ragged tails on every morsel boundary.
+constexpr size_t kTestMorsel = 257;
 
 // ---------------------------------------------------------------------------
 // Adversarial input table
@@ -92,10 +97,43 @@ TablePtr BuildAggTable(size_t rows) {
   return t;
 }
 
+/// Morsel-phased table: ph = (row / kTestMorsel) % 4 is constant within
+/// each of FlatAggTest's morsels, so a CASE on ph evaluates to a different
+/// lane type per morsel (kPhased* below) while a whole-table evaluation
+/// promotes it to one type.
+TablePtr BuildPhasedTable(size_t rows) {
+  Rng rng(kSeed + 1);
+  auto t = std::make_shared<Table>();
+  t->AddColumn("ph", TypeId::kInt64);
+  t->AddColumn("gi", TypeId::kInt64);
+  t->AddColumn("v", TypeId::kDouble);
+  t->AddColumn("w", TypeId::kInt64);
+  for (size_t r = 0; r < rows; ++r) {
+    t->AppendRow(
+        {Value::Int(static_cast<int64_t>((r / kTestMorsel) % 4)),
+         Value::Int(rng.NextInRange(-3, 12)),
+         rng.NextBernoulli(0.1)
+             ? Value::Null()
+             : Value::Double(static_cast<double>(rng.NextInRange(-40, 40)) *
+                             0.25),
+         rng.NextBernoulli(0.1) ? Value::Null()
+                                : Value::Int(rng.NextInRange(-1000, 1000))});
+  }
+  return t;
+}
+
+// Over the phased table: Int64 lanes in ph 0/3 morsels, Double in ph 1
+// (integral values among them, which must merge with the Int64 keys), and
+// an all-NULL (kNull) lane in ph 2.
+const char kPhasedKey[] =
+    "case when ph = 1 then gi / 2.0 when ph <> 2 then gi end";
+const char kPhasedArg[] = "case when ph = 1 then v when ph <> 2 then w end";
+
 std::unique_ptr<Database> MakeDb(size_t rows, int threads) {
   auto db = std::make_unique<Database>(kSeed);
   db->set_num_threads(threads);
   EXPECT_TRUE(db->RegisterTable("t", BuildAggTable(rows)).ok());
+  EXPECT_TRUE(db->RegisterTable("m", BuildPhasedTable(rows)).ok());
   return db;
 }
 
@@ -514,13 +552,13 @@ void ExpectMatchesOracle(const ResultSet& ref, size_t rows, int threads,
 /// a time through its reference accumulator's Add — the row-at-a-time
 /// window semantics. Every row gets its partition's result.
 ResultSet RunWindowOracle(size_t rows, const std::vector<std::string>& keys,
-                          const Agg& agg) {
+                          const Agg& agg, const std::string& table = "t") {
   const size_t nk = keys.size();
   std::vector<std::string> fetch = keys;
   if (agg.arg != "*") fetch.push_back(agg.arg + " as __arg");
   if (fetch.empty()) fetch.push_back("1 as __one");
   auto fetched = MakeDb(rows, 1)->Execute("select " + GroupQuery::Join(fetch) +
-                                          " from t");
+                                          " from " + table);
   EXPECT_TRUE(fetched.ok()) << fetched.status().ToString();
   const ResultSet in = std::move(fetched).ValueOrDie();
   const size_t n = in.NumRows();
@@ -555,7 +593,7 @@ class FlatAggTest : public ::testing::Test {
  protected:
   void SetUp() override {
     detected_ = kernels::DetectedSimdLevel();
-    SetMorselRowsForTest(257);  // ragged tails on every morsel boundary
+    SetMorselRowsForTest(kTestMorsel);
   }
   void TearDown() override {
     SetMorselRowsForTest(0);
@@ -597,7 +635,16 @@ const GroupQuery kGroupQueries[] = {
     {{"gi", "sid"},
      {{"sum", "v"}, {"count", "*"}},
      "from (select *, 1 + floor(rand() * 7) as sid from t) as d"},
+    // Sample-scale AQP shape: G x b = 16 x 16 groups of ~20 rows, each
+    // spread over many morsels, so nearly every group merges many times.
+    {{"gi", "sid"},
+     {{"sum", "v"}, {"stddev", "v"}, {"sum", "w"}, {"var", "w"},
+      {"avg", "v"}, {"count", "*"}},
+     "from (select *, 1 + floor(rand() * 16) as sid from t) as d"},
     kMixedLanes,
+    // A Bool key lane (NULL where w is): its result column is Int64, as
+    // Column::Append builds it from Bool Values.
+    {{"gi", "w > 0"}, {{"count", "*"}, {"sum", "v"}}, "from t"},
     // Object lanes with no keys over no rows: fresh accumulators finalize.
     {{},
      {{"count", "*"}, {"count", "gs", true}, {"median", "v"}},
@@ -843,6 +890,99 @@ TEST_F(FlatAggTest, WindowsMatchRowAtATimeOracle) {
         if (::testing::Test::HasFatalFailure()) return;
       }
     }
+  }
+}
+
+/// Mergeable UDA whose groups finalize to Int, Double or NULL: the first
+/// non-null argument in row order, as Int when integral. An object-lane
+/// result column that mixes all three.
+class FirstNumAcc : public AggAccumulator {
+ public:
+  void Add(const Value& v) override {
+    if (any_ || v.is_null()) return;
+    first_ = v.AsDouble();
+    any_ = true;
+  }
+  bool Mergeable() const override { return true; }
+  void Merge(const AggAccumulator& other) override {
+    const auto& o = static_cast<const FirstNumAcc&>(other);
+    if (!any_ && o.any_) Add(Value::Double(o.first_));
+  }
+  Value Finalize() const override {
+    if (!any_) return Value::Null();
+    if (first_ == std::floor(first_)) {
+      return Value::Int(static_cast<int64_t>(first_));
+    }
+    return Value::Double(first_);
+  }
+
+ private:
+  bool any_ = false;
+  double first_ = 0.0;
+};
+
+TEST_F(FlatAggTest, MorselVaryingLaneTypesMatchOracle) {
+  // Key and argument lanes whose type changes from morsel to morsel
+  // (Int64, Double, kNull; BuildPhasedTable) and result columns mixing Int,
+  // Double and NULL groups: the merge must join 5 with 5.0 across morsels,
+  // and the finalized columns must promote exactly as Column::Append does.
+  AggregateRegistry::Global().Register(
+      "test_firstnum", [] { return std::make_unique<FirstNumAcc>(); });
+  const size_t kRows = 3200;  // ~12 morsels: every phase three times
+  const std::string from = "from m";
+  const GroupQuery kQueries[] = {
+      // Group-key lane: Int64 / Double / kNull by morsel.
+      {{kPhasedKey},
+       {{"count", "*"}, {"sum", "w"}, {"min", "v"}, {"median", "v"}},
+       from},
+      // sum over an Int64 / Double / NULL argument lane: each (ph, gi)
+      // group lives in one phase, so its sum finalizes to Int (ph 0/3),
+      // Double (ph 1) or NULL (ph 2) in one result column; the UDA mixes
+      // the same three in an object lane.
+      {{"ph", "gi"},
+       {{"sum", kPhasedArg}, {"test_firstnum", kPhasedArg}, {"count", "*"}},
+       from},
+      // Both at once.
+      {{kPhasedKey},
+       {{"sum", kPhasedArg}, {"test_firstnum", kPhasedArg},
+        {"avg", kPhasedArg}},
+       from},
+  };
+  for (const GroupQuery& q : kQueries) {
+    const ResultSet ref = RunOracle(kRows, q);
+    for (uint64_t mask : {~uint64_t{0}, uint64_t{0}}) {
+      SetGroupHashMaskForTest(mask);
+      for (int threads : {1, 2, 8}) {
+        ExpectMatchesOracle(ref, kRows, threads, q,
+                            "mask=" + std::to_string(mask));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    SetGroupHashMaskForTest(~0ull);
+  }
+
+  // Windows: partitions keyed on the same Int / Double / NULL key set,
+  // finalizing to Int, Double and NULL partitions.
+  const Agg kWindowAggs[] = {
+      {"sum", kPhasedArg}, {"test_firstnum", kPhasedArg}, {"count", "*"},
+      {"min", kPhasedArg}};
+  for (const Agg& agg : kWindowAggs) {
+    const ResultSet ref = RunWindowOracle(kRows, {kPhasedKey}, agg, "m");
+    const std::string sql = "select " + agg.Call() +
+                            " over (partition by " + kPhasedKey +
+                            ") as w from m";
+    for (uint64_t mask : {~uint64_t{0}, uint64_t{0}}) {
+      SetGroupHashMaskForTest(mask);
+      for (int threads : {1, 2, 8}) {
+        auto got = MakeDb(kRows, threads)->Execute(sql);
+        ASSERT_TRUE(got.ok()) << sql << " -> " << got.status().ToString();
+        ExpectBitIdentical(ref, got.value(),
+                           sql + " @" + std::to_string(threads) +
+                               " threads, mask=" + std::to_string(mask));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    SetGroupHashMaskForTest(~0ull);
   }
 }
 

@@ -12,6 +12,10 @@
 
 namespace vdb::engine {
 
+/// The case-folded (lowercase) spelling under which a Scope stores and
+/// compares column names and qualifiers.
+std::string FoldName(std::string name);
+
 /// The columns visible to an expression: each has the qualifier of the
 /// relation it came from (table alias / name) and its own name. Positions
 /// correspond to the physical columns of the intermediate table.

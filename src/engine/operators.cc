@@ -300,7 +300,8 @@ Result<TablePtr> HashJoin(const Table& left, const Table& right,
                              right_keys, join_type, residual, rand_seed,
                              num_threads, guard);
   if (!pairs.ok()) return pairs.status();
-  return pairs.value().Gather(num_threads);
+  return pairs.value().GatherGuarded(num_threads, guard,
+                                     pairs.value().AllColumns());
 }
 
 Result<TablePtr> HashJoin(const Table& left, const Table& right,
@@ -407,7 +408,8 @@ Result<TablePtr> CrossJoin(const Table& left, const Table& right,
   auto pairs = CrossJoinPairs(BorrowTable(left), BorrowTable(right), residual,
                               rand_seed, max_pairs, num_threads, guard);
   if (!pairs.ok()) return pairs.status();
-  return pairs.value().Gather(num_threads);
+  return pairs.value().GatherGuarded(num_threads, guard,
+                                     pairs.value().AllColumns());
 }
 
 }  // namespace vdb::engine

@@ -31,7 +31,7 @@ namespace vdb::engine {
 /// morsel-parallel over left-row ranges; pairs and their order are identical
 /// to the serial (num_threads == 1) reference, bit for bit. The caller
 /// filters the returned view further (pushed-down WHERE) and/or performs the
-/// one combined materialization with JoinPairView::Gather.
+/// one combined materialization with JoinPairView::GatherGuarded.
 /// `guard` (optional, nullptr = ungoverned) is polled at build and probe
 /// morsel boundaries and charged for row-proportional buffers (build table,
 /// probe pair lists) — a tripped guard unwinds with its Status.
@@ -43,7 +43,8 @@ Result<JoinPairView> HashJoinPairs(TablePtr left, TablePtr right,
                                    uint64_t rand_seed, int num_threads = 1,
                                    const ExecGuard* guard = nullptr);
 
-/// HashJoinPairs + the combined gather, for callers that want the table.
+/// HashJoinPairs + the full-width combined gather, for callers that want
+/// the table.
 Result<TablePtr> HashJoin(const Table& left, const Table& right,
                           const std::vector<const Column*>& left_keys,
                           const std::vector<const Column*>& right_keys,
@@ -68,7 +69,7 @@ Result<JoinPairView> CrossJoinPairs(TablePtr left, TablePtr right,
                                     int num_threads = 1,
                                     const ExecGuard* guard = nullptr);
 
-/// CrossJoinPairs + the combined gather.
+/// CrossJoinPairs + the full-width combined gather.
 Result<TablePtr> CrossJoin(const Table& left, const Table& right,
                            const sql::Expr* residual, uint64_t rand_seed,
                            size_t max_pairs = 200'000'000,

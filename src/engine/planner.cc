@@ -4,6 +4,7 @@
 #include <atomic>
 #include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -155,19 +156,21 @@ bool RandOutsideWhere(const SelectStmt& stmt) {
   return false;
 }
 
-// ---- Derived-table projection pruning --------------------------------------
-// Column names a statement can reference from a derived table in its FROM:
-// every kColumnRef name in the statement's own expressions (select list,
-// WHERE, GROUP BY, HAVING, ORDER BY, join ON conditions). Nested derived
-// subqueries and scalar subqueries resolve against their own scopes (the
-// engine has no correlated subqueries), so the walk does not descend into
-// them — descending would also pick up their internal `*` items and defeat
-// the prune. A `*` select item references everything; the star that is
-// count(*)'s argument references nothing and is skipped.
+// ---- Projection pruning -----------------------------------------------------
+// Column names a statement can reference from its FROM tree: every
+// kColumnRef name in the statement's own expressions (select list, WHERE,
+// GROUP BY, HAVING, ORDER BY, every join ON condition of the tree), folded
+// the way Scope stores names. Join outputs and derived-table outputs keep
+// only these columns. Nested derived subqueries and scalar subqueries
+// resolve against their own scopes (the engine has no correlated
+// subqueries), so the walk does not descend into them — descending would
+// also pick up their internal `*` items and defeat the prune. A `*` select
+// item references everything; the star that is count(*)'s argument
+// references nothing and is skipped.
 void CollectColumnRefNames(const Expr& e, std::set<std::string>* names,
                            bool* star) {
   switch (e.kind) {
-    case ExprKind::kColumnRef: names->insert(e.name); return;
+    case ExprKind::kColumnRef: names->insert(FoldName(e.name)); return;
     case ExprKind::kStar: *star = true; return;
     default: break;
   }
@@ -189,18 +192,24 @@ void CollectColumnRefNamesFrom(const TableRef& ref,
   if (ref.right) CollectColumnRefNamesFrom(*ref.right, names, star);
 }
 
-void CollectColumnRefNamesStmt(const SelectStmt& stmt,
-                               std::set<std::string>* names, bool* star) {
+/// The statement's referenced names; nullopt when a `*` select item
+/// references every column.
+std::optional<std::set<std::string>> CollectColumnRefNamesStmt(
+    const SelectStmt& stmt) {
+  std::set<std::string> names;
+  bool star = false;
   for (const auto& it : stmt.items) {
-    CollectColumnRefNames(*it.expr, names, star);
+    CollectColumnRefNames(*it.expr, &names, &star);
   }
-  if (stmt.where) CollectColumnRefNames(*stmt.where, names, star);
-  for (const auto& g : stmt.group_by) CollectColumnRefNames(*g, names, star);
-  if (stmt.having) CollectColumnRefNames(*stmt.having, names, star);
+  if (stmt.where) CollectColumnRefNames(*stmt.where, &names, &star);
+  for (const auto& g : stmt.group_by) CollectColumnRefNames(*g, &names, &star);
+  if (stmt.having) CollectColumnRefNames(*stmt.having, &names, &star);
   for (const auto& o : stmt.order_by) {
-    CollectColumnRefNames(*o.expr, names, star);
+    CollectColumnRefNames(*o.expr, &names, &star);
   }
-  if (stmt.from) CollectColumnRefNamesFrom(*stmt.from, names, star);
+  if (stmt.from) CollectColumnRefNamesFrom(*stmt.from, &names, &star);
+  if (star) return std::nullopt;
+  return names;
 }
 
 /// True if the tree contains a window-function node. Window frames need
@@ -261,15 +270,9 @@ class SelectExecutor {
         // identical values — and is disabled whenever dropping a column
         // could change the derived result itself (DISTINCT row set, ORDER
         // BY positions, UNION arity) or a `*` in the outer wants it all.
-        if (current_stmt_ != nullptr && d->union_next == nullptr &&
-            !d->distinct && d->order_by.empty()) {
-          bool star = false;
-          std::set<std::string> needed;
-          CollectColumnRefNamesStmt(*current_stmt_, &needed, &star);
-          if (!star) {
-            sub.output_keep_ = std::move(needed);
-            sub.output_keep_active_ = true;
-          }
+        if (referenced_ && d->union_next == nullptr && !d->distinct &&
+            d->order_by.empty()) {
+          sub.output_keep_ = &*referenced_;
         }
         auto rs = sub.Run(d);
         if (!rs.ok()) return rs.status();
@@ -372,11 +375,24 @@ class SelectExecutor {
       }
     }
 
+    // Gather only the combined columns the statement references (its ON
+    // conditions included, so ancestor join keys survive); a `*` keeps
+    // them all. At least one column survives so the row count does, as for
+    // derived tables: a table's columns carry its row count.
+    std::vector<size_t> keep;
+    for (size_t i = 0; i < combined.size(); ++i) {
+      if (!referenced_ || referenced_->count(combined.name(i)) != 0) {
+        keep.push_back(i);
+      }
+    }
+    if (keep.empty() && combined.size() > 0) keep.push_back(0);
     RelResult out;
-    auto gathered = pairs.GatherGuarded(db_->num_threads(), guard_);
+    auto gathered = pairs.GatherGuarded(db_->num_threads(), guard_, keep);
     if (!gathered.ok()) return gathered.status();
     out.table = std::move(gathered).ValueOrDie();
-    out.scope = std::move(combined);
+    for (size_t i : keep) {
+      out.scope.Add(combined.qualifier(i), combined.name(i));
+    }
     return out;
   }
 
@@ -460,7 +476,7 @@ class SelectExecutor {
 
   // ------------------------------------------------------------ main body --
   Result<ResultSet> RunSingle(SelectStmt* stmt) {
-    current_stmt_ = stmt;
+    referenced_ = CollectColumnRefNamesStmt(*stmt);
     // WHERE pushdown eligibility: when the FROM root is a join, the WHERE
     // can filter candidate pairs before the join's one combined gather
     // (ExecuteJoin consumes pushdown_where_). rand()-bearing predicates are
@@ -626,10 +642,12 @@ class SelectExecutor {
     // outer statement never references, before any of them are evaluated
     // or copied. At least one column always survives so the result keeps
     // its row count (a bare outer count(*) references none).
-    if (output_keep_active_ && !outs.empty()) {
+    if (output_keep_ != nullptr && !outs.empty()) {
       std::vector<OutItem> kept;
       for (auto& oi : outs) {
-        if (output_keep_.count(oi.name) != 0) kept.push_back(std::move(oi));
+        if (output_keep_->count(FoldName(oi.name)) != 0) {
+          kept.push_back(std::move(oi));
+        }
       }
       if (kept.empty()) kept.push_back(std::move(outs[0]));
       outs = std::move(kept);
@@ -1282,17 +1300,17 @@ class SelectExecutor {
   const Expr* pushdown_where_ = nullptr;
   bool pushdown_where_applied_ = false;
 
-  /// Statement currently executing in RunSingle — the reference scope
-  /// ExecuteFrom consults when deciding which derived-table outputs the
-  /// outer level can actually touch.
-  const SelectStmt* current_stmt_ = nullptr;
-  /// Derived-table projection pruning (set by the PARENT executor before
-  /// Run): when active, RunProjection drops select outputs whose names are
-  /// not in the keep set. Never applied to DISTINCT / ORDER BY / UNION /
-  /// grouped statements — those shapes are gated off at the call site or
-  /// take the grouped path, which ignores the filter.
-  std::set<std::string> output_keep_;
-  bool output_keep_active_ = false;
+  /// Case-folded names of the columns the statement executing in RunSingle
+  /// references (CollectColumnRefNamesStmt); nullopt when a `*` select
+  /// item wants every column. Joins gather only these columns and derived
+  /// tables in the FROM tree emit only these outputs.
+  std::optional<std::set<std::string>> referenced_;
+  /// Derived-table projection pruning (set by the PARENT executor to its
+  /// referenced_ before Run): when set, RunProjection drops select outputs
+  /// whose folded names are not in it. Never applied to DISTINCT / ORDER BY
+  /// / UNION / grouped statements — those shapes are gated off at the call
+  /// site or take the grouped path, which ignores the filter.
+  const std::set<std::string>* output_keep_ = nullptr;
 };
 
 }  // namespace

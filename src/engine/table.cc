@@ -13,6 +13,18 @@ std::string ToLower(std::string s) {
                  [](unsigned char c) { return std::tolower(c); });
   return s;
 }
+
+/// Rough per-cell heap footprint of a column of type `t` (ApproxBytes).
+uint64_t ApproxCellBytes(TypeId t) {
+  switch (t) {
+    case TypeId::kNull: return 0;
+    case TypeId::kBool:
+    case TypeId::kInt64:
+    case TypeId::kDouble: return 8;
+    case TypeId::kString: return 24;
+  }
+  return 0;
+}
 }  // namespace
 
 void Table::AddColumn(const std::string& name, TypeId type) {
@@ -77,13 +89,7 @@ void Table::AppendRange(const Table& src, size_t start, size_t count) {
 size_t Table::ApproxBytes() const {
   size_t bytes = 0;
   for (const auto& c : columns_) {
-    switch (c.type()) {
-      case TypeId::kNull: break;
-      case TypeId::kBool:
-      case TypeId::kInt64:
-      case TypeId::kDouble: bytes += c.size() * 8; break;
-      case TypeId::kString: bytes += c.size() * 24; break;
-    }
+    bytes += c.size() * static_cast<size_t>(ApproxCellBytes(c.type()));
   }
   return bytes;
 }
@@ -221,28 +227,80 @@ Column RowView::GatherColumn(const Column& src, int num_threads) const {
 
 // ---- JoinPairView -----------------------------------------------------------
 
-TablePtr JoinPairView::Gather(int num_threads) const {
-  auto out = std::make_shared<Table>();
-  GatherJoinPairsInto(*left_, lrows_.data(), *right_, rrows_.data(),
-                      lrows_.size(), num_threads, out.get());
-  return out;
+namespace {
+
+/// Appends combined (left ++ right) column `c` of `count` row pairs to
+/// `*col`. Right rows equal to kNullRightRow append NULL.
+void AppendPairColumn(const Table& left, const uint32_t* lrows,
+                      const Table& right, const uint32_t* rrows, size_t count,
+                      size_t c, Column* col) {
+  const size_t lcols = left.num_columns();
+  if (c < lcols) {
+    col->AppendSelected(left.column(c), lrows, count);
+    return;
+  }
+  const Column& src = right.column(c - lcols);
+  // Bulk-gather maximal sentinel-free segments; per-element work only for
+  // the null extensions themselves.
+  size_t i = 0;
+  while (i < count) {
+    if (rrows[i] == JoinPairView::kNullRightRow) {
+      col->AppendNull();
+      ++i;
+      continue;
+    }
+    size_t j = i;
+    while (j < count && rrows[j] != JoinPairView::kNullRightRow) ++j;
+    col->AppendSelected(src, rrows + i, j - i);
+    i = j;
+  }
 }
 
-Result<TablePtr> JoinPairView::GatherGuarded(int num_threads,
-                                             const ExecGuard* guard) const {
+/// Runs build(k) for every k in [0, ncols): column-parallel when there is
+/// more than one column and `count` rows amortize the fan-out. Every call
+/// writes only its own column.
+template <typename Build>
+void ForEachPairColumn(size_t ncols, size_t count, int num_threads,
+                       Build&& build) {
+  if (num_threads > 1 && ncols > 1 && count >= 4096) {
+    ParallelForEach(ncols, num_threads, build);
+  } else {
+    for (size_t k = 0; k < ncols; ++k) build(k);
+  }
+}
+
+}  // namespace
+
+std::vector<size_t> JoinPairView::AllColumns() const {
+  std::vector<size_t> all(left_->num_columns() + right_->num_columns());
+  for (size_t c = 0; c < all.size(); ++c) all[c] = c;
+  return all;
+}
+
+Result<TablePtr> JoinPairView::GatherGuarded(
+    int num_threads, const ExecGuard* guard,
+    const std::vector<size_t>& keep) const {
   VDB_RETURN_IF_ERROR(GuardCheck(guard, "gather"));
+  const size_t lcols = left_->num_columns();
+  auto source = [&](size_t c) -> const Column& {
+    return c < lcols ? left_->column(c) : right_->column(c - lcols);
+  };
+  auto name = [&](size_t c) -> const std::string& {
+    return c < lcols ? left_->column_name(c) : right_->column_name(c - lcols);
+  };
   uint64_t per_pair = 0;
-  if (left_->num_rows() > 0) {
-    per_pair += static_cast<uint64_t>(left_->ApproxBytes()) / left_->num_rows();
-  }
-  if (right_->num_rows() > 0) {
-    per_pair +=
-        static_cast<uint64_t>(right_->ApproxBytes()) / right_->num_rows();
-  }
-  // Charge persists with the combined table (see RowView::GatherGuarded).
+  for (size_t c : keep) per_pair += ApproxCellBytes(source(c).type());
+  // Charge persists with the gathered table (see RowView::GatherGuarded).
   VDB_RETURN_IF_ERROR(GuardTryReserve(
       guard, per_pair * static_cast<uint64_t>(lrows_.size()), "gather_alloc"));
-  return Gather(num_threads);
+  auto out = std::make_shared<Table>();
+  for (size_t c : keep) out->AddColumn(name(c), source(c).type());
+  ForEachPairColumn(keep.size(), lrows_.size(), num_threads, [&](size_t k) {
+    AppendPairColumn(*left_, lrows_.data(), *right_, rrows_.data(),
+                     lrows_.size(), keep[k], &out->column(k));
+  });
+  out->SetRowCount(lrows_.size());
+  return out;
 }
 
 void GatherJoinPairsInto(const Table& left, const uint32_t* lrows,
@@ -260,35 +318,10 @@ void GatherJoinPairsInto(const Table& left, const uint32_t* lrows,
     }
   }
   out->ClearRows();
-  auto build_one = [&](size_t c) {
+  ForEachPairColumn(lcols + rcols, count, num_threads, [&](size_t c) {
     if (column_mask != nullptr && (*column_mask)[c] == 0) return;
-    Column& col = out->column(c);
-    if (c < lcols) {
-      col.AppendSelected(left.column(c), lrows, count);
-      return;
-    }
-    const Column& src = right.column(c - lcols);
-    // Bulk-gather maximal sentinel-free segments; per-element work only for
-    // the null extensions themselves.
-    size_t i = 0;
-    while (i < count) {
-      if (rrows[i] == JoinPairView::kNullRightRow) {
-        col.AppendNull();
-        ++i;
-        continue;
-      }
-      size_t j = i;
-      while (j < count && rrows[j] != JoinPairView::kNullRightRow) ++j;
-      col.AppendSelected(src, rrows + i, j - i);
-      i = j;
-    }
-  };
-  // Column-parallel materialization: every column writes only its own slot.
-  if (num_threads > 1 && lcols + rcols > 1 && count >= 4096) {
-    ParallelForEach(lcols + rcols, num_threads, build_one);
-  } else {
-    for (size_t c = 0; c < lcols + rcols; ++c) build_one(c);
-  }
+    AppendPairColumn(left, lrows, right, rrows, count, c, &out->column(c));
+  });
   out->SetRowCount(count);
 }
 

@@ -162,8 +162,8 @@ class RowView {
 /// borrowed tables, in output order; a right entry of kNullRightRow is a
 /// LEFT JOIN null extension. Pair lists let post-join predicates — the ON
 /// residual and a pushed-down WHERE — filter candidate pairs BEFORE the one
-/// combined materialization, which Gather() performs (column-parallel) at
-/// the result boundary: the join-stage form of the gather-once invariant.
+/// combined materialization, which GatherGuarded() performs (column-parallel)
+/// at the result boundary: the join-stage form of the gather-once invariant.
 class JoinPairView {
  public:
   /// Right-side null-extension sentinel (matches the SelVector contract:
@@ -183,15 +183,18 @@ class JoinPairView {
   const SelVector& lrows() const { return lrows_; }
   const SelVector& rrows() const { return rrows_; }
 
-  /// The single combined (left ++ right) materialization of the surviving
-  /// pairs; null extensions emit NULL right columns.
-  TablePtr Gather(int num_threads = 1) const;
+  /// Every combined (left ++ right) column ordinal, in order: the keep
+  /// list of a full-width gather.
+  std::vector<size_t> AllColumns() const;
 
-  /// Guard-aware Gather: polls `guard` (site "gather") and pre-charges the
-  /// approximate combined output footprint (site "gather_alloc") before
-  /// materializing; the charge persists with the gathered table. With
-  /// guard == nullptr this is exactly Gather().
-  Result<TablePtr> GatherGuarded(int num_threads, const ExecGuard* guard) const;
+  /// The single materialization of the surviving pairs. The result holds
+  /// only the combined (left ++ right) columns whose ordinals `keep` lists,
+  /// in that order; null extensions emit NULL right columns. Polls `guard`
+  /// (site "gather") and pre-charges the kept columns' approximate
+  /// footprint (site "gather_alloc") before materializing; the charge
+  /// persists with the gathered table. guard == nullptr is ungoverned.
+  Result<TablePtr> GatherGuarded(int num_threads, const ExecGuard* guard,
+                                 const std::vector<size_t>& keep) const;
 
  private:
   TablePtr left_, right_;

@@ -318,6 +318,26 @@ TEST_F(VerdictE2E, HighCardinalityGroupingIsRejected) {
   EXPECT_FALSE(info.approximated);
 }
 
+TEST_F(VerdictE2E, UpperCaseColumnNamesAreApproximated) {
+  // The rewriter wraps the sample in a `select *, ... as __vdb_sid` derived
+  // table whose outputs are pruned to the outer query's references. Names
+  // compare case-folded, so an upper-case spelling keeps its column and the
+  // statement is approximated, not passed through.
+  VerdictContext::ExecInfo info;
+  auto rs = ctx_->Execute("select sum(VALUE) as s from big", &info);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_TRUE(info.approximated) << info.skip_reason;
+  const double exact = Exact("select sum(value) as s from big");
+  EXPECT_NEAR(rs.value().GetDouble(0, 0), exact, std::abs(exact) * 0.10);
+
+  VerdictContext::ExecInfo ginfo;
+  auto grouped = ctx_->Execute(
+      "select G10, count(*) as c from big group by G10 order by G10", &ginfo);
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  EXPECT_TRUE(ginfo.approximated) << ginfo.skip_reason;
+  EXPECT_EQ(grouped.value().NumRows(), 10u);
+}
+
 TEST_F(VerdictE2E, RewrittenSqlIsExposed) {
   VerdictContext::ExecInfo info;
   auto rs = ctx_->Execute("select count(*) as c from big", &info);

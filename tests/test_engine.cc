@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -196,6 +198,36 @@ TEST_F(EngineTest, DerivedTable) {
       "select avg(s) as a from (select city, sum(price) as s from orders "
       "group by city) as t");
   EXPECT_NEAR(rs.GetDouble(0, 0), 280.0 / 3.0, 1e-9);
+}
+
+TEST_F(EngineTest, PrunedOutputsMatchReferencesCaseInsensitively) {
+  // Column references are case-insensitive, and so is projection pruning:
+  // an upper-case reference must keep the derived-table or join column it
+  // names and return exactly the bits of the lower-case spelling.
+  const std::vector<std::pair<std::string, std::string>> kSpellings = {
+      {"select sum(Price) as s from (select id, price from orders) as d",
+       "select sum(price) as s from (select id, price from orders) as d"},
+      {"select sum(S) as s from (select id, price as S from orders) as d",
+       "select sum(s) as s from (select id, price as s from orders) as d"},
+      {"select sum(O.PRICE) as s from orders o join cities c "
+       "on o.CITY = C.city where c.STATE = 'MI'",
+       "select sum(o.price) as s from orders o join cities c "
+       "on o.city = c.city where c.state = 'MI'"},
+  };
+  for (const auto& [mixed, lower] : kSpellings) {
+    auto got = db_.Execute(mixed);
+    ASSERT_TRUE(got.ok()) << mixed << " -> " << got.status().ToString();
+    ResultSet want = Run(lower);
+    ASSERT_EQ(got.value().NumRows(), 1u) << mixed;
+    ASSERT_EQ(want.NumRows(), 1u) << lower;
+    const Value a = got.value().Get(0, 0);
+    const Value b = want.Get(0, 0);
+    ASSERT_EQ(a.type(), TypeId::kDouble) << mixed;
+    ASSERT_EQ(b.type(), TypeId::kDouble) << lower;
+    const double da = a.AsDouble(), db = b.AsDouble();
+    EXPECT_EQ(std::memcmp(&da, &db, sizeof(double)), 0)
+        << mixed << ": " << da << " vs " << db;
+  }
 }
 
 TEST_F(EngineTest, ScalarSubquery) {

@@ -382,6 +382,77 @@ TEST_F(GovernorTest, FaultSweepEveryReachableSiteFailsClean) {
   }
 }
 
+// ---- join gather accounting -------------------------------------------------
+
+TEST_F(GovernorTest, JoinGatherChargesOnlyReferencedColumns) {
+  // A join over a wide table that references two of its columns gathers,
+  // and charges, only the columns the statement names. It must run under a
+  // budget below the full-width gather's footprint.
+  constexpr size_t kRows = 4001;
+  auto wide = std::make_shared<Table>();
+  wide->AddColumn("k", TypeId::kInt64);
+  wide->AddColumn("v", TypeId::kDouble);
+  for (int c = 0; c < 8; ++c) {
+    wide->AddColumn("n" + std::to_string(c), TypeId::kDouble);
+    wide->AddColumn("s" + std::to_string(c), TypeId::kString);
+  }
+  Rng rng(kSeed);
+  for (size_t r = 0; r < kRows; ++r) {
+    std::vector<Value> row = {Value::Int(rng.NextInRange(0, 60)),
+                              Value::Double(static_cast<double>(r) * 0.5)};
+    for (int c = 0; c < 8; ++c) {
+      row.push_back(Value::Double(rng.NextDouble()));
+      row.push_back(Value::String("pad_" + std::to_string(r % 97)));
+    }
+    wide->AppendRow(row);
+  }
+  const TablePtr dim = BuildDim();
+  const uint64_t per_pair = wide->ApproxBytes() / wide->num_rows() +
+                            dim->ApproxBytes() / dim->num_rows();
+
+  for (int threads : {1, 2, 8}) {
+    auto db = MakeDb(kRows, threads);
+    ASSERT_TRUE(db->RegisterTable("wide", wide).ok());
+    const std::string sql =
+        "select sum(w.v) as s from wide w join dim d on w.k = d.k";
+    auto pairs = db->Execute(
+        "select count(*) as c from wide w join dim d on w.k = d.k");
+    ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+    const uint64_t full_width =
+        per_pair * static_cast<uint64_t>(pairs.value().Get(0, 0).AsInt());
+    ASSERT_GT(full_width, 0u);
+    auto ref = db->Execute(sql);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+
+    ExecGuard guard;
+    guard.set_memory_budget_bytes(1ull << 40);
+    auto open = db->Execute(sql, &guard);
+    ASSERT_TRUE(open.ok()) << open.status().ToString();
+    EXPECT_LT(guard.peak_reserved_bytes(), full_width) << "@" << threads;
+
+    guard.ResetForStatement();
+    guard.set_memory_budget_bytes(full_width / 2);
+    auto tight = db->Execute(sql, &guard);
+    ASSERT_TRUE(tight.ok()) << "@" << threads << " budget " << full_width / 2
+                            << " -> " << tight.status().ToString();
+    ExpectBitIdentical(ref.value(), tight.value(),
+                       sql + " @" + std::to_string(threads));
+  }
+
+  // The join's gather still polls its governed site. This statement polls
+  // "gather" twice, at the join and at the result boundary; a join gather
+  // that skipped its poll would leave the second hit unreached.
+  auto db = MakeDb(kRows, 4);
+  ArmFaultPointNth("gather", 2, StatusCode::kResourceExhausted);
+  auto got = db->Execute(
+      "select d.label, o.price from orders o join dim d on o.k = d.k");
+  DisarmAllFaultPoints();
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(got.status().message().find("gather"), std::string::npos)
+      << got.status().ToString();
+}
+
 TEST_F(GovernorTest, EnvSpecArmsAndRejectsMalformedInput) {
   EXPECT_TRUE(ArmFromEnvSpec("agg_partial=3,join_build=1"));
   auto db = MakeDb(2001, 2);

@@ -67,11 +67,30 @@ TablePtr BuildDim() {
   return t;
 }
 
+/// A third, wider table for multi-way joins: `label` matches dim's labels
+/// 0..39 (40..49 have no region), and `rk` matches orders.k 0..39.
+TablePtr BuildRegions() {
+  auto t = std::make_shared<Table>();
+  t->AddColumn("rk", TypeId::kInt64);
+  t->AddColumn("label", TypeId::kString);
+  t->AddColumn("region", TypeId::kInt64);
+  t->AddColumn("weight", TypeId::kDouble);
+  t->AddColumn("note", TypeId::kString);
+  for (int64_t k = 0; k < 40; ++k) {
+    t->AppendRow({Value::Int(k), Value::String("label_" + std::to_string(k)),
+                  Value::Int(k % 4),
+                  Value::Double(0.5 * static_cast<double>(k)),
+                  Value::String("note_" + std::to_string(k))});
+  }
+  return t;
+}
+
 std::unique_ptr<Database> MakeDb(size_t rows, int num_threads) {
   auto db = std::make_unique<Database>(kSeed);
   db->set_num_threads(num_threads);
   EXPECT_TRUE(db->RegisterTable("orders", BuildOrders(rows)).ok());
   EXPECT_TRUE(db->RegisterTable("dim", BuildDim()).ok());
+  EXPECT_TRUE(db->RegisterTable("regions", BuildRegions()).ok());
   return db;
 }
 
@@ -256,6 +275,141 @@ TEST_F(ParallelTest, JoinThenGroupedAggregate) {
       10007,
       "select d.label, count(*) as c, sum(o.price) as sp "
       "from orders o join dim d on o.k = d.k group by d.label");
+}
+
+// ---- join projection pruning ----------------------------------------------
+// A join gathers only the columns its statement references. Each query must
+// return exactly what the same query returns when every join input is a
+// derived table selecting just the referenced columns, at every thread
+// count and morsel size; both spellings run first on a fresh database, so
+// they draw the same query seed.
+
+void CheckJoinPruningMatchesExplicit(const std::string& pruned,
+                                     const std::string& narrowed) {
+  for (size_t morsel : {kTestMorselRows, size_t{64}}) {
+    SetMorselRowsForTest(morsel);
+    const std::string at = " @morsel " + std::to_string(morsel);
+    auto ref = MakeDb(10007, 1)->Execute(pruned);
+    ASSERT_TRUE(ref.ok()) << pruned << " -> " << ref.status().ToString();
+    for (int threads : {1, 2, 8}) {
+      const std::string where = at + " @" + std::to_string(threads);
+      auto a = MakeDb(10007, threads)->Execute(pruned);
+      auto b = MakeDb(10007, threads)->Execute(narrowed);
+      ASSERT_TRUE(a.ok()) << pruned << " -> " << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << narrowed << " -> " << b.status().ToString();
+      ASSERT_GT(a.value().NumRows(), 0u) << pruned;
+      ExpectSameResults(b.value(), a.value(), pruned + where);
+      ExpectSameResults(ref.value(), a.value(),
+                        pruned + " vs 1 thread" + where);
+    }
+  }
+  SetMorselRowsForTest(kTestMorselRows);
+}
+
+TEST_F(ParallelTest, JoinPruningKeepsAncestorJoinKeys) {
+  // d.label appears only in the outer join's ON: the inner join must keep
+  // it although the select list never names it.
+  CheckJoinPruningMatchesExplicit(
+      "select o.id, o.price, r.region, r.weight from orders o "
+      "join dim d on o.k = d.k join regions r on d.label = r.label",
+      "select o.id, o.price, r.region, r.weight from "
+      "(select id, price, k from orders) o "
+      "join (select k, label from dim) d on o.k = d.k "
+      "join (select label, region, weight from regions) r "
+      "on d.label = r.label");
+  CheckJoinPruningMatchesExplicit(
+      "select r.region, count(*) as c, sum(o.price) as sp from orders o "
+      "join dim d on o.k = d.k join regions r on d.label = r.label "
+      "group by r.region order by r.region",
+      "select r.region, count(*) as c, sum(o.price) as sp from "
+      "(select price, k from orders) o "
+      "join (select k, label from dim) d on o.k = d.k "
+      "join (select label, region from regions) r on d.label = r.label "
+      "group by r.region order by r.region");
+}
+
+TEST_F(ParallelTest, JoinPruningNullExtendsPrunedRightSide) {
+  // orders.k 40..60 find no region: the pruned right side (rk, weight of
+  // five columns) is null-extended.
+  CheckJoinPruningMatchesExplicit(
+      "select o.id, r.weight from orders o left join regions r on o.k = r.rk "
+      "where o.price > 100",
+      "select o.id, r.weight from (select id, k, price from orders) o "
+      "left join (select rk, weight from regions) r on o.k = r.rk "
+      "where o.price > 100");
+  CheckJoinPruningMatchesExplicit(
+      "select o.city, count(r.note) as n, sum(r.weight) as w from orders o "
+      "left join regions r on o.k = r.rk group by o.city order by o.city",
+      "select o.city, count(r.note) as n, sum(r.weight) as w from "
+      "(select city, k from orders) o "
+      "left join (select rk, note, weight from regions) r on o.k = r.rk "
+      "group by o.city order by o.city");
+}
+
+TEST_F(ParallelTest, JoinPruningSameNameOnBothSides) {
+  // k and label exist on two inputs each; qualified references pick one.
+  CheckJoinPruningMatchesExplicit(
+      "select o.k, d.k, o.id, d.label as dl, r.label as rl from orders o "
+      "join dim d on o.k = d.k join regions r on o.k = r.rk",
+      "select o.k, d.k, o.id, d.label as dl, r.label as rl from "
+      "(select k, id from orders) o join (select k, label from dim) d "
+      "on o.k = d.k join (select rk, label from regions) r on o.k = r.rk");
+}
+
+TEST_F(ParallelTest, JoinPruningKeepsRowAddressedRand) {
+  // rand() in the projection keeps the post-gather WHERE; rand() only in
+  // the WHERE rides the pair-view pushdown. Either way the draws address
+  // pair ordinals, which pruning does not change.
+  CheckJoinPruningMatchesExplicit(
+      "select o.id, rand() as x from orders o join dim d on o.k = d.k "
+      "where rand() < 0.5",
+      "select o.id, rand() as x from (select id, k from orders) o "
+      "join (select k from dim) d on o.k = d.k where rand() < 0.5");
+  CheckJoinPruningMatchesExplicit(
+      "select d.label, count(*) as c, sum(o.price) as sp from orders o "
+      "join dim d on o.k = d.k where rand() < 0.3 and o.qty > 10 "
+      "group by d.label order by d.label",
+      "select d.label, count(*) as c, sum(o.price) as sp from "
+      "(select k, price, qty from orders) o "
+      "join (select k, label from dim) d on o.k = d.k "
+      "where rand() < 0.3 and o.qty > 10 group by d.label order by d.label");
+}
+
+TEST_F(ParallelTest, JoinPruningStarsCountsAndAmbiguity) {
+  auto db = MakeDb(1001, 8);
+  auto run = [&](const std::string& sql) {
+    auto rs = db->Execute(sql);
+    EXPECT_TRUE(rs.ok()) << sql << " -> " << rs.status().ToString();
+    return rs.ok() ? rs.value() : ResultSet{};
+  };
+  // `*` and `p.*` keep every column of what they expand.
+  EXPECT_EQ(run("select * from orders o join dim d on o.k = d.k").NumCols(),
+            7u);
+  EXPECT_EQ(run("select o.* from orders o join dim d on o.k = d.k").NumCols(),
+            5u);
+  EXPECT_EQ(run("select r.*, o.id from orders o join dim d on o.k = d.k "
+                "join regions r on d.label = r.label")
+                .NumCols(),
+            6u);
+
+  // count(*) references no column; the join keeps its row count.
+  const size_t matched =
+      run("select o.id from orders o join dim d on o.k = d.k").NumRows();
+  ASSERT_GT(matched, 0u);
+  ResultSet c =
+      run("select count(*) as c from orders o join dim d on o.k = d.k");
+  ASSERT_EQ(c.NumRows(), 1u);
+  EXPECT_EQ(c.Get(0, 0).AsInt(), static_cast<int64_t>(matched));
+  ResultSet x = run("select count(*) as c from orders o cross join dim d");
+  ASSERT_EQ(x.NumRows(), 1u);
+  EXPECT_EQ(x.Get(0, 0).AsInt(), 1001 * 50);
+
+  // An unqualified name on both sides stays ambiguous.
+  auto amb = db->Execute("select k from orders o join dim d on o.k = d.k");
+  ASSERT_FALSE(amb.ok());
+  EXPECT_EQ(amb.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(amb.status().message().find("ambiguous"), std::string::npos)
+      << amb.status().ToString();
 }
 
 TEST_F(ParallelTest, DistinctAndOrderBy) {

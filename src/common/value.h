@@ -6,7 +6,9 @@
 #ifndef VDB_COMMON_VALUE_H_
 #define VDB_COMMON_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace vdb {
@@ -22,6 +24,20 @@ enum class TypeId : uint8_t {
 
 /// Returns "NULL", "BOOLEAN", "BIGINT", "DOUBLE" or "VARCHAR".
 const char* TypeName(TypeId t);
+
+/// The one double -> int64 conversion: Value::AsInt and the SQL functions
+/// floor, ceil, round(x) and to_int all go through it. It truncates toward
+/// zero and saturates: values at or beyond +-2^63, infinities included,
+/// clamp to INT64_MAX / INT64_MIN, and NaN converts to 0 (the rule of Java's
+/// and Rust's float-to-integer casts). A plain static_cast is undefined
+/// behaviour for all three.
+inline int64_t SaturatingToInt64(double d) {
+  constexpr double kTwo63 = 9223372036854775808.0;  // 2^63, exact
+  if (std::isnan(d)) return 0;
+  if (d >= kTwo63) return std::numeric_limits<int64_t>::max();
+  if (d < -kTwo63) return std::numeric_limits<int64_t>::min();
+  return static_cast<int64_t>(d);
+}
 
 /// A nullable scalar. Numeric types promote Int64 -> Double in arithmetic.
 class Value {
@@ -58,7 +74,10 @@ class Value {
   bool is_null() const { return type_ == TypeId::kNull; }
 
   bool AsBool() const { return i_ != 0; }
-  int64_t AsInt() const { return type_ == TypeId::kDouble ? static_cast<int64_t>(d_) : i_; }
+  /// Doubles convert by SaturatingToInt64.
+  int64_t AsInt() const {
+    return type_ == TypeId::kDouble ? SaturatingToInt64(d_) : i_;
+  }
   /// Numeric coercion: Int64/Bool widen to double; NULL is 0.0.
   double AsDouble() const {
     if (type_ == TypeId::kDouble) return d_;

@@ -1,8 +1,11 @@
 #include "core/rewriter.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <map>
+#include <set>
+#include <utility>
 
 #include "engine/functions.h"
 #include "sql/printer.h"
@@ -70,6 +73,10 @@ struct RewriteCtx {
   std::vector<Expr::Ptr> group_protos;  // original group-by expressions
   bool complete_replica = false;  // nested outer level: estimates need no
                                   // scaling (each sid is a full replica)
+  /// The query's ON equi-join edges, aliases resolved. A grouped derived
+  /// relation tied to a sampled relation by a chain of these may read that
+  /// relation's universe sample (DerivedUniverseSample).
+  const std::vector<JoinEdge>* join_edges = nullptr;
 
   /// Joint inclusion-probability expression for one tuple of the join.
   Expr::Ptr ProbExpr() const {
@@ -312,6 +319,94 @@ Expr::Ptr CombineError(int stat_index) {
              std::move(sqrt_sum));
 }
 
+std::string Lower(std::string s) {
+  std::transform(s.begin(), s.end(), s.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  return s;
+}
+
+/// The universe sample a derived relation may read in place of its base
+/// table T, or null. The derived query must read T alone and group by one
+/// column c of T, and a chain of ON equalities must tie its c output to a
+/// sampled relation whose chosen sample is T hashed on [c]. That sample
+/// keeps every row of each key whose hash is below tau, so the derived
+/// aggregate is exact on every key that can join, and no other key joins.
+const sampling::SampleInfo* DerivedUniverseSample(const TableRef& ref,
+                                                  const RewriteCtx& ctx) {
+  const SelectStmt& q = *ref.derived;
+  if (ctx.join_edges == nullptr || q.union_next || q.distinct ||
+      q.limit >= 0 || !q.order_by.empty() || !q.from ||
+      q.from->kind != TableRef::Kind::kBase || q.group_by.size() != 1 ||
+      q.group_by[0]->kind != ExprKind::kColumnRef) {
+    return nullptr;
+  }
+  const std::string table = Lower(q.from->table_name);
+  const std::string table_alias = Lower(q.from->EffectiveName());
+  auto is_column_of_table = [&](const Expr& e) {
+    return e.kind == ExprKind::kColumnRef &&
+           (e.qualifier.empty() || Lower(e.qualifier) == table_alias);
+  };
+  const Expr& group = *q.group_by[0];
+  if (!is_column_of_table(group)) return nullptr;
+  const std::string column = Lower(group.name);
+
+  // Reads T alone, and each key's rows decide its output: no subquery, no
+  // window, no row-addressed rand() (it would draw per sample row), and no
+  // `*` item (it would expose the sample's verdict_prob).
+  auto foreign = [](const Expr& e) {
+    return e.kind == ExprKind::kSubquery || e.kind == ExprKind::kExists ||
+           e.is_window || sql::IsRandFunctionExpr(e);
+  };
+  std::string exposed;  // the name c leaves the derived relation under
+  for (const auto& item : q.items) {
+    if (item.expr->kind == ExprKind::kStar ||
+        sql::AnyExprNode(*item.expr, foreign)) {
+      return nullptr;
+    }
+    if (exposed.empty() && is_column_of_table(*item.expr) &&
+        Lower(item.expr->name) == column) {
+      exposed = item.alias.empty() ? column : Lower(item.alias);
+    }
+  }
+  if (exposed.empty() || (q.where && sql::AnyExprNode(*q.where, foreign)) ||
+      (q.having && sql::AnyExprNode(*q.having, foreign))) {
+    return nullptr;
+  }
+
+  // Walk the ON equalities from (derived alias, exposed) to a sampled
+  // relation's column c.
+  using Node = std::pair<std::string, std::string>;  // (alias, column)
+  std::vector<Node> frontier = {{Lower(ref.alias), exposed}};
+  std::set<Node> seen(frontier.begin(), frontier.end());
+  while (!frontier.empty()) {
+    const Node node = frontier.back();
+    frontier.pop_back();
+    for (const JoinEdge& e : *ctx.join_edges) {
+      Node next;
+      if (Node(e.left_alias, e.left_column) == node) {
+        next = {e.right_alias, e.right_column};
+      } else if (Node(e.right_alias, e.right_column) == node) {
+        next = {e.left_alias, e.left_column};
+      } else {
+        continue;
+      }
+      if (next.first.empty() || !seen.insert(next).second) continue;
+      auto it = ctx.plan->choices.find(next.first);
+      if (it != ctx.plan->choices.end() && it->second.sampled &&
+          next.second == column) {
+        const sampling::SampleInfo& s = it->second.sample;
+        if (s.type == sampling::SampleType::kHashed &&
+            s.base_table == table && s.columns.size() == 1 &&
+            s.columns[0] == column) {
+          return &s;
+        }
+      }
+      frontier.push_back(std::move(next));
+    }
+  }
+  return nullptr;
+}
+
 /// Substitutes sampled base tables with variational derived tables:
 ///   T  ->  (select *, 1 + floor(rand()*b) as __vdb_sid from T_sample) as T
 /// Relations using hash-block sids expose the sample directly (their sid is
@@ -329,9 +424,7 @@ Expr::Ptr CombineError(int stat_index) {
 Status SubstituteSamples(TableRef* ref, const RewriteCtx& ctx) {
   switch (ref->kind) {
     case TableRef::Kind::kBase: {
-      std::string alias = ref->EffectiveName();
-      std::transform(alias.begin(), alias.end(), alias.begin(),
-                     [](unsigned char c) { return std::tolower(c); });
+      const std::string alias = Lower(ref->EffectiveName());
       auto it = ctx.plan->choices.find(alias);
       if (it == ctx.plan->choices.end() || !it->second.sampled) {
         return Status::Ok();
@@ -363,8 +456,18 @@ Status SubstituteSamples(TableRef* ref, const RewriteCtx& ctx) {
       }
       return Status::Ok();
     }
-    case TableRef::Kind::kDerived:
-      return Status::Ok();  // derived relations are never sampled
+    case TableRef::Kind::kDerived: {
+      // A grouped derived relation is never scaled or given a sid; it only
+      // reads the universe sample of its table when that is exact on every
+      // key that can join (docs/INVARIANTS.md).
+      const sampling::SampleInfo* sample = DerivedUniverseSample(*ref, ctx);
+      if (sample != nullptr) {
+        TableRef& from = *ref->derived->from;
+        if (from.alias.empty()) from.alias = from.table_name;
+        from.table_name = sample->sample_table;
+      }
+      return Status::Ok();
+    }
     case TableRef::Kind::kJoin: {
       VDB_RETURN_IF_ERROR(SubstituteSamples(ref->left.get(), ctx));
       return SubstituteSamples(ref->right.get(), ctx);
@@ -470,6 +573,7 @@ Result<RewriteResult> AqpRewriter::RewriteFlat(const SelectStmt& original,
   auto sid = MakeSidPlan(qc, plan);
   if (!sid.ok()) return sid.status();
   ctx.sid = std::move(sid).ValueOrDie();
+  ctx.join_edges = &qc.join_edges;
 
   uint64_t sample_rows = 0;
   for (const auto& alias : ctx.sid.sampled_aliases) {
@@ -500,6 +604,7 @@ Result<RewriteResult> AqpRewriter::RewriteNested(
   auto sid = MakeSidPlan(qc_inner, plan_inner);
   if (!sid.ok()) return sid.status();
   ictx.sid = std::move(sid).ValueOrDie();
+  ictx.join_edges = &qc_inner.join_edges;
   uint64_t sample_rows = 0;
   for (const auto& alias : ictx.sid.sampled_aliases) {
     sample_rows = std::max(sample_rows,

@@ -222,10 +222,16 @@ Result<ApproxAnswer> VerdictContext::TryApproximate(const std::string& sql,
     return Status::NotFound(info->skip_reason);
   }
 
-  int64_t hint = EstimateGroupCardinality(*plan_sel, *plan_qc,
-                                          samples.value());
+  // The group-cardinality hint only ever rejects plans, so a query with no
+  // sampled plan without it has none with it: plan once without the hint,
+  // and send the probe only when a sampled plan exists for it to check.
   SamplePlanner planner(options_, samples.value());
-  auto plan = planner.Plan(*plan_qc, base_rows, hint);
+  auto plan = planner.Plan(*plan_qc, base_rows);
+  int64_t hint = 0;
+  if (plan.ok() && plan.value().UsesSamples()) {
+    hint = EstimateGroupCardinality(*plan_sel, *plan_qc, samples.value());
+    if (hint > 0) plan = planner.Plan(*plan_qc, base_rows, hint);
+  }
   if (!plan.ok()) {
     info->skip_reason = "sample planning failed";
     return plan.status();

@@ -232,9 +232,9 @@ Result<Value> CallScalarFunction(ScalarFn fn, const std::vector<Value>& args,
       }
       return args[0];
     case ScalarFn::kFloor:
-      return Value::Int(static_cast<int64_t>(std::floor(args[0].AsDouble())));
+      return Value::Int(SaturatingToInt64(std::floor(args[0].AsDouble())));
     case ScalarFn::kCeil:
-      return Value::Int(static_cast<int64_t>(std::ceil(args[0].AsDouble())));
+      return Value::Int(SaturatingToInt64(std::ceil(args[0].AsDouble())));
     case ScalarFn::kAbs:
       if (args[0].type() == TypeId::kInt64) {
         // Unsigned negation: defined wrap on INT64_MIN (abs(INT64_MIN) ==
@@ -263,7 +263,9 @@ Result<Value> CallScalarFunction(ScalarFn fn, const std::vector<Value>& args,
         const double scale = std::pow(10.0, args[1].AsDouble());
         return Value::Double(std::round(x * scale) / scale);
       }
-      return Value::Int(static_cast<int64_t>(std::llround(x)));
+      // std::round halves away from zero, as llround does, but leaves the
+      // out-of-range cases to the saturating conversion.
+      return Value::Int(SaturatingToInt64(std::round(x)));
     }
     case ScalarFn::kSign: {
       const double x = args[0].AsDouble();

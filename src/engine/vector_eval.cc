@@ -152,7 +152,7 @@ struct Vec {
     switch (c.type()) {
       case TypeId::kBool:
       case TypeId::kInt64: return c.GetInt(pos(k));
-      case TypeId::kDouble: return static_cast<int64_t>(c.GetDouble(pos(k)));
+      case TypeId::kDouble: return SaturatingToInt64(c.GetDouble(pos(k)));
       default: return 0;
     }
   }
@@ -934,7 +934,7 @@ Result<Vec> UnaryMathVec(const Expr& e, const Batch& b) {
       nulls[k] = 1;
     } else {
       const double x = a.Num(k);
-      out[k] = static_cast<int64_t>(is_floor ? std::floor(x) : std::ceil(x));
+      out[k] = SaturatingToInt64(is_floor ? std::floor(x) : std::ceil(x));
     }
   }
   Vec v;

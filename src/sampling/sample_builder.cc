@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "engine/binder.h"
@@ -138,6 +140,7 @@ Result<SampleInfo> SampleBuilder::CreateHashedSample(const std::string& base,
   info.base_table = base;
   info.type = SampleType::kHashed;
   info.columns = {column};
+  info.hash_cutoff = tau;
   info.base_rows = static_cast<uint64_t>(n.value());
   info.sample_table = SampleName(base, SampleType::kHashed, {column});
 
@@ -188,7 +191,9 @@ Result<SampleInfo> SampleBuilder::CreateHashedSample(const std::string& base,
   {
     std::ostringstream sql;
     sql << "create table " << tmp << " as select * from " << base
-        << " where verdict_hash(" << column << ") < " << tau;
+        << " where verdict_hash(" << column << ") < "
+        << std::setprecision(std::numeric_limits<double>::max_digits10)
+        << tau;
     auto r = conn_->Execute(sql.str());
     if (!r.ok()) return r.status();
   }
@@ -380,11 +385,14 @@ Status SampleBuilder::AppendData(const std::string& base,
             << staging_table << ") as __vdb_b where __vdb_rand < " << s.ratio;
         break;
       case SampleType::kHashed:
-        // Universe membership is deterministic: same hash cut-off.
+        // Universe membership is deterministic: the build's own cut-off,
+        // not the realized ratio, so every key below it keeps all its rows.
         sql << "insert into " << s.sample_table << " select "
             << JoinList(cols.value(), ", ") << ", " << s.ratio
             << " as verdict_prob from " << staging_table
-            << " where verdict_hash(" << s.columns[0] << ") < " << s.ratio;
+            << " where verdict_hash(" << s.columns[0] << ") < "
+            << std::setprecision(std::numeric_limits<double>::max_digits10)
+            << s.hash_cutoff;
         break;
       case SampleType::kStratified: {
         // Reuse the stored per-stratum probabilities (Appendix D); strata

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 
 namespace vdb::sampling {
@@ -58,8 +60,9 @@ Status SampleCatalog::EnsureMetadataTable() {
   }
   std::string ddl = std::string("create table ") + kMetadataTable +
                     " as select '' as sample_table, '' as base_table,"
-                    " '' as sample_type, 0.0 as ratio, '' as column_set,"
-                    " 0 as base_rows, 0 as sample_rows where false";
+                    " '' as sample_type, 0.0 as ratio, 0.0 as hash_cutoff,"
+                    " '' as column_set, 0 as base_rows, 0 as sample_rows"
+                    " where false";
   auto r = conn_->Execute(ddl);
   if (!r.ok()) return r.status();
   return Status::Ok();
@@ -72,7 +75,11 @@ Status SampleCatalog::Register(const SampleInfo& info) {
       << ToLower(info.sample_table) << "' as sample_table, '"
       << ToLower(info.base_table) << "' as base_table, '"
       << SampleTypeName(info.type) << "' as sample_type, " << info.ratio
-      << " as ratio, '" << ToLower(JoinColumns(info.columns))
+      << " as ratio, "
+      // Round-trip precision: AppendData re-applies the exact cut-off.
+      << std::setprecision(std::numeric_limits<double>::max_digits10)
+      << info.hash_cutoff << " as hash_cutoff, '"
+      << ToLower(JoinColumns(info.columns))
       << "' as column_set, " << info.base_rows << " as base_rows, "
       << info.sample_rows << " as sample_rows";
   auto r = conn_->Execute(sql.str());
@@ -116,6 +123,7 @@ Result<std::vector<SampleInfo>> SampleCatalog::SamplesFor(
   int c_base = r.ColumnIndex("base_table");
   int c_type = r.ColumnIndex("sample_type");
   int c_ratio = r.ColumnIndex("ratio");
+  int c_cutoff = r.ColumnIndex("hash_cutoff");
   int c_cols = r.ColumnIndex("column_set");
   int c_brows = r.ColumnIndex("base_rows");
   int c_srows = r.ColumnIndex("sample_rows");
@@ -129,6 +137,7 @@ Result<std::vector<SampleInfo>> SampleCatalog::SamplesFor(
     info.base_table = cell(row, c_base).AsString();
     info.type = SampleTypeFromName(cell(row, c_type).AsString());
     info.ratio = cell(row, c_ratio).AsDouble();
+    info.hash_cutoff = cell(row, c_cutoff).AsDouble();
     info.columns = SplitColumns(cell(row, c_cols).AsString());
     info.base_rows = static_cast<uint64_t>(cell(row, c_brows).AsInt());
     info.sample_rows = static_cast<uint64_t>(cell(row, c_srows).AsInt());
@@ -145,7 +154,8 @@ Status SampleCatalog::UpdateCounts(const std::string& sample_table,
   VDB_RETURN_IF_ERROR(conn_->Execute("drop table if exists " + tmp).status());
   std::ostringstream sql;
   sql << "create table " << tmp
-      << " as select sample_table, base_table, sample_type, ratio, column_set,"
+      << " as select sample_table, base_table, sample_type, ratio,"
+      << " hash_cutoff, column_set,"
       << " case when sample_table = '" << key << "' then " << base_rows
       << " else base_rows end as base_rows,"
       << " case when sample_table = '" << key << "' then " << sample_rows

@@ -26,9 +26,13 @@ struct SampleInfo {
   std::string sample_table;
   std::string base_table;
   SampleType type = SampleType::kUniform;
-  /// Sampling parameter tau for uniform/hashed; I/O ratio estimate for
-  /// stratified (sample_rows / base_rows).
+  /// Sampling parameter tau for uniform; the realized ratio |Ts|/|T| for
+  /// hashed; I/O ratio estimate for stratified (sample_rows / base_rows).
   double ratio = 0.0;
+  /// Hashed only: the tau of the membership predicate verdict_hash(C) < tau.
+  /// The build and every AppendData apply this one cut-off, so the sample
+  /// holds every row of each key below it, however the table grows.
+  double hash_cutoff = 0.0;
   /// Column set C for hashed/stratified samples (empty for uniform).
   std::vector<std::string> columns;
   uint64_t base_rows = 0;

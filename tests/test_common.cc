@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <set>
 
 #include "common/hash.h"
@@ -10,6 +12,7 @@
 #include "common/stats_math.h"
 #include "common/status.h"
 #include "common/value.h"
+#include "engine/database.h"
 
 namespace vdb {
 namespace {
@@ -22,6 +25,58 @@ TEST(ValueTest, TypesAndAccessors) {
   EXPECT_EQ(Value::Double(2.9).AsInt(), 2);
   EXPECT_EQ(Value::String("hi").AsString(), "hi");
   EXPECT_TRUE(Value::Bool(true).AsBool());
+}
+
+// Double -> int64 conversion saturates: NaN -> 0, and +-inf and values at
+// or beyond +-2^63 clamp to the int64 range. A plain cast is undefined
+// behaviour for each of these, which the sanitizer build would flag.
+constexpr int64_t kMaxI64 = std::numeric_limits<int64_t>::max();
+constexpr int64_t kMinI64 = std::numeric_limits<int64_t>::min();
+
+TEST(ValueTest, AsIntSaturates) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Value::Double(std::nan("")).AsInt(), 0);
+  EXPECT_EQ(Value::Double(inf).AsInt(), kMaxI64);
+  EXPECT_EQ(Value::Double(-inf).AsInt(), kMinI64);
+  EXPECT_EQ(Value::Double(1e19).AsInt(), kMaxI64);
+  EXPECT_EQ(Value::Double(-1e19).AsInt(), kMinI64);
+  EXPECT_EQ(Value::Double(9223372036854775808.0).AsInt(), kMaxI64);  // 2^63
+  EXPECT_EQ(Value::Double(-9223372036854775808.0).AsInt(), kMinI64);
+  EXPECT_EQ(Value::Double(-2.9).AsInt(), -2);  // in range: truncates
+}
+
+TEST(ValueTest, FloorCeilRoundToIntSaturate) {
+  // One column through the typed floor/ceil kernel and the per-value calls
+  // of round and to_int.
+  const double inf = std::numeric_limits<double>::infinity();
+  auto t = std::make_shared<engine::Table>();
+  t->AddColumn("x", TypeId::kDouble);
+  for (double x : {std::nan(""), inf, -inf, 1e19, -1e19, 2.5, -2.5}) {
+    t->AppendRow({Value::Double(x)});
+  }
+  engine::Database db;
+  ASSERT_TRUE(db.RegisterTable("t", t).ok());
+  auto rs = db.Execute(
+      "select floor(x) as f, ceil(x) as c, round(x) as r, to_int(x) as i "
+      "from t");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  const int64_t want[][4] = {
+      {0, 0, 0, 0},
+      {kMaxI64, kMaxI64, kMaxI64, kMaxI64},
+      {kMinI64, kMinI64, kMinI64, kMinI64},
+      {kMaxI64, kMaxI64, kMaxI64, kMaxI64},
+      {kMinI64, kMinI64, kMinI64, kMinI64},
+      {2, 3, 3, 2},
+      {-3, -2, -3, -2},
+  };
+  ASSERT_EQ(rs.value().NumRows(), 7u);
+  for (size_t r = 0; r < 7; ++r) {
+    for (size_t c = 0; c < 4; ++c) {
+      const Value v = rs.value().Get(r, c);
+      ASSERT_EQ(v.type(), TypeId::kInt64) << r << "," << c;
+      EXPECT_EQ(v.AsInt(), want[r][c]) << r << "," << c;
+    }
+  }
 }
 
 TEST(ValueTest, NumericComparisonCrossType) {

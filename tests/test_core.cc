@@ -9,10 +9,14 @@
 #include "common/random.h"
 #include "core/flattener.h"
 #include "core/query_classifier.h"
+#include "core/rewriter.h"
+#include "core/sample_planner.h"
 #include "core/verdict_context.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
+#include "workload/queries.h"
 #include "workload/synthetic.h"
+#include "workload/tpch.h"
 
 namespace vdb::core {
 namespace {
@@ -338,6 +342,70 @@ TEST_F(VerdictE2E, UpperCaseColumnNamesAreApproximated) {
   EXPECT_EQ(grouped.value().NumRows(), 10u);
 }
 
+// The group-cardinality probe only ever rejects plans, so a query with no
+// sampled plan skips it.
+bool LogHasProbe(const std::vector<std::string>& log) {
+  for (const auto& s : log) {
+    if (s.rfind("select count(distinct ", 0) == 0) return true;
+  }
+  return false;
+}
+
+TEST_F(VerdictE2E, InfeasibleQuerySendsNoProbe) {
+  // Below the sampling threshold and without samples: no sampled plan, with
+  // or without a hint. The probe would have counted its groups directly.
+  auto tiny = std::make_shared<engine::Table>();
+  tiny->AddColumn("g", TypeId::kInt64);
+  for (int i = 0; i < 500; ++i) tiny->AppendRow({Value::Int(i % 7)});
+  ASSERT_TRUE(db_.RegisterTable("tiny", tiny).ok());
+  ctx_->connection().ClearLog();
+  VerdictContext::ExecInfo info;
+  auto rs = ctx_->Execute("select g, count(*) as c from tiny group by g",
+                          &info);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_FALSE(info.approximated);
+  EXPECT_EQ(rs.value().NumRows(), 7u);
+  EXPECT_FALSE(LogHasProbe(ctx_->connection().statement_log()));
+}
+
+TEST_F(VerdictE2E, FeasibleQueryPlansWithTheProbedHint) {
+  const std::string sql =
+      "select g10, count(*) as c from big group by g10 order by g10";
+  ctx_->connection().ClearLog();
+  VerdictContext::ExecInfo info;
+  ASSERT_TRUE(ctx_->Execute(sql, &info).ok());
+  ASSERT_TRUE(info.approximated) << info.skip_reason;
+  const std::vector<std::string> log = ctx_->connection().statement_log();
+  ASSERT_TRUE(LogHasProbe(log));
+
+  // The plan a single hinted Plan call makes, with the probe's own answer.
+  int64_t hint = 0;
+  for (const auto& s : log) {
+    if (s.rfind("select count(distinct ", 0) != 0) continue;
+    auto rs = db_.Execute(s);
+    ASSERT_TRUE(rs.ok());
+    hint = rs.value().Get(0, 0).AsInt();
+  }
+  EXPECT_EQ(hint, 10);
+  auto sel = sql::ParseSelect(sql);
+  ASSERT_TRUE(sel.ok());
+  QueryClass qc = ClassifyQuery(*sel.value());
+  auto samples = ctx_->sample_catalog().SamplesFor("");
+  ASSERT_TRUE(samples.ok());
+  SamplePlanner planner(ctx_->options(), samples.value());
+  auto plan = planner.Plan(qc, {{"big", 200000}}, hint);
+  ASSERT_TRUE(plan.ok());
+  AqpRewriter rewriter(ctx_->options());
+  auto rewritten = rewriter.RewriteFlat(*sel.value(), qc, plan.value());
+  ASSERT_TRUE(rewritten.ok());
+  sql::Statement stmt;
+  stmt.kind = sql::StatementKind::kSelect;
+  stmt.select = std::move(rewritten.value().rewritten);
+  EXPECT_EQ(sql::PrintStatement(stmt,
+                                ctx_->connection().dialect().print_options),
+            info.rewritten_sql);
+}
+
 TEST_F(VerdictE2E, RewrittenSqlIsExposed) {
   VerdictContext::ExecInfo info;
   auto rs = ctx_->Execute("select count(*) as c from big", &info);
@@ -482,6 +550,203 @@ TEST(VerdictFlattenE2E, CorrelatedComparisonSubquery) {
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
   double truth = exact.value().GetDouble(0, 0);
   EXPECT_NEAR(rs.value().GetDouble(0, 0), truth, truth * 0.15);
+}
+
+// ---------------------------------------------------------------------------
+// Derived relations over a universe sample
+// ---------------------------------------------------------------------------
+//
+// A derived relation grouped by column c of table T reads T's universe
+// sample on c when a chain of ON equalities ties it to a relation that reads
+// that sample; in every other case it keeps reading T.
+
+class DerivedSampleE2E : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // fact: 5 rows per key k on average; j has 1000 values. other shares
+    // fact's keys; dim holds every key once.
+    auto fact = std::make_shared<engine::Table>();
+    fact->AddColumn("k", TypeId::kInt64);
+    fact->AddColumn("j", TypeId::kInt64);
+    fact->AddColumn("v", TypeId::kDouble);
+    auto other = std::make_shared<engine::Table>();
+    other->AddColumn("k", TypeId::kInt64);
+    other->AddColumn("v", TypeId::kDouble);
+    auto dim = std::make_shared<engine::Table>();
+    dim->AddColumn("k", TypeId::kInt64);
+    dim->AddColumn("w", TypeId::kDouble);
+    Rng rng(17);
+    const int64_t keys = 12000;
+    for (int64_t i = 0; i < keys; ++i) {
+      dim->AppendRow({Value::Int(i), Value::Double(rng.NextDouble())});
+    }
+    for (int i = 0; i < 60000; ++i) {
+      fact->AppendRow({Value::Int(rng.NextInRange(0, keys - 1)),
+                       Value::Int(rng.NextInRange(0, 999)),
+                       Value::Double(rng.NextDouble() * 100.0)});
+      if (i % 2 == 0) {
+        other->AppendRow({Value::Int(rng.NextInRange(0, keys - 1)),
+                          Value::Double(rng.NextDouble() * 100.0)});
+      }
+    }
+    ASSERT_TRUE(db_.RegisterTable("fact", fact).ok());
+    ASSERT_TRUE(db_.RegisterTable("other", other).ok());
+    ASSERT_TRUE(db_.RegisterTable("dim", dim).ok());
+    VerdictOptions opts;
+    opts.min_rows_for_sampling = 10000;
+    opts.io_budget = 0.2;
+    ctx_ = std::make_unique<VerdictContext>(&db_,
+                                            driver::EngineKind::kGeneric,
+                                            opts);
+  }
+
+  void Hashed(const std::string& table, const std::string& column) {
+    ASSERT_TRUE(
+        ctx_->sample_builder().CreateHashedSample(table, column, 0.1).ok());
+  }
+
+  /// The rewritten SQL of `sql`, which must be approximated.
+  std::string Rewritten(const std::string& sql) {
+    VerdictContext::ExecInfo info;
+    auto rs = ctx_->Execute(sql, &info);
+    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+    EXPECT_TRUE(info.approximated) << info.skip_reason;
+    return info.rewritten_sql;
+  }
+
+  engine::Database db_{2121};
+  std::unique_ptr<VerdictContext> ctx_;
+};
+
+// fact joined to its own per-key averages: the flattened shape of a
+// correlated comparison subquery.
+constexpr const char* kAboveKeyAvg =
+    "select count(*) as c from fact f inner join"
+    " (select k, avg(v) as av from fact group by k) as g on g.k = f.k"
+    " where f.v > g.av";
+constexpr const char* kReadsFactSample =
+    "from fact_vdb_hashed_k as fact group by k) as g";
+constexpr const char* kReadsFact = "from fact group by k) as g";
+
+TEST_F(DerivedSampleE2E, ReadsTheUniverseSampleUnderRandomSids) {
+  Hashed("fact", "k");
+  const std::string sql = Rewritten(kAboveKeyAvg);
+  EXPECT_NE(sql.find("rand()"), std::string::npos) << sql;
+  EXPECT_NE(sql.find(kReadsFactSample), std::string::npos) << sql;
+}
+
+TEST_F(DerivedSampleE2E, KeepsTheDerivedWhereHavingAndCountStar) {
+  Hashed("fact", "k");
+  const std::string sql = Rewritten(
+      "select count(*) as c from fact f inner join"
+      " (select k, avg(v) as av, count(*) as n from fact where v > 1"
+      " group by k having count(*) > 1) as g on g.k = f.k"
+      " where f.v > g.av and g.n > 2");
+  EXPECT_NE(sql.find("count(*) as n from fact_vdb_hashed_k as fact where"
+                     " (v > 1) group by k having (count(*) > 1)) as g"),
+            std::string::npos)
+      << sql;
+}
+
+TEST_F(DerivedSampleE2E, ReadsTheUniverseSampleUnderHashBlockSids) {
+  Hashed("fact", "k");
+  const std::string sql = Rewritten(
+      "select count(distinct f.k) as d from fact f inner join"
+      " (select k, avg(v) as av from fact group by k) as g on g.k = f.k"
+      " where f.v > g.av");
+  EXPECT_NE(sql.find("verdict_hash"), std::string::npos) << sql;
+  EXPECT_NE(sql.find(kReadsFactSample), std::string::npos) << sql;
+}
+
+TEST_F(DerivedSampleE2E, FollowsTheEqualityChainThroughAnotherRelation) {
+  // A universe join of two hashed samples; the derived relation reaches
+  // fact's sample only through dim.
+  Hashed("fact", "k");
+  Hashed("dim", "k");
+  const std::string sql = Rewritten(
+      "select sum(f.v * d.w) as s from fact f inner join dim d on f.k = d.k"
+      " inner join (select k, avg(v) as av from fact group by k) as g"
+      " on g.k = d.k where f.v > g.av");
+  EXPECT_NE(sql.find("dim_vdb_hashed_k"), std::string::npos) << sql;
+  EXPECT_NE(sql.find(kReadsFactSample), std::string::npos) << sql;
+}
+
+TEST_F(DerivedSampleE2E, KeepsTheBaseTableUnderAUniformSample) {
+  ASSERT_TRUE(ctx_->sample_builder().CreateUniformSample("fact", 0.1).ok());
+  const std::string sql = Rewritten(kAboveKeyAvg);
+  EXPECT_NE(sql.find("fact_vdb_uniform"), std::string::npos) << sql;
+  EXPECT_NE(sql.find(kReadsFact), std::string::npos) << sql;
+}
+
+TEST_F(DerivedSampleE2E, KeepsTheBaseTableWhenTheHashIsOnAnotherColumn) {
+  Hashed("fact", "j");
+  const std::string sql = Rewritten(kAboveKeyAvg);
+  EXPECT_NE(sql.find("fact_vdb_hashed_j"), std::string::npos) << sql;
+  EXPECT_NE(sql.find(kReadsFact), std::string::npos) << sql;
+}
+
+TEST_F(DerivedSampleE2E, KeepsTheBaseTableWhenTheInnerTableDiffers) {
+  Hashed("fact", "k");
+  Hashed("other", "k");
+  const std::string sql = Rewritten(
+      "select count(*) as c from fact f inner join"
+      " (select k, avg(v) as av from other group by k) as g on g.k = f.k"
+      " where f.v > g.av");
+  EXPECT_NE(sql.find("from other group by k) as g"), std::string::npos)
+      << sql;
+}
+
+TEST_F(DerivedSampleE2E, KeepsTheBaseTableWhenGroupedByTwoColumns) {
+  Hashed("fact", "k");
+  const std::string sql = Rewritten(
+      "select count(*) as c from fact f inner join"
+      " (select k, j, avg(v) as av from fact group by k, j) as g"
+      " on g.k = f.k and g.j = f.j where f.v > g.av");
+  EXPECT_NE(sql.find("from fact group by k, j) as g"), std::string::npos)
+      << sql;
+}
+
+TEST_F(DerivedSampleE2E, KeepsTheBaseTableWithoutAnEqualityChain) {
+  // Joined on fact's other column: keys of g are not the sample's keys.
+  Hashed("fact", "k");
+  const std::string sql = Rewritten(
+      "select count(*) as c from fact f inner join"
+      " (select k, avg(v) as av from fact group by k) as g on g.k = f.j"
+      " where f.v > g.av");
+  EXPECT_NE(sql.find(kReadsFact), std::string::npos) << sql;
+}
+
+TEST(DerivedSampleWorkload, Tq17ReadsTheLineitemUniverseSample) {
+  // The benchmark fixture's lineitem samples and sampling threshold. A
+  // silent fall-back to the full lineitem scan inside __vdb_f0 fails here.
+  engine::Database db(4242);
+  workload::TpchConfig tc;
+  tc.scale = 0.1;
+  ASSERT_TRUE(workload::GenerateTpch(&db, tc).ok());
+  VerdictOptions opts;
+  opts.io_budget = 0.12;
+  opts.min_tuples_per_group = 16;
+  opts.min_rows_for_sampling = 30000;
+  VerdictContext ctx(&db, driver::EngineKind::kGeneric, opts);
+  auto& b = ctx.sample_builder();
+  ASSERT_TRUE(b.CreateUniformSample("lineitem", 0.01).ok());
+  ASSERT_TRUE(b.CreateHashedSample("lineitem", "l_orderkey", 0.02).ok());
+  ASSERT_TRUE(b.CreateHashedSample("lineitem", "l_partkey", 0.02).ok());
+  for (const auto& q : workload::TpchQueries()) {
+    if (q.id != "tq-17") continue;
+    VerdictContext::ExecInfo info;
+    auto rs = ctx.Execute(q.sql, &info);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    ASSERT_TRUE(info.approximated) << info.skip_reason;
+    EXPECT_NE(info.rewritten_sql.find(
+                  "avg(l_quantity) as __vdb_corr0 from"
+                  " lineitem_vdb_hashed_l_partkey as lineitem group by"
+                  " l_partkey) as __vdb_f0"),
+              std::string::npos)
+        << info.rewritten_sql;
+    return;
+  }
+  FAIL() << "no tq-17 template";
 }
 
 }  // namespace

@@ -105,9 +105,8 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::ParallelFor(
     size_t total, size_t morsel_rows, int max_threads,
     const std::function<void(size_t, size_t, size_t)>& body) {
-  if (total == 0) return;
   if (morsel_rows == 0) morsel_rows = 1;
-  const size_t num_morsels = (total + morsel_rows - 1) / morsel_rows;
+  const size_t num_morsels = MorselCount(total, morsel_rows);
 
   // Serial shapes (or a nested call from a worker) run inline, in index
   // order — the same morsel decomposition, just one thread.
@@ -161,9 +160,8 @@ Status ThreadPool::ParallelForStatus(
     size_t total, size_t morsel_rows, int max_threads, const ExecGuard* guard,
     const char* site,
     const std::function<Status(size_t, size_t, size_t)>& body) {
-  if (total == 0) return Status::Ok();
   if (morsel_rows == 0) morsel_rows = 1;
-  const size_t num_morsels = (total + morsel_rows - 1) / morsel_rows;
+  const size_t num_morsels = MorselCount(total, morsel_rows);
 
   // Layered over ParallelFor rather than a second job protocol: the stop
   // token turns unclaimed morsels into no-ops, each morsel's Status lands in

@@ -6,7 +6,9 @@
 // the pool: callers give every morsel its own output slot and concatenate
 // slots in morsel order afterwards, which makes query results deterministic
 // regardless of how the OS schedules the workers (and independent of the
-// pool size, so a 2-thread and an 8-thread run produce identical output).
+// pool size, so a 1-thread and an 8-thread run produce identical output).
+// One thread, or one morsel, runs the same morsels inline on the caller:
+// operators never branch on the thread count themselves.
 
 #ifndef VDB_COMMON_THREAD_POOL_H_
 #define VDB_COMMON_THREAD_POOL_H_
@@ -33,6 +35,14 @@ size_t MorselRows();
 /// row counts not divisible by the morsel size) with small tables.
 void SetMorselRowsForTest(size_t rows);
 
+/// Morsels in the decomposition of [0, total): ceil(total / morsel_rows),
+/// and one empty morsel [0, 0) for an empty input, so every morsel body sees
+/// its input at least once (an empty result keeps its schema and types, and
+/// a guarded sweep polls once). `morsel_rows` must be > 0.
+inline size_t MorselCount(size_t total, size_t morsel_rows) {
+  return total == 0 ? 1 : (total + morsel_rows - 1) / morsel_rows;
+}
+
 /// A lazily-grown fixed worker pool shared by the whole process. Workers
 /// sleep on a condition variable between jobs; a ParallelFor call publishes
 /// one job at a time and participates in it from the calling thread.
@@ -42,9 +52,10 @@ class ThreadPool {
 
   ~ThreadPool();
 
-  /// Splits [0, total) into ceil(total / morsel_rows) contiguous morsels and
-  /// runs body(morsel_index, begin, end) for each, using up to max_threads
-  /// threads including the caller. Blocks until every morsel has finished.
+  /// Splits [0, total) into MorselCount(total, morsel_rows) contiguous
+  /// morsels and runs body(morsel_index, begin, end) for each, using up to
+  /// max_threads threads including the caller. Blocks until every morsel has
+  /// finished. One thread or one morsel runs inline, in morsel order.
   ///
   /// The morsel decomposition depends only on (total, morsel_rows), never on
   /// max_threads or scheduling, so callers that write into per-morsel slots
@@ -116,8 +127,9 @@ class ThreadPool {
 template <typename Body>
 void ParallelForEach(size_t count, int max_threads, Body&& body) {
   ThreadPool::Global().ParallelFor(
-      count, 1, max_threads,
-      [&](size_t, size_t begin, size_t) { body(begin); });
+      count, 1, max_threads, [&](size_t, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) body(i);
+      });
 }
 
 /// The standard morsel fan-out shape: one default-constructed Slot per
@@ -128,7 +140,7 @@ template <typename Slot, typename Body>
 std::vector<Slot> ParallelMorselMap(size_t total, int max_threads,
                                     Body&& body) {
   const size_t morsel_rows = MorselRows();
-  std::vector<Slot> slots((total + morsel_rows - 1) / morsel_rows);
+  std::vector<Slot> slots(MorselCount(total, morsel_rows));
   ThreadPool::Global().ParallelFor(
       total, morsel_rows, max_threads,
       [&](size_t m, size_t begin, size_t end) { body(slots[m], begin, end); });
@@ -145,7 +157,7 @@ template <typename Slot, typename Body>
 Result<std::vector<Slot>> ParallelMorselMapStatus(
     size_t total, int max_threads, const ExecGuard* guard, const char* site,
     Body&& body, size_t morsel_rows = MorselRows()) {
-  std::vector<Slot> slots((total + morsel_rows - 1) / morsel_rows);
+  std::vector<Slot> slots(MorselCount(total, morsel_rows));
   Status st = ThreadPool::Global().ParallelForStatus(
       total, morsel_rows, max_threads, guard, site,
       [&](size_t m, size_t begin, size_t end) {

@@ -48,9 +48,9 @@ struct VerdictOptions {
 
   /// Threads per query for the in-process engine's morsel-driven parallel
   /// executor (scans, partial aggregation, join probe, sample
-  /// construction). 1 = classic serial execution (the bit-level reference);
-  /// <= 0 = all hardware threads. Results are deterministic for any fixed
-  /// setting, and identical across all settings > 1.
+  /// construction); <= 0 = all hardware threads. Every setting runs the same
+  /// morsels, 1 on the calling thread alone, so results are identical
+  /// across all settings.
   int num_threads = 1;
 
   /// Per-query wall-clock deadline in milliseconds; 0 disables. The whole

@@ -45,9 +45,9 @@ Status JoinBuildTable::PlanPartitions(const uint64_t* hashes,
   // Partition only when the parallel build can win: several morsels of input
   // and more than one thread. ~4 partitions per thread smooths skew without
   // shrinking partitions below cache-friendly sizes; the cap bounds the
-  // histogram/prefix bookkeeping.
+  // histogram/prefix bookkeeping. One partition runs the same passes below.
   int bits = 0;
-  if (num_threads > 1 && num_rows > MorselRows()) {
+  if (num_threads > 1 && num_rows > MorselRows()) {  // vdb-lint: allow(serial-fork) radix split sizing, not a second path: every split runs the same histogram, scatter and per-partition build
     const uint64_t want =
         NextPow2(std::min<uint64_t>(256, static_cast<uint64_t>(num_threads) * 4));
     while ((1ull << bits) < want) ++bits;
@@ -61,7 +61,7 @@ Status JoinBuildTable::PlanPartitions(const uint64_t* hashes,
   // words than partitions so each radix partition owns a disjoint word span
   // (the build fills the filter lock-free inside build_partition). The word
   // count depends only on the keyed-row COUNT, and the bit content only on
-  // the hashes, so serial and parallel builds produce identical filters.
+  // the hashes, so every radix split produces the identical filter.
   auto plan_bloom = [&](size_t keyed) -> Status {
     bloom_.clear();
     bloom_shift_ = 0;
@@ -80,33 +80,6 @@ Status JoinBuildTable::PlanPartitions(const uint64_t* hashes,
     return Status::Ok();
   };
 
-  if (bits == 0) {
-    // Serial reference: one partition listing the non-NULL rows ascending.
-    VDB_RETURN_IF_ERROR(GuardCheck(guard_, "join_build"));
-    VDB_RETURN_IF_ERROR(
-        Charge(num_rows * sizeof(uint32_t), "join_build_alloc"));
-    part_rows->clear();
-    part_rows->reserve(num_rows);  // vdb-lint: allow(naked-reserve) charged via Charge() above
-    for (size_t r = 0; r < num_rows; ++r) {
-      if (any_null[r] == 0) part_rows->push_back(static_cast<uint32_t>(r));
-    }
-    parts_[0].row_begin = 0;
-    parts_[0].row_end = static_cast<uint32_t>(part_rows->size());  // vdb-lint: allow(naked-size-narrowing) join inputs rejected above 2^32-2 rows (operators.cc)
-    VDB_RETURN_IF_ERROR(plan_bloom(part_rows->size()));
-    if (!part_rows->empty()) {
-      const size_t cap = SlotCapacity(part_rows->size());
-      VDB_RETURN_IF_ERROR(
-          Charge(cap * (sizeof(uint64_t) + sizeof(uint32_t)),
-                 "join_build_alloc"));
-      parts_[0].slot_hash.assign(cap, 0);
-      parts_[0].slot_head.assign(parts_[0].slot_hash.size(), kInvalidRow);
-    }
-    return Status::Ok();
-  }
-
-  const int shift = 64 - bits;
-  const size_t morsel = MorselRows();
-
   // Pass 1: per-morsel histogram of non-NULL rows per partition, with the
   // guard polled at every morsel claim.
   auto counts_or = ParallelMorselMapStatus<std::vector<uint32_t>>(
@@ -114,7 +87,7 @@ Status JoinBuildTable::PlanPartitions(const uint64_t* hashes,
       [&](std::vector<uint32_t>& slot, size_t begin, size_t end) {
         slot.assign(P, 0);
         for (size_t r = begin; r < end; ++r) {
-          if (any_null[r] == 0) ++slot[hashes[r] >> shift];
+          if (any_null[r] == 0) ++slot[PartitionOf(hashes[r])];
         }
         return Status::Ok();
       });
@@ -145,12 +118,13 @@ Status JoinBuildTable::PlanPartitions(const uint64_t* hashes,
   // Pass 2: scatter row indices; every (morsel, partition) cell writes its
   // own precomputed span, so workers never contend.
   VDB_RETURN_IF_ERROR(ThreadPool::Global().ParallelForStatus(
-      num_rows, morsel, num_threads, guard_, "join_build",
+      num_rows, MorselRows(), num_threads, guard_, "join_build",
       [&](size_t m, size_t begin, size_t end) {
         std::vector<uint32_t>& off = offsets[m];
         for (size_t r = begin; r < end; ++r) {
           if (any_null[r] == 0) {
-            (*part_rows)[off[hashes[r] >> shift]++] = static_cast<uint32_t>(r);
+            (*part_rows)[off[PartitionOf(hashes[r])]++] =
+                static_cast<uint32_t>(r);
           }
         }
         return Status::Ok();

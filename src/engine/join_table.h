@@ -10,16 +10,17 @@
 // head -> next -> ... exactly in the order the old per-key vectors listed
 // rows, so pair lists are bit-identical to the string-map reference.
 //
-// Parallel build (num_threads > 1, input larger than one morsel): workers
-// histogram build-row hashes per morsel into 2^k radix partitions (top k
-// hash bits), a serial prefix sum fixes each partition's row-list boundary,
-// workers scatter row indices (disjoint writes; within a partition rows stay
-// ascending because the prefix sum runs partition-major, morsel-minor), and
-// each partition's sub-table is then built independently — no locks, no
-// atomics on the hot path. Slot lookups use the LOW hash bits, so radix
-// partitioning on the high bits keeps per-partition occupancy uniform.
-// num_threads == 1 builds one unpartitioned table with the identical
-// insertion loop: the bit-level reference the parallel path must match.
+// Build: workers histogram build-row hashes per morsel into 2^k radix
+// partitions (top k hash bits), a prefix sum fixes each partition's
+// row-list boundary, workers scatter row indices (disjoint writes; within a
+// partition rows stay ascending because the prefix sum runs
+// partition-major, morsel-minor), and each partition's sub-table is then
+// built independently — no locks, no atomics on the hot path. Slot lookups
+// use the LOW hash bits, so radix partitioning on the high bits keeps
+// per-partition occupancy uniform. k is a sizing decision (k = 0, one
+// partition, below two threads or one morsel of input); every k runs the
+// same passes, and each key's chain lists its rows ascending, so pair lists
+// are identical at every k.
 
 #ifndef VDB_ENGINE_JOIN_TABLE_H_
 #define VDB_ENGINE_JOIN_TABLE_H_
@@ -81,7 +82,7 @@ class JoinBuildTable {
       // as many words as there are radix partitions, a word's top bits
       // contain the partition id — partitions own disjoint word spans. The
       // filter content depends only on the key hashes (not the partition
-      // split), so serial and parallel builds produce identical filters.
+      // split), so every split produces the identical filter.
       if (!bloom_.empty()) {
         for (uint32_t idx = part.row_begin; idx < part.row_end; ++idx) {
           const uint64_t h = hashes[part_rows[idx]];
@@ -119,26 +120,18 @@ class JoinBuildTable {
       }
       return Status::Ok();
     };
-    if (parts_.size() > 1) {
-      // One morsel per partition: the guard is polled at every partition
-      // claim, and the first failing partition's status is reported.
-      return ThreadPool::Global().ParallelForStatus(
-          parts_.size(), 1, num_threads, guard_, "join_build",
-          [&](size_t, size_t p, size_t) { return build_partition(p); });
-    }
-    for (size_t p = 0; p < parts_.size(); ++p) {
-      VDB_RETURN_IF_ERROR(GuardCheck(guard_, "join_build"));
-      VDB_RETURN_IF_ERROR(build_partition(p));
-    }
-    return Status::Ok();
+    // One morsel per partition: the guard is polled at every partition
+    // claim, and the first failing partition's status is reported.
+    return ThreadPool::Global().ParallelForStatus(
+        parts_.size(), 1, num_threads, guard_, "join_build",
+        [&](size_t, size_t p, size_t) { return build_partition(p); });
   }
 
   /// First build row whose key hash is `hash` and whose key `eq(build_row)`
   /// confirms equal; kInvalidRow on miss. Further duplicates via NextDup.
   template <typename Eq>
   uint32_t Find(uint64_t hash, Eq&& eq) const {
-    const Partition& part =
-        parts_[radix_bits_ == 0 ? 0 : hash >> (64 - radix_bits_)];
+    const Partition& part = parts_[PartitionOf(hash)];
     if (part.slot_hash.empty()) return kInvalidRow;
     const uint64_t mask = part.slot_hash.size() - 1;
     uint64_t i = hash & mask;
@@ -153,7 +146,7 @@ class JoinBuildTable {
   /// Next build row with the same key as `row` (ascending), or kInvalidRow.
   uint32_t NextDup(uint32_t row) const { return next_[row]; }
 
-  /// 1 for the serial reference build, 2^k for a radix build.
+  /// 2^k radix partitions (1 when the build is not split).
   size_t num_partitions() const { return parts_.size(); }
 
   /// Blocked Bloom pre-probe filter over the keyed build rows. Probes with
@@ -186,6 +179,12 @@ class JoinBuildTable {
                         size_t num_rows, int num_threads,
                         std::vector<uint32_t>* part_rows);
 
+  /// Radix partition of a key hash: its top radix_bits_ bits, 0 when
+  /// unpartitioned. Two shifts, because hash >> 64 is undefined.
+  size_t PartitionOf(uint64_t hash) const {
+    return static_cast<size_t>((hash >> 1) >> (63 - radix_bits_));
+  }
+
   /// Budget-charges `bytes` against the current guard and remembers the
   /// total so the destructor (or the next Build) releases it.
   Status Charge(uint64_t bytes, const char* site) {
@@ -194,7 +193,7 @@ class JoinBuildTable {
     return Status::Ok();
   }
 
-  int radix_bits_ = 0;  // partition index = hash >> (64 - radix_bits_)
+  int radix_bits_ = 0;  // partition index = PartitionOf(hash)
   std::vector<Partition> parts_;
   std::vector<uint32_t> next_;
   std::vector<uint64_t> bloom_;  // empty when the pre-probe is disabled

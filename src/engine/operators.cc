@@ -33,21 +33,16 @@ Status CheckJoinInputSizes(const Table& left, const Table& right) {
 
 /// Hashes one side's join keys, morsel-parallel: workers fill disjoint
 /// ranges of the preallocated hash/null arrays, so the result is identical
-/// to the serial column-at-a-time pass.
+/// at every thread count.
 void HashJoinKeysParallel(const std::vector<const Column*>& keys, size_t n,
                           int num_threads, std::vector<uint64_t>* hashes,
                           std::vector<uint8_t>* any_null) {
   hashes->resize(n);  // vdb-lint: allow(naked-reserve) charged by HashJoinPairs (hash_charge)
   any_null->assign(n, 0);
-  if (num_threads > 1 && n > MorselRows()) {
-    ThreadPool::Global().ParallelFor(
-        n, MorselRows(), num_threads, [&](size_t, size_t begin, size_t end) {
-          HashJoinKeyColumns(keys, begin, end, hashes->data(),
-                             any_null->data());
-        });
-  } else {
-    HashJoinKeyColumns(keys, 0, n, hashes->data(), any_null->data());
-  }
+  ThreadPool::Global().ParallelFor(
+      n, MorselRows(), num_threads, [&](size_t, size_t begin, size_t end) {
+        HashJoinKeyColumns(keys, begin, end, hashes->data(), any_null->data());
+      });
 }
 
 }  // namespace
@@ -74,7 +69,7 @@ Result<JoinPairView> HashJoinPairs(TablePtr left, TablePtr right,
   VDB_RETURN_IF_ERROR(hash_charge.status());
 
   // Build on the right input: vectorized key hashing into the flat
-  // open-addressing table (radix-partitioned parallel for num_threads > 1).
+  // open-addressing table (radix-partitioned, see JoinBuildTable).
   std::vector<uint64_t> rhash;
   std::vector<uint8_t> rnull;
   HashJoinKeysParallel(right_keys, rn, num_threads, &rhash, &rnull);
@@ -138,54 +133,47 @@ Result<JoinPairView> HashJoinPairs(TablePtr left, TablePtr right,
     // Probe and emit in left-row-major order. The build table is read-only
     // from here on, so the probe splits into left-row morsels: each morsel
     // emits into its own pair lists, and concatenating the lists in morsel
-    // order reproduces the serial left-row-major output exactly.
-    auto probe_range = [&](size_t range_begin, size_t range_end,
-                           SelVector* ol, SelVector* orr) {
-      for (size_t lr = range_begin; lr < range_end; ++lr) {
-        uint32_t rr = find_head(lr);
-        if (rr == kInvalidRow) {
-          if (left_join) {
-            ol->push_back(static_cast<uint32_t>(lr));
-            orr->push_back(kNullRow);
-          }
-          continue;
-        }
-        for (; rr != kInvalidRow; rr = build.NextDup(rr)) {
-          ol->push_back(static_cast<uint32_t>(lr));
-          orr->push_back(rr);
-        }
-      }
+    // order gives the left-row-major output at every thread count.
+    struct ProbeSlot {
+      SelVector l, r;
     };
-    if (num_threads > 1 && ln > MorselRows()) {
-      struct ProbeSlot {
-        SelVector l, r;
-      };
-      auto slots = ParallelMorselMapStatus<ProbeSlot>(
-          ln, num_threads, guard, "join_probe",
-          [&](ProbeSlot& slot, size_t range_begin, size_t range_end) {
-            probe_range(range_begin, range_end, &slot.l, &slot.r);
-            return Status::Ok();
-          });
-      if (!slots.ok()) return slots.status();
-      size_t total = 0;
-      for (const ProbeSlot& slot : slots.value()) total += slot.l.size();
-      VDB_RETURN_IF_ERROR(GuardTryReserve(
-          guard, static_cast<uint64_t>(total) * 2 * sizeof(uint32_t),
-          "join_probe_alloc"));
+    auto slots_or = ParallelMorselMapStatus<ProbeSlot>(
+        ln, num_threads, guard, "join_probe",
+        [&](ProbeSlot& slot, size_t range_begin, size_t range_end) {
+          for (size_t lr = range_begin; lr < range_end; ++lr) {
+            uint32_t rr = find_head(lr);
+            if (rr == kInvalidRow) {
+              if (left_join) {
+                slot.l.push_back(static_cast<uint32_t>(lr));
+                slot.r.push_back(kNullRow);
+              }
+              continue;
+            }
+            for (; rr != kInvalidRow; rr = build.NextDup(rr)) {
+              slot.l.push_back(static_cast<uint32_t>(lr));
+              slot.r.push_back(rr);
+            }
+          }
+          return Status::Ok();
+        });
+    if (!slots_or.ok()) return slots_or.status();
+    std::vector<ProbeSlot> slots = std::move(slots_or).ValueOrDie();
+    size_t total = 0;
+    for (const ProbeSlot& slot : slots) total += slot.l.size();
+    // The pair lists live to the end of the statement (they become the
+    // JoinPairView); the charge stays until ResetForStatement.
+    VDB_RETURN_IF_ERROR(GuardTryReserve(
+        guard, static_cast<uint64_t>(total) * 2 * sizeof(uint32_t),
+        "join_probe_alloc"));
+    if (slots.size() == 1) {
+      out_l = std::move(slots[0].l);
+      out_r = std::move(slots[0].r);
+    } else {
       out_l.reserve(total);  // vdb-lint: allow(naked-reserve) charged via GuardTryReserve above
       out_r.reserve(total);  // vdb-lint: allow(naked-reserve) charged via GuardTryReserve above
-      for (const ProbeSlot& slot : slots.value()) {
+      for (const ProbeSlot& slot : slots) {
         out_l.insert(out_l.end(), slot.l.begin(), slot.l.end());
         out_r.insert(out_r.end(), slot.r.begin(), slot.r.end());
-      }
-      // The pair lists live to the end of the statement (they become the
-      // JoinPairView); the charge stays until ResetForStatement.
-    } else {
-      // Serial probe, chunked so the guard still sees batch-boundary polls.
-      const size_t step = MorselRows();
-      for (size_t begin = 0; begin < ln; begin += step) {
-        VDB_RETURN_IF_ERROR(GuardCheck(guard, "join_probe"));
-        probe_range(begin, std::min(ln, begin + step), &out_l, &out_r);
       }
     }
   } else {

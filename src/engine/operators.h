@@ -26,12 +26,12 @@ namespace vdb::engine {
 /// No per-row string keys anywhere: build and probe keys are hashed
 /// column-at-a-time (engine/group_ids.h, ValueGroupKey-equivalent: NaN joins
 /// NaN, -0.0 joins 0.0, 5 joins 5.0 across Int64/Double columns) into a flat
-/// open-addressing JoinBuildTable. With num_threads > 1 the build side is
-/// radix-partitioned and built in parallel, and the probe runs
-/// morsel-parallel over left-row ranges; pairs and their order are identical
-/// to the serial (num_threads == 1) reference, bit for bit. The caller
-/// filters the returned view further (pushed-down WHERE) and/or performs the
-/// one combined materialization with JoinPairView::GatherGuarded.
+/// open-addressing JoinBuildTable. The build side is radix-partitioned and
+/// built in parallel, and the probe runs morsel-parallel over left-row
+/// ranges; pairs and their order are identical at every thread count, bit
+/// for bit. The caller filters the returned view further (pushed-down WHERE)
+/// and/or performs the one combined materialization with
+/// JoinPairView::GatherGuarded.
 /// `guard` (optional, nullptr = ungoverned) is polled at build and probe
 /// morsel boundaries and charged for row-proportional buffers (build table,
 /// probe pair lists) — a tripped guard unwinds with its Status.

@@ -815,10 +815,11 @@ class SelectExecutor {
 
     auto body = [&](MorselFlat& res, size_t begin, size_t end) -> Status {
       // Resolve this morsel's dense row span and (with a filter) its
-      // span-relative selected rows.
+      // span-relative selected rows. The one empty morsel of an empty input
+      // keeps the empty span.
       size_t row_lo = begin, row_hi = end;
       SelVector sel_local;
-      if (filter != nullptr) {
+      if (filter != nullptr && begin < end) {
         row_lo = BitmapSelect(*filter, wprefix, begin);
         row_hi = BitmapSelect(*filter, wprefix, end - 1) + 1;
         sel_local.reserve(end - begin);

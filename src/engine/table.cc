@@ -25,6 +25,12 @@ uint64_t ApproxCellBytes(TypeId t) {
   }
   return 0;
 }
+
+/// Threads for a column-parallel gather of `rows` rows. Below 4096 rows the
+/// fan-out costs more than it saves, so one thread runs every column.
+int GatherThreads(size_t rows, int num_threads) {
+  return rows >= 4096 ? num_threads : 1;
+}
 }  // namespace
 
 void Table::AddColumn(const std::string& name, TypeId type) {
@@ -63,19 +69,12 @@ void Table::AppendRowFrom(const Table& src, size_t src_row) {
 
 void Table::AppendSelected(const Table& src, const SelVector& sel,
                            int num_threads) {
-  // Column-parallel gather: each column writes only its own storage. Cheap
-  // shapes (few rows or a single column) stay serial.
-  if (num_threads > 1 && columns_.size() > 1 && sel.size() >= 4096) {
-    ThreadPool::Global().ParallelFor(
-        columns_.size(), 1, num_threads, [&](size_t, size_t begin, size_t) {
-          columns_[begin].AppendSelected(src.columns_[begin], sel.data(),
-                                         sel.size());
-        });
-  } else {
-    for (size_t i = 0; i < columns_.size(); ++i) {
-      columns_[i].AppendSelected(src.columns_[i], sel.data(), sel.size());
-    }
-  }
+  // Column-parallel gather: each column writes only its own storage.
+  ParallelForEach(columns_.size(), GatherThreads(sel.size(), num_threads),
+                  [&](size_t i) {
+                    columns_[i].AppendSelected(src.columns_[i], sel.data(),
+                                               sel.size());
+                  });
   num_rows_ += sel.size();
 }
 
@@ -209,14 +208,8 @@ Column RowView::GatherColumn(const Column& src, int num_threads) const {
     out.AppendRange(src, begin_, n);
     return out;
   }
-  const size_t morsel = MorselRows();
-  if (num_threads <= 1 || n <= morsel) {
-    Column out(src.type());
-    out.AppendSelected(src, sel_.data(), n);
-    return out;
-  }
   // Morsel-parallel chunked gather concatenated in morsel order; same-type
-  // chunks bulk-append, so the result matches the serial gather exactly.
+  // chunks bulk-append, so the result matches a one-chunk gather exactly.
   auto chunks = ParallelMorselMap<Column>(
       n, num_threads, [&](Column& chunk, size_t begin, size_t end) {
         chunk = Column(src.type());
@@ -256,19 +249,6 @@ void AppendPairColumn(const Table& left, const uint32_t* lrows,
   }
 }
 
-/// Runs build(k) for every k in [0, ncols): column-parallel when there is
-/// more than one column and `count` rows amortize the fan-out. Every call
-/// writes only its own column.
-template <typename Build>
-void ForEachPairColumn(size_t ncols, size_t count, int num_threads,
-                       Build&& build) {
-  if (num_threads > 1 && ncols > 1 && count >= 4096) {
-    ParallelForEach(ncols, num_threads, build);
-  } else {
-    for (size_t k = 0; k < ncols; ++k) build(k);
-  }
-}
-
 }  // namespace
 
 std::vector<size_t> JoinPairView::AllColumns() const {
@@ -295,10 +275,12 @@ Result<TablePtr> JoinPairView::GatherGuarded(
       guard, per_pair * static_cast<uint64_t>(lrows_.size()), "gather_alloc"));
   auto out = std::make_shared<Table>();
   for (size_t c : keep) out->AddColumn(name(c), source(c).type());
-  ForEachPairColumn(keep.size(), lrows_.size(), num_threads, [&](size_t k) {
-    AppendPairColumn(*left_, lrows_.data(), *right_, rrows_.data(),
-                     lrows_.size(), keep[k], &out->column(k));
-  });
+  ParallelForEach(keep.size(), GatherThreads(lrows_.size(), num_threads),
+                  [&](size_t k) {
+                    AppendPairColumn(*left_, lrows_.data(), *right_,
+                                     rrows_.data(), lrows_.size(), keep[k],
+                                     &out->column(k));
+                  });
   out->SetRowCount(lrows_.size());
   return out;
 }
@@ -318,10 +300,14 @@ void GatherJoinPairsInto(const Table& left, const uint32_t* lrows,
     }
   }
   out->ClearRows();
-  ForEachPairColumn(lcols + rcols, count, num_threads, [&](size_t c) {
-    if (column_mask != nullptr && (*column_mask)[c] == 0) return;
-    AppendPairColumn(left, lrows, right, rrows, count, c, &out->column(c));
-  });
+  ParallelForEach(lcols + rcols, GatherThreads(count, num_threads),
+                  [&](size_t c) {
+                    if (column_mask != nullptr && (*column_mask)[c] == 0) {
+                      return;
+                    }
+                    AppendPairColumn(left, lrows, right, rrows, count, c,
+                                     &out->column(c));
+                  });
   out->SetRowCount(count);
 }
 

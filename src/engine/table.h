@@ -48,8 +48,8 @@ class Table {
 
   /// Bulk-copies the rows selected by `sel` from `src` (same schema arity),
   /// in selection order. The vectorized executor's materialization path.
-  /// With num_threads > 1 the columns are gathered in parallel (each column
-  /// is independent, so the result is identical to the serial gather).
+  /// The columns are gathered on up to num_threads threads (each column is
+  /// independent, so the result is identical at every thread count).
   void AppendSelected(const Table& src, const SelVector& sel,
                       int num_threads = 1);
 
@@ -135,7 +135,7 @@ class RowView {
 
   /// Materializes the viewed rows. Identity views return the underlying
   /// table unchanged (zero-copy — callers who mutate must copy); range and
-  /// selection views bulk-gather (column-parallel for num_threads > 1).
+  /// selection views bulk-gather (column-parallel).
   TablePtr Gather(int num_threads = 1) const;
 
   /// Guard-aware Gather: polls `guard` (site "gather") and pre-charges the

@@ -613,7 +613,9 @@ Result<Vec> ColumnRefVec(const Expr& e, const Batch& b) {
     v.borrowed = &src;
     v.offset = b.range_begin;
   } else {
-    // Selection (possibly a morsel slice of it): gather the referenced rows.
+    // Selection (possibly a morsel slice of it): gather the referenced rows
+    // into a column of the source's type, which an empty selection keeps.
+    v.owned = Column(src.type());
     v.owned.AppendSelected(src, b.sel->data() + b.range_begin, b.size());
   }
   return v;
@@ -1415,111 +1417,49 @@ Status EvalPredicateBatch(const Expr& e, const Batch& batch, SelVector* out) {
   return Status::Ok();
 }
 
-Status EvalPredicateParallel(const Expr& e, const Table& table,
-                             uint64_t rand_seed, int num_threads,
-                             SelVector* out, const ExecGuard* guard) {
-  const size_t n = table.num_rows();
-  if (n > RowView::kMaxRows) {
-    // Explicit guard: selection entries are uint32_t, and 0xFFFFFFFF is the
-    // join null-extension sentinel; silently truncated indices would alias
-    // low rows.
-    return Status::Unsupported(
-        "selection vectors address at most 2^32 - 2 rows; input has " +
-        std::to_string(n));
-  }
-  const size_t morsel = MorselRows();
-  if (num_threads <= 1 || n <= morsel) {
-    VDB_RETURN_IF_ERROR(GuardCheck(guard, "pred_scan"));
-    Batch batch{&table, nullptr, rand_seed};
-    return EvalPredicateBatch(e, batch, out);
-  }
-  auto slots = ParallelMorselMapStatus<SelVector>(
-      n, num_threads, guard, "pred_scan",
-      [&](SelVector& sel, size_t begin, size_t end) {
-        // rand-family draws are row-addressed, so every morsel addresses the
-        // same (seed, row, site) triples the serial batch would.
-        Batch batch{&table, nullptr, rand_seed, begin, end};
-        return EvalPredicateBatch(e, batch, &sel);
-      });
-  if (!slots.ok()) return slots.status();
-  size_t total = 0;
-  for (const SelVector& sel : slots.value()) total += sel.size();
-  out->reserve(out->size() + total);
-  for (const SelVector& sel : slots.value()) {
-    out->insert(out->end(), sel.begin(), sel.end());
-  }
-  return Status::Ok();
-}
-
-Result<TablePtr> FilterGatherParallel(const Expr& pred, const Table& table,
+Result<TablePtr> FilterGatherParallel(const Expr& pred, const TablePtr& table,
                                       uint64_t rand_seed, int num_threads,
                                       const ExecGuard* guard) {
-  const size_t n = table.num_rows();
-  if (n > RowView::kMaxRows) {
-    return Status::Unsupported(
-        "selection vectors address at most 2^32 - 2 rows; input has " +
-        std::to_string(n));
-  }
-  auto out = table.CloneSchema();
+  auto view = RowView::All(table);
+  if (!view.ok()) return view.status();
+  SelVector sel;
+  VDB_RETURN_IF_ERROR(EvalPredicateView(pred, view.value(), rand_seed,
+                                        num_threads, &sel, guard));
   // The gathered output is row-proportional (survivor count x the parent's
   // per-row footprint); charge it against the budget once the survivor count
   // is known, before materializing. The charge persists with the output
   // table (freed by the statement issuer's accounting reset).
+  const size_t n = table->num_rows();
   const uint64_t per_row =
-      n > 0 ? static_cast<uint64_t>(table.ApproxBytes()) / n : 0;
-  if (num_threads <= 1 || n <= MorselRows()) {
-    VDB_RETURN_IF_ERROR(GuardCheck(guard, "filter_gather"));
-    Batch batch{&table, nullptr, rand_seed};
-    SelVector sel;
-    VDB_RETURN_IF_ERROR(EvalPredicateBatch(pred, batch, &sel));
-    VDB_RETURN_IF_ERROR(GuardTryReserve(guard, per_row * sel.size(),
-                                        "filter_gather_alloc"));
-    out->AppendSelected(table, sel, num_threads);
-    return out;
-  }
-  auto slots = ParallelMorselMapStatus<TablePtr>(
-      n, num_threads, guard, "filter_gather",
-      [&](TablePtr& chunk, size_t begin, size_t end) {
-        // Filter the morsel, then gather its survivors immediately — the
-        // selection stays worker-local and the morsel's columns are still
-        // hot. rand-family draws are row-addressed, so each morsel sees the
-        // identical (seed, row, site) triples the serial batch would.
-        Batch batch{&table, nullptr, rand_seed, begin, end};
-        SelVector sel;
-        VDB_RETURN_IF_ERROR(EvalPredicateBatch(pred, batch, &sel));
-        VDB_RETURN_IF_ERROR(GuardTryReserve(guard, per_row * sel.size(),
-                                            "filter_gather_alloc"));
-        chunk = table.CloneSchema();
-        chunk->AppendSelected(table, sel, /*num_threads=*/1);
-        return Status::Ok();
-      });
-  if (!slots.ok()) return slots.status();
-  for (const TablePtr& chunk : slots.value()) {
-    out->AppendRange(*chunk, 0, chunk->num_rows());
-  }
+      n > 0 ? static_cast<uint64_t>(table->ApproxBytes()) / n : 0;
+  VDB_RETURN_IF_ERROR(
+      GuardTryReserve(guard, per_row * sel.size(), "filter_gather_alloc"));
+  auto out = table->CloneSchema();
+  out->AppendSelected(*table, sel, num_threads);
   return out;
 }
 
 Status EvalPredicateView(const Expr& e, const RowView& view,
                          uint64_t rand_seed, int num_threads, SelVector* out,
                          const ExecGuard* guard) {
-  const size_t n = view.num_rows();
-  if (num_threads <= 1 || n <= MorselRows()) {
-    VDB_RETURN_IF_ERROR(GuardCheck(guard, "pred_view"));
-    Batch batch = ViewBatch(view, rand_seed);
-    return EvalPredicateBatch(e, batch, out);
-  }
   auto slots = ParallelMorselMapStatus<SelVector>(
-      n, num_threads, guard, "pred_view",
+      view.num_rows(), num_threads, guard, "pred_view",
       [&](SelVector& sel, size_t begin, size_t end) {
+        // rand-family draws are row-addressed, so every morsel addresses the
+        // same (seed, row, site) triples a whole-view batch would.
         Batch batch = ViewBatch(view, rand_seed, begin, end);
         return EvalPredicateBatch(e, batch, &sel);
       });
   if (!slots.ok()) return slots.status();
+  std::vector<SelVector> sels = std::move(slots).ValueOrDie();
+  if (sels.size() == 1 && out->empty()) {
+    *out = std::move(sels[0]);  // one morsel: move the lone slot
+    return Status::Ok();
+  }
   size_t total = 0;
-  for (const SelVector& sel : slots.value()) total += sel.size();
+  for (const SelVector& sel : sels) total += sel.size();
   out->reserve(out->size() + total);
-  for (const SelVector& sel : slots.value()) {
+  for (const SelVector& sel : sels) {
     out->insert(out->end(), sel.begin(), sel.end());
   }
   return Status::Ok();
@@ -1536,17 +1476,6 @@ Status EvalPredicateBitmap(const Expr& e, const RowView& view,
   // depends only on n, and the truth CONTENT is per-row pure, so any morsel
   // size produces the identical bitmap.
   const size_t wmorsel = (MorselRows() + 63) / 64 * 64;
-  if (num_threads <= 1 || n <= wmorsel) {
-    VDB_RETURN_IF_ERROR(GuardCheck(guard, "pred_bitmap"));
-    Batch batch = ViewBatch(view, rand_seed);
-    auto t = EvalTri(e, batch);
-    if (!t.ok()) return t.status();
-    const kernels::Bitmap& truth = t.value().truth;
-    for (size_t w = 0; w < truth.num_words(); ++w) {
-      out->words()[w] = truth.word(w);
-    }
-    return Status::Ok();
-  }
   return ThreadPool::Global().ParallelForStatus(
       n, wmorsel, num_threads, guard, "pred_bitmap",
       [&](size_t, size_t begin, size_t end) {
@@ -1563,17 +1492,10 @@ Status EvalPredicateBitmap(const Expr& e, const RowView& view,
 Result<Column> EvalExprView(const Expr& e, const RowView& view,
                             uint64_t rand_seed, int num_threads,
                             const ExecGuard* guard) {
-  const size_t n = view.num_rows();
-  if (num_threads <= 1 || n <= MorselRows()) {
-    // One whole-view batch. This also serves the empty view: the evaluator
-    // still walks the tree, so the output column keeps its natural type and
-    // empty results stay schema-complete.
-    VDB_RETURN_IF_ERROR(GuardCheck(guard, "expr_view"));
-    Batch batch = ViewBatch(view, rand_seed);
-    return EvalExprBatch(e, batch);
-  }
+  // An empty view is one empty morsel: the evaluator still walks the tree,
+  // so the output column keeps its natural type.
   auto slots = ParallelMorselMapStatus<Column>(
-      n, num_threads, guard, "expr_view",
+      view.num_rows(), num_threads, guard, "expr_view",
       [&](Column& col, size_t begin, size_t end) {
         Batch batch = ViewBatch(view, rand_seed, begin, end);
         auto c = EvalExprBatch(e, batch);
@@ -1582,8 +1504,7 @@ Result<Column> EvalExprView(const Expr& e, const RowView& view,
         return Status::Ok();
       });
   if (!slots.ok()) return slots.status();
-  std::vector<Column> chunks = std::move(slots).ValueOrDie();
-  return Column::ConcatChunks(std::move(chunks));
+  return Column::ConcatChunks(std::move(slots).ValueOrDie());
 }
 
 // ---- pair-list predicate evaluation -----------------------------------------

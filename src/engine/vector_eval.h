@@ -97,41 +97,30 @@ Result<Column> EvalExprBatch(const sql::Expr& e, const Batch& batch);
 Status EvalPredicateBatch(const sql::Expr& e, const Batch& batch,
                           SelVector* out);
 
-/// Evaluates a predicate over the whole table on up to num_threads threads:
-/// one EvalPredicateBatch per row-range morsel, with the per-morsel selection
-/// vectors concatenated in morsel order, so the result is identical to a
-/// single-threaded evaluation. rand-family draws are row-addressed (pure
-/// functions of row identity), so rand()-bearing predicates run on the same
-/// morsel-parallel path as everything else; only sub-morsel inputs take the
-/// single serial batch.
-/// `guard` (optional everywhere in this header, nullptr = ungoverned) is
-/// polled at every morsel claim; a trip unwinds with the guard's Status and
-/// discards partial output.
-Status EvalPredicateParallel(const sql::Expr& e, const Table& table,
-                             uint64_t rand_seed, int num_threads,
-                             SelVector* out,
-                             const ExecGuard* guard = nullptr);
+/// The view evaluators below are morsel-parallel over view positions: one
+/// batch per morsel (ThreadPool's decomposition, which depends only on the
+/// row count), per-morsel results merged in morsel order, so the result is
+/// identical at every thread count and to one whole-view batch. rand-family
+/// draws are row-addressed, so rand()-bearing expressions take the same
+/// path. An empty input is one empty morsel, so empty results keep their
+/// schema and types. `guard` (optional everywhere in this header, nullptr =
+/// ungoverned) is polled at every morsel claim; a trip unwinds with the
+/// guard's Status and discards partial output.
 
-/// Fused membership scan + gather: evaluates `pred` over the whole table and
-/// materializes the surviving rows in one morsel-parallel pass. Each worker
-/// evaluates its morsel's batch and immediately gathers that morsel's
-/// survivors into a per-morsel chunk table — survivor indices never leave
-/// the worker, and the filtered morsel's columns are still cache-resident
-/// when the gather touches them; chunks concatenate in morsel order. The
-/// result is bit-identical to EvalPredicateParallel followed by
-/// RowView::Select(...).Gather(...), without the full-table selection vector
-/// or the second pass over the input. The sample builder's membership scans
-/// (Bernoulli rand() < tau, verdict_hash(C) < tau) are the primary caller.
+/// Membership scan + gather: evaluates `pred` over the whole table
+/// (EvalPredicateView over RowView::All), charges the survivors' footprint
+/// to the budget, and gathers them column-parallel in one AppendSelected.
+/// The sample builder's membership scans (Bernoulli rand() < tau,
+/// verdict_hash(C) < tau) are the primary caller.
 Result<TablePtr> FilterGatherParallel(const sql::Expr& pred,
-                                      const Table& table, uint64_t rand_seed,
-                                      int num_threads,
+                                      const TablePtr& table,
+                                      uint64_t rand_seed, int num_threads,
                                       const ExecGuard* guard = nullptr);
 
 /// Evaluates a predicate over a RowView (selection composed with morsel
 /// row-ranges) and appends the surviving PHYSICAL row indices to `*out` in
 /// view order — the survivors directly form the composed downstream view, so
-/// filters never gather. Morsel-parallel like EvalPredicateParallel, with the
-/// same sub-morsel serial fallback.
+/// filters never gather.
 Status EvalPredicateView(const sql::Expr& e, const RowView& view,
                          uint64_t rand_seed, int num_threads, SelVector* out,
                          const ExecGuard* guard = nullptr);
@@ -140,21 +129,17 @@ Status EvalPredicateView(const sql::Expr& e, const RowView& view,
 /// predicate non-null and true at view position i) instead of a selection
 /// vector — the mask currency of the flat aggregation sink's selective
 /// GROUP BY path, which walks set bits without ever expanding them to row
-/// indices. Morsel-parallel with morsels rounded up to whole 64-bit words,
-/// so each worker owns a disjoint word range of the output bitmap; the
-/// predicate is per-row pure (rand draws are row-addressed), so the bitmap
-/// CONTENT is identical at every thread count and morsel size.
+/// indices. Morsels are rounded up to whole 64-bit words, so each worker
+/// owns a disjoint word range of the output bitmap; the predicate is per-row
+/// pure, so the bitmap CONTENT is identical at every morsel size.
 Status EvalPredicateBitmap(const sql::Expr& e, const RowView& view,
                            uint64_t rand_seed, int num_threads,
                            kernels::Bitmap* out,
                            const ExecGuard* guard = nullptr);
 
-/// Evaluates an expression over every view row, morsel-parallel: one
-/// EvalExprBatch per morsel of view positions, per-morsel column chunks
+/// Evaluates an expression over every view row: per-morsel column chunks
 /// concatenated type-stably in morsel order (Column::ConcatChunks), so the
-/// result is bit-identical to one whole-view evaluation. Sub-morsel inputs
-/// evaluate as a single serial batch; rand()-bearing expressions are NOT
-/// special-cased (row-addressed draws).
+/// result is bit-identical to one whole-view evaluation.
 Result<Column> EvalExprView(const sql::Expr& e, const RowView& view,
                             uint64_t rand_seed, int num_threads,
                             const ExecGuard* guard = nullptr);

@@ -27,12 +27,10 @@ std::string JoinList(const std::vector<std::string>& items,
 }
 
 /// Appends the constant verdict_prob column to a materialized sample. The
-/// membership scan itself is engine::FilterGatherParallel — one fused
-/// morsel-parallel filter+gather pass over the base table (each worker
-/// gathers its own morsel's survivors while they are cache-hot; no
-/// full-table selection vector, no second scan of the base columns). The
-/// probability attaches afterwards because hashed samples derive it from the
-/// realized survivor count.
+/// membership scan itself is engine::FilterGatherParallel — a
+/// morsel-parallel filter over the base table, then one column-parallel
+/// gather of the survivors. The probability attaches afterwards because
+/// hashed samples derive it from the realized survivor count.
 void AttachProbColumn(engine::Table* sample, double prob) {
   engine::Column prob_col = engine::Column::FromData(
       TypeId::kDouble, {}, std::vector<double>(sample->num_rows(), prob), {},
@@ -98,7 +96,7 @@ Result<SampleInfo> SampleBuilder::CreateUniformSample(const std::string& base,
                                 sql::MakeDoubleLit(tau));
     pred->args[0]->rand_site = 1;
     VDB_RETURN_IF_ERROR(engine::ResolveFunctions(pred.get()));
-    auto sample = engine::FilterGatherParallel(*pred, *t, db->NewQuerySeed(),
+    auto sample = engine::FilterGatherParallel(*pred, t, db->NewQuerySeed(),
                                                db->num_threads(),
                                                conn_->exec_guard());
     if (!sample.ok()) return sample.status();
@@ -168,7 +166,7 @@ Result<SampleInfo> SampleBuilder::CreateHashedSample(const std::string& base,
     // The hash predicate is fully deterministic (no rand-family node), so
     // no query seed is drawn — drawing one would needlessly shift the
     // seeded per-statement seed sequence of everything that follows.
-    auto sample = engine::FilterGatherParallel(*pred, *t, /*rand_seed=*/0,
+    auto sample = engine::FilterGatherParallel(*pred, t, /*rand_seed=*/0,
                                                db->num_threads(),
                                                conn_->exec_guard());
     if (!sample.ok()) return sample.status();

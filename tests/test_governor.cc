@@ -453,6 +453,49 @@ TEST_F(GovernorTest, JoinGatherChargesOnlyReferencedColumns) {
       << got.status().ToString();
 }
 
+TEST_F(GovernorTest, ProbePairListsChargedAtEveryThreadCount) {
+  // A 400-row probe side is one morsel (kTestMorselRows = 500). Four keys
+  // of 100 rows on each side make 40,000 pairs, so the pair lists (8 bytes
+  // per pair) dwarf the build's charges. The probe charges them at every
+  // thread count: one morsel path, no serial branch that skips the charge.
+  constexpr size_t kRows = 400;
+  auto keyed = [&]() {
+    auto t = std::make_shared<Table>();
+    t->AddColumn("k", TypeId::kInt64);
+    for (size_t r = 0; r < kRows; ++r) {
+      t->AppendRow({Value::Int(static_cast<int64_t>(r % 4))});
+    }
+    return t;
+  };
+  const std::string sql = "select count(*) as c from l join r on l.k = r.k";
+  constexpr uint64_t kPairBytes = kRows * kRows / 4 * 2 * sizeof(uint32_t);
+  for (int threads : {1, 2, 8}) {
+    auto db = std::make_unique<Database>(kSeed);
+    db->set_num_threads(threads);
+    ASSERT_TRUE(db->RegisterTable("l", keyed()).ok());
+    ASSERT_TRUE(db->RegisterTable("r", keyed()).ok());
+
+    SetFaultObservationForTest(true);
+    auto seen = db->Execute(sql);
+    SetFaultObservationForTest(false);
+    ASSERT_TRUE(seen.ok()) << seen.status().ToString();
+    EXPECT_EQ(seen.value().Get(0, 0).AsInt(),
+              static_cast<int64_t>(kRows * kRows / 4));
+    EXPECT_EQ(FaultPointHits("join_probe_alloc"), 1u) << "@" << threads;
+    DisarmAllFaultPoints();
+
+    ExecGuard guard;
+    guard.set_memory_budget_bytes(kPairBytes / 2);
+    auto got = db->Execute(sql, &guard);
+    ASSERT_FALSE(got.ok()) << "@" << threads;
+    EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted)
+        << "@" << threads;
+    EXPECT_NE(got.status().message().find("join_probe_alloc"),
+              std::string::npos)
+        << "@" << threads << " -> " << got.status().ToString();
+  }
+}
+
 TEST_F(GovernorTest, EnvSpecArmsAndRejectsMalformedInput) {
   EXPECT_TRUE(ArmFromEnvSpec("agg_partial=3,join_build=1"));
   auto db = MakeDb(2001, 2);

@@ -151,14 +151,14 @@ TEST(VdbLintScopeTree, SyncSafeClassRequiresEveryMemberSynchronized) {
 
 // ---- unit layer: LintSource over in-memory sources -------------------------
 
-TEST(VdbLintUnit, RuleRegistryListsAllElevenContracts) {
+TEST(VdbLintUnit, RuleRegistryListsAllTwelveContracts) {
   const std::vector<std::string>& names = RuleNames();
-  ASSERT_EQ(names.size(), 11u);
+  ASSERT_EQ(names.size(), 12u);
   for (const char* expected :
        {"rng-outside-random", "simd-outside-kernel-tu", "string-keyed-map",
         "raw-double-accumulate", "naked-size-narrowing", "naked-reserve",
         "unordered-iteration-in-result-path", "ungoverned-loop", "raw-mutex",
-        "mutable-shared-static", "row-interpreter-call"}) {
+        "mutable-shared-static", "row-interpreter-call", "serial-fork"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "missing rule " << expected;
   }
@@ -421,6 +421,29 @@ TEST(VdbLintUnit, RowInterpreterCallFiresAnywhereUnderSrc) {
   EXPECT_TRUE(LintOne("tests/test_vector_eval.cc", src).ok());
 }
 
+TEST(VdbLintUnit, SerialForkFiresOnThreadCountComparedAgainstOne) {
+  const std::string src =
+      "Status Scan(const RowView& v, int num_threads, const Db* db) {\n"
+      "  if (num_threads <= 1) return Whole(v);\n"
+      "  if (1 == db->num_threads()) return Whole(v);\n"
+      "  if (max_threads_ > 1) return Split(v);\n"
+      "  int t = v.size() >= 4096 ? num_threads : 1;\n"
+      "  num_threads = 1;\n"
+      "  return Morsels(v, num_threads << 1, t, num_threads > 10);\n"
+      "}\n";
+  // The three comparisons against 1 fire; a fan-out count, an assignment, a
+  // shift and a comparison against another bound do not.
+  const Report r = LintOne("src/engine/vector_eval.cc", src);
+  EXPECT_EQ(CountRule(r, "serial-fork"), 3u);
+  EXPECT_EQ(r.violations.size(), 3u);
+  // The pool's own inline path is where the one-thread shape lives, and
+  // code outside src/ is out of scope.
+  EXPECT_TRUE(LintOne("src/common/thread_pool.cc", src).ok());
+  EXPECT_TRUE(LintOne("src/common/thread_pool.h", src).ok());
+  EXPECT_TRUE(LintOne("tests/test_parallel.cc", src).ok());
+  EXPECT_TRUE(LintOne("bench/bench_join.cc", src).ok());
+}
+
 TEST(VdbLintUnit, StatsTableCoversEveryRule) {
   const Report r = LintOne("src/engine/foo.cc", "int f() { return rand(); }\n");
   ASSERT_EQ(r.rule_stats.size(), RuleNames().size());
@@ -446,15 +469,16 @@ TEST(VdbLintFixtures, PassTreeIsCleanAndCountsSuppressions) {
   EXPECT_TRUE(r.ok()) << (r.violations.empty()
                               ? ""
                               : FormatDiagnostic(r.violations.front()));
-  EXPECT_EQ(r.files_scanned, 9u);
+  EXPECT_EQ(r.files_scanned, 10u);
   // suppressed.cc acknowledges three findings; engine/agg_table.cc two;
-  // src/engine/ordered_result.cc and engine/operators.cc one each.
-  EXPECT_EQ(r.suppressions_used, 7u);
+  // src/engine/ordered_result.cc, src/engine/morsel_path.cc and
+  // engine/operators.cc one each.
+  EXPECT_EQ(r.suppressions_used, 8u);
 }
 
 TEST(VdbLintFixtures, FailTreeTriggersEveryRule) {
   const Report r = LintPaths({Fixture("fail")});
-  EXPECT_EQ(r.files_scanned, 11u);
+  EXPECT_EQ(r.files_scanned, 12u);
   EXPECT_EQ(CountRule(r, "rng-outside-random"), 5u);
   EXPECT_EQ(CountRule(r, "simd-outside-kernel-tu"), 3u);
   EXPECT_EQ(CountRule(r, "string-keyed-map"), 2u);
@@ -466,7 +490,8 @@ TEST(VdbLintFixtures, FailTreeTriggersEveryRule) {
   EXPECT_EQ(CountRule(r, "raw-mutex"), 4u);
   EXPECT_EQ(CountRule(r, "mutable-shared-static"), 2u);
   EXPECT_EQ(CountRule(r, "row-interpreter-call"), 2u);
-  EXPECT_EQ(r.violations.size(), 28u);
+  EXPECT_EQ(CountRule(r, "serial-fork"), 3u);
+  EXPECT_EQ(r.violations.size(), 31u);
   EXPECT_EQ(r.suppressions_used, 0u);
 }
 
@@ -483,9 +508,9 @@ TEST(VdbLintFixtures, MultiFileScanSortsDiagnosticsByFileThenLine) {
 
 TEST(VdbLintFixtures, MixedRootsAggregateAcrossDirectories) {
   const Report r = LintPaths({Fixture("pass"), Fixture("fail")});
-  EXPECT_EQ(r.files_scanned, 20u);
-  EXPECT_EQ(r.violations.size(), 28u);
-  EXPECT_EQ(r.suppressions_used, 7u);
+  EXPECT_EQ(r.files_scanned, 22u);
+  EXPECT_EQ(r.violations.size(), 31u);
+  EXPECT_EQ(r.suppressions_used, 8u);
 }
 
 TEST(VdbLintFixtures, SingleFileRootAndMissingRoot) {

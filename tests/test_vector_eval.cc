@@ -20,11 +20,13 @@
 #include <string>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "engine/binder.h"
 #include "engine/database.h"
 #include "engine/kernels/kernels.h"
+#include "engine/operators.h"
 #include "engine/table.h"
 #include "engine/vector_eval.h"
 #include "oracle/row_interpreter.h"
@@ -907,21 +909,141 @@ TEST(RowViewTest, IdentityGatherIsZeroCopyAndPrefixTrims) {
   EXPECT_EQ(view.value().Prefix(99).num_rows(), 10u);
 }
 
-TEST(RowViewTest, ChunkedGatherColumnMatchesSerial) {
-  SetMorselRowsForTest(8);
+TEST(RowViewTest, ChunkedGatherColumnMatchesOneMorsel) {
   auto t = MakeSequenceTable(200);
   SelVector sel;
   for (uint32_t r = 0; r < 200; r += 3) sel.push_back(r);
   auto view = RowView::Select(t, sel);
   ASSERT_TRUE(view.ok());
-  Column serial = view.value().GatherColumn(t->column(1), 1);
-  Column chunked = view.value().GatherColumn(t->column(1), 4);
-  ASSERT_EQ(serial.size(), chunked.size());
-  EXPECT_EQ(serial.type(), chunked.type());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(SameValue(serial.Get(i), chunked.Get(i))) << i;
+  for (int threads : {1, 4}) {
+    SetMorselRowsForTest(view.value().num_rows());  // one covering morsel
+    Column whole = view.value().GatherColumn(t->column(1), threads);
+    SetMorselRowsForTest(8);
+    Column chunked = view.value().GatherColumn(t->column(1), threads);
+    ASSERT_EQ(whole.size(), sel.size()) << "@" << threads;
+    ASSERT_EQ(chunked.size(), whole.size()) << "@" << threads;
+    EXPECT_EQ(chunked.type(), whole.type()) << "@" << threads;
+    for (size_t i = 0; i < whole.size(); ++i) {
+      EXPECT_TRUE(SameValue(whole.Get(i), chunked.Get(i)))
+          << i << " @" << threads;
+    }
   }
   SetMorselRowsForTest(0);
+}
+
+// An empty input is one empty morsel: every operator returns a
+// schema-complete, correctly typed result and polls its guard site exactly
+// once, at every thread count, for a 0-row table and a 0-row selection.
+TEST(MorselPathTest, EmptyInputs) {
+  const TablePtr empty = MakeSequenceTable(0);
+  const TablePtr full = MakeSequenceTable(50);
+  auto col = [](const char* name, int idx) {
+    auto e = sql::MakeColumnRef("", name);
+    e->bound_column = idx;
+    return e;
+  };
+  const Expr::Ptr pred =
+      sql::MakeBinary(BinaryOp::kGt, col("v", 0), sql::MakeIntLit(3));
+  const Expr::Ptr expr =
+      sql::MakeBinary(BinaryOp::kMul, col("d", 1), sql::MakeDoubleLit(2.0));
+  // Runs `fn` with fault points observed and returns the hits of `site`.
+  auto polls = [](const char* site, const auto& fn) {
+    DisarmAllFaultPoints();
+    SetFaultObservationForTest(true);
+    fn();
+    const uint64_t hits = FaultPointHits(site);
+    DisarmAllFaultPoints();
+    return hits;
+  };
+  auto zero_table = RowView::All(empty);
+  auto zero_sel = RowView::Select(full, {});
+  ASSERT_TRUE(zero_table.ok());
+  ASSERT_TRUE(zero_sel.ok());
+
+  for (int threads : {1, 8}) {
+    for (const RowView* view : {&zero_table.value(), &zero_sel.value()}) {
+      const std::string at = "@" + std::to_string(threads) +
+                             (view->has_selection() ? " sel" : " table");
+      SelVector sel = {7};
+      EXPECT_EQ(polls("pred_view",
+                      [&] {
+                        ASSERT_TRUE(EvalPredicateView(*pred, *view, 0,
+                                                      threads, &sel)
+                                        .ok());
+                      }),
+                1u)
+          << at;
+      EXPECT_EQ(sel, SelVector({7})) << at;
+
+      kernels::Bitmap bits;
+      EXPECT_EQ(polls("pred_bitmap",
+                      [&] {
+                        ASSERT_TRUE(EvalPredicateBitmap(*pred, *view, 0,
+                                                        threads, &bits)
+                                        .ok());
+                      }),
+                1u)
+          << at;
+      EXPECT_EQ(bits.num_words(), 0u) << at;
+
+      for (const Expr* e : {expr.get(), pred.get()}) {
+        Result<Column> out = Status::Internal("not run");
+        EXPECT_EQ(polls("expr_view",
+                        [&] { out = EvalExprView(*e, *view, 0, threads); }),
+                  1u)
+            << at;
+        ASSERT_TRUE(out.ok()) << at;
+        EXPECT_EQ(out.value().size(), 0u) << at;
+        EXPECT_EQ(out.value().type(),
+                  e == expr.get() ? TypeId::kDouble : TypeId::kBool)
+            << at;
+      }
+
+      Column gathered = view->GatherColumn(full->column(1), threads);
+      EXPECT_EQ(gathered.size(), 0u) << at;
+      EXPECT_EQ(gathered.type(), TypeId::kDouble) << at;
+    }
+
+    const std::string at = "@" + std::to_string(threads);
+    Result<TablePtr> filtered = Status::Internal("not run");
+    EXPECT_EQ(polls("pred_view",
+                    [&] {
+                      filtered = FilterGatherParallel(*pred, empty, 0,
+                                                      threads);
+                    }),
+              1u)
+        << at;
+    ASSERT_TRUE(filtered.ok()) << at;
+    ASSERT_EQ(filtered.value()->num_columns(), 2u) << at;
+    EXPECT_EQ(filtered.value()->num_rows(), 0u) << at;
+    EXPECT_EQ(filtered.value()->column(0).type(), TypeId::kInt64) << at;
+    EXPECT_EQ(filtered.value()->column(1).type(), TypeId::kDouble) << at;
+
+    // An empty probe side, then an empty build side.
+    for (bool empty_probe : {true, false}) {
+      const TablePtr left = empty_probe ? empty : full;
+      const TablePtr right = empty_probe ? full : empty;
+      Result<JoinPairView> pairs = Status::Internal("not run");
+      EXPECT_EQ(polls("join_probe",
+                      [&] {
+                        pairs = HashJoinPairs(
+                            left, right, {&left->column(0)},
+                            {&right->column(0)}, sql::JoinType::kInner,
+                            nullptr, 0, threads);
+                      }),
+                1u)
+          << at << " empty_probe=" << empty_probe;
+      ASSERT_TRUE(pairs.ok()) << at;
+      EXPECT_EQ(pairs.value().num_pairs(), 0u) << at;
+      auto joined = pairs.value().GatherGuarded(threads, nullptr,
+                                                pairs.value().AllColumns());
+      ASSERT_TRUE(joined.ok()) << at;
+      ASSERT_EQ(joined.value()->num_columns(), 4u) << at;
+      EXPECT_EQ(joined.value()->num_rows(), 0u) << at;
+      EXPECT_EQ(joined.value()->column(0).type(), TypeId::kInt64) << at;
+      EXPECT_EQ(joined.value()->column(3).type(), TypeId::kDouble) << at;
+    }
+  }
 }
 
 TEST(ConcatChunksTest, UniformAndMixedTypes) {

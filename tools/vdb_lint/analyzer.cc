@@ -157,8 +157,10 @@ void Tokenize(const std::string& src, Analysis* out) {
     }
 
     if (std::isdigit(static_cast<unsigned char>(c))) {
+      const size_t start = i;
       while (i < n && (IsIdentChar(src[i]) || src[i] == '.')) ++i;
-      out->tokens.push_back({TokKind::kNumber, "", line});
+      out->tokens.push_back(
+          {TokKind::kNumber, src.substr(start, i - start), line});
       continue;
     }
 

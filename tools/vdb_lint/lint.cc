@@ -591,6 +591,74 @@ void RuleRowInterpreterCall(Ctx& ctx) {
   }
 }
 
+// --- serial-fork ------------------------------------------------------------
+//
+// The thread pool runs one thread, or one morsel, inline in morsel order, so
+// the thread count decides only how many threads run the same morsels. A
+// comparison of a thread count against 1 outside common/thread_pool.* is a
+// caller-side serial branch: a second copy of the operator's loop that can
+// drift from the morsel path (the serial join probe once skipped its budget
+// charge this way).
+void RuleSerialFork(Ctx& ctx) {
+  static const char* kRule = "serial-fork";
+  if (!ctx.PathContains("src/") || ctx.PathEndsWith("common/thread_pool.h") ||
+      ctx.PathEndsWith("common/thread_pool.cc")) {
+    return;
+  }
+  static const std::unordered_set<std::string> kCounts = {
+      "num_threads", "num_threads_", "max_threads", "max_threads_"};
+  const std::vector<Token>& toks = ctx.src.tokens;
+  // Tokens of a comparison operator starting at k (the tokenizer emits
+  // punctuation one char at a time), or 0 when k starts none. `<<`, `>>`
+  // and `=` alone are not comparisons.
+  auto comparison_at = [&](size_t k) -> size_t {
+    if (k >= toks.size() || toks[k].kind != TokKind::kPunct) return 0;
+    const bool eq_next = k + 1 < toks.size() && IsPunct(toks[k + 1], "=");
+    const std::string& t = toks[k].text;
+    if (t == "<" || t == ">") {
+      if (k + 1 < toks.size() && IsPunct(toks[k + 1], t.c_str())) return 0;
+      return eq_next ? 2 : 1;
+    }
+    if ((t == "=" || t == "!") && eq_next) return 2;
+    return 0;
+  };
+  auto is_one = [&](size_t k) {
+    return k < toks.size() && toks[k].kind == TokKind::kNumber &&
+           toks[k].text == "1";
+  };
+  for (size_t k = 0; k < toks.size(); ++k) {
+    if (toks[k].kind != TokKind::kIdent || !kCounts.count(toks[k].text)) {
+      continue;
+    }
+    // `count op 1`, with `count()` accessors included.
+    size_t after = k + 1;
+    if (after + 1 < toks.size() && IsPunct(toks[after], "(") &&
+        IsPunct(toks[after + 1], ")")) {
+      after += 2;
+    }
+    const size_t op = comparison_at(after);
+    bool fork = op > 0 && is_one(after + op);
+    // `1 op count`, with `x.count` / `x->count` receivers included.
+    size_t first = k;
+    while (first >= 2 && IsPunct(toks[first - 1], ".")) first -= 2;
+    while (first >= 3 && IsPunct(toks[first - 1], ">") &&
+           IsPunct(toks[first - 2], "-")) {
+      first -= 3;
+    }
+    for (size_t width = 1; !fork && width < first && width <= 2; ++width) {
+      fork = comparison_at(first - width) == width &&
+             is_one(first - width - 1);
+    }
+    if (fork) {
+      ctx.Emit(kRule, toks[k].line,
+               "'" + toks[k].text +
+                   "' compared against 1: a caller-side serial branch; send "
+                   "the rows through the morsel helpers (common/thread_pool.h), "
+                   "which run one thread inline");
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Registry, meta checks, entry points
 // ---------------------------------------------------------------------------
@@ -649,6 +717,10 @@ const std::vector<RuleEntry>& Registry() {
        "No per-row EvalExpr/EvalPredicate calls under src/; the row "
        "interpreter is a test oracle and operators evaluate column-at-a-time",
        RuleRowInterpreterCall},
+      {"serial-fork",
+       "No comparison of num_threads/max_threads against 1 under src/ "
+       "outside common/thread_pool.*; one thread runs the same morsel path",
+       RuleSerialFork},
   };
   return kRules;
 }

@@ -3,7 +3,7 @@
 // A deliberately small structural analyzer — a preprocessor-aware tokenizer
 // feeding a brace-matched scope tree (see analyzer.h), no libclang — that
 // turns this repo's written-down invariants into pass/fail CI diagnostics.
-// The eleven rules (see docs/INVARIANTS.md for the history behind each):
+// The twelve rules (see docs/INVARIANTS.md for the history behind each):
 //
 //   rng-outside-random      rand()/srand/std::mt19937/std::random_device &
 //                           friends anywhere but common/random.* — every
@@ -63,6 +63,13 @@
 //                           column-at-a-time, and a per-row interpreter
 //                           loop in the library is a second, slower path
 //                           beside the batch evaluator.
+//   serial-fork             num_threads / max_threads compared against 1
+//                           under src/ outside common/thread_pool.* — the
+//                           pool runs one thread inline over the same
+//                           morsels, so a caller-side serial branch is a
+//                           second copy of the operator's loop that drifts
+//                           (the serial join probe skipped its budget
+//                           charge).
 //
 // Any diagnostic can be acknowledged in place with a trailing comment:
 //     ... code ...  // vdb-lint: allow(rule-name[, rule-name]) <rationale>

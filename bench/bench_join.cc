@@ -22,6 +22,7 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "engine/aggregates.h"
 #include "engine/join_table.h"
 #include "engine/operators.h"
@@ -29,8 +30,6 @@
 
 namespace vdb::engine {
 namespace {
-
-constexpr uint32_t kNullRow = JoinPairView::kNullRightRow;
 
 /// Key cardinality shapes. Every shape emits ~build_size pairs.
 enum Mode : int { kUnique = 0, kSkewed = 1, kHotKey = 2 };
@@ -93,7 +92,10 @@ const JoinInput& InputFor(size_t build_rows, int mode) {
 /// The pre-rewrite join, verbatim in shape: per-row ValueGroupKey string
 /// keys on both sides, serial std::unordered_map<string, vector> build,
 /// left-row-major probe. The combined gather is shared with the new path.
-TablePtr StringMapJoinBaseline(const Table& left, const Table& right) {
+TablePtr StringMapJoinBaseline(const TablePtr& left_table,
+                               const TablePtr& right_table) {
+  const Table& left = *left_table;
+  const Table& right = *right_table;
   auto key_of = [](const Table& t, size_t row, bool* has_null) {
     Value v = t.column(0).Get(row);
     *has_null = v.is_null();
@@ -121,9 +123,9 @@ TablePtr StringMapJoinBaseline(const Table& left, const Table& right) {
     }
   }
   auto out = std::make_shared<Table>();
-  GatherJoinPairsInto(left, out_l.data(), right, out_r.data(), out_l.size(),
-                      1, out.get());
-  (void)kNullRow;
+  GatherJoinPairsInto(RowSet::Of(left_table), out_l.data(),
+                      RowSet::Of(right_table), out_r.data(), out_l.size(), 1,
+                      out.get());
   return out;
 }
 
@@ -132,7 +134,7 @@ void BM_JoinStringMapBaseline(benchmark::State& state) {
                                  static_cast<int>(state.range(1)));
   size_t out_rows = 0;
   for (auto _ : state) {
-    TablePtr out = StringMapJoinBaseline(*in.probe, *in.build);
+    TablePtr out = StringMapJoinBaseline(in.probe, in.build);
     out_rows = out->num_rows();
     benchmark::DoNotOptimize(out);
   }
@@ -217,14 +219,15 @@ bool RunBloomSection(bool smoke) {
     for (int threads : smoke ? std::vector<int>{1} : std::vector<int>{1, 2}) {
       auto run_pairs = [&](int bloom_mode, size_t* pairs) {
         SetJoinBloomForTest(bloom_mode);
-        auto out = HashJoinPairs(probe, build, lk, rk, sql::JoinType::kInner,
-                                 nullptr, /*rand_seed=*/1, threads);
+        auto out = HashJoinPairs(RowSet::Of(probe), RowSet::Of(build), lk, rk,
+                                 sql::JoinType::kInner, nullptr,
+                                 /*rand_seed=*/1, threads);
         SetJoinBloomForTest(-1);
         if (!out.ok()) {
           std::printf("ERROR: %s\n", out.status().ToString().c_str());
           return false;
         }
-        *pairs = out.value().num_pairs();
+        *pairs = out.value().size();
         return true;
       };
       size_t pairs_off = 0, pairs_on = 0;
@@ -240,15 +243,15 @@ bool RunBloomSection(bool smoke) {
       // Differential: identical pair lists element for element (no false
       // negatives), checked directly once per configuration.
       SetJoinBloomForTest(0);
-      auto ref = HashJoinPairs(probe, build, lk, rk, sql::JoinType::kInner,
-                               nullptr, 1, threads);
+      auto ref = HashJoinPairs(RowSet::Of(probe), RowSet::Of(build), lk, rk,
+                               sql::JoinType::kInner, nullptr, 1, threads);
       SetJoinBloomForTest(1);
-      auto fil = HashJoinPairs(probe, build, lk, rk, sql::JoinType::kInner,
-                               nullptr, 1, threads);
+      auto fil = HashJoinPairs(RowSet::Of(probe), RowSet::Of(build), lk, rk,
+                               sql::JoinType::kInner, nullptr, 1, threads);
       SetJoinBloomForTest(-1);
       const bool same = ref.ok() && fil.ok() &&
-                        ref.value().lrows() == fil.value().lrows() &&
-                        ref.value().rrows() == fil.value().rrows();
+                        ref.value().left == fil.value().left &&
+                        ref.value().right == fil.value().right;
       if (!same || pairs_off != pairs_on) all_ok = false;
       std::printf("%-18s %-6d %12.2f %12.2f %8.2fx  %zu %s\n", hc.label,
                   threads, off_ms, on_ms, off_ms / on_ms, pairs_off,
@@ -261,6 +264,99 @@ bool RunBloomSection(bool smoke) {
   return all_ok;
 }
 
+/// Thread-count section: a build side several morsels long, so at 2 and 4
+/// threads the build is radix-partitioned, probed by a left join in which
+/// half the probe keys miss (null extensions). A second join composes the
+/// first join's row set with a third table on a key gathered from the row
+/// set, and the root gathers every column. The pair lists of both joins and
+/// the gathered table must be identical at 1, 2 and 4 threads.
+bool RunThreadSection() {
+  const size_t build_rows = 4 * MorselRows() + 123;
+  const size_t keys = build_rows / 4;  // four build rows per key
+  TablePtr build = MakeSide(build_rows, keys, /*sequential=*/true, 7, "rv");
+  TablePtr probe = MakeSide(build_rows, 2 * keys, /*sequential=*/false, 11,
+                            "lv");
+  TablePtr third = MakeSide(keys, keys, /*sequential=*/true, 13, "tv");
+  std::printf("\n== join thread counts: build=%zu probe=%zu third=%zu ==\n",
+              build_rows, build_rows, keys);
+
+  struct Run {
+    JoinPairs first, second;
+    TablePtr gathered;
+  };
+  auto run = [&](int threads) -> Result<Run> {
+    Run out;
+    auto first = HashJoinPairs(RowSet::Of(probe), RowSet::Of(build),
+                               {&probe->column(0)}, {&build->column(0)},
+                               sql::JoinType::kLeft, nullptr, 1, threads);
+    if (!first.ok()) return first.status();
+    out.first = first.value();
+    auto rows = RowSet::Join(RowSet::Of(probe), RowSet::Of(build),
+                             std::move(first).ValueOrDie(), threads, nullptr);
+    if (!rows.ok()) return rows.status();
+    // The build side's payload (combined column 3) is its row number, so
+    // the first quarter of the build rows find a partner in `third`.
+    const Column key = rows.value().GatherColumn(3, threads);
+    auto second = HashJoinPairs(rows.value(), RowSet::Of(third), {&key},
+                                {&third->column(0)}, sql::JoinType::kInner,
+                                nullptr, 1, threads);
+    if (!second.ok()) return second.status();
+    out.second = second.value();
+    auto joined = RowSet::Join(std::move(rows).ValueOrDie(),
+                               RowSet::Of(third),
+                               std::move(second).ValueOrDie(), threads,
+                               nullptr);
+    if (!joined.ok()) return joined.status();
+    auto gathered = joined.value().GatherGuarded(
+        threads, nullptr, joined.value().AllColumns());
+    if (!gathered.ok()) return gathered.status();
+    out.gathered = std::move(gathered).ValueOrDie();
+    return out;
+  };
+  auto same_table = [](const Table& a, const Table& b) {
+    if (a.num_columns() != b.num_columns() || a.num_rows() != b.num_rows()) {
+      return false;
+    }
+    for (size_t c = 0; c < a.num_columns(); ++c) {
+      for (size_t r = 0; r < a.num_rows(); ++r) {
+        const Value x = a.Get(r, c), y = b.Get(r, c);
+        if (x.is_null() != y.is_null() || (!x.is_null() && !x.Equals(y))) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+
+  bool all_ok = true;
+  auto ref = run(1);
+  if (!ref.ok()) {
+    std::printf("ERROR: %s\n", ref.status().ToString().c_str());
+    return false;
+  }
+  for (int threads : {1, 2, 4}) {
+    auto got = run(threads);
+    if (!got.ok()) {
+      std::printf("ERROR: %s\n", got.status().ToString().c_str());
+      all_ok = false;
+      continue;
+    }
+    const Run& a = ref.value();
+    const Run& b = got.value();
+    const bool same = a.first.left == b.first.left &&
+                      a.first.right == b.first.right &&
+                      a.second.left == b.second.left &&
+                      a.second.right == b.second.right &&
+                      same_table(*a.gathered, *b.gathered);
+    if (!same) all_ok = false;
+    std::printf("thr %d: first join %zu pairs, second %zu pairs, gathered "
+                "%zu rows  %s\n",
+                threads, b.first.size(), b.second.size(),
+                b.gathered->num_rows(), same ? "ok" : "MISMATCH");
+  }
+  return all_ok;
+}
+
 }  // namespace
 }  // namespace vdb::engine
 
@@ -269,6 +365,7 @@ int main(int argc, char** argv) {
   const bool smoke = vdb::bench::HasFlag(argc, argv, "--smoke");
 
   const bool bloom_ok = vdb::engine::RunBloomSection(smoke);
+  const bool threads_ok = vdb::engine::RunThreadSection();
 
   if (!smoke) {
     // Drop our flags before Google Benchmark sees (and rejects) them.
@@ -283,5 +380,5 @@ int main(int argc, char** argv) {
     benchmark::Shutdown();
   }
   vdb::bench::BenchJsonWrite();
-  return bloom_ok ? 0 : 1;
+  return bloom_ok && threads_ok ? 0 : 1;
 }

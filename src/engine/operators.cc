@@ -11,19 +11,29 @@ namespace vdb::engine {
 namespace {
 
 /// Sentinel in a right-side pair list: emit NULLs (left join extension).
-constexpr uint32_t kNullRow = JoinPairView::kNullRightRow;
+constexpr uint32_t kNullRow = RowSet::kNullRightRow;
 
 constexpr uint32_t kInvalidRow = JoinBuildTable::kInvalidRow;
 
-/// Non-owning alias for the table-reference overloads, whose callers gather
-/// before the borrowed table can go away.
-TablePtr BorrowTable(const Table& t) {
-  return TablePtr(TablePtr{}, const_cast<Table*>(&t));
+/// A leaf row set over a borrowed table, for the table-reference overloads,
+/// whose callers gather before the borrowed table can go away.
+RowSet BorrowTable(const Table& t) {
+  return RowSet::Of(TablePtr(TablePtr{}, const_cast<Table*>(&t)));
+}
+
+/// Composes a two-table join's pairs and gathers every combined column.
+Result<TablePtr> GatherAll(RowSet left, RowSet right, JoinPairs pairs,
+                           int num_threads, const ExecGuard* guard) {
+  auto rows = RowSet::Join(std::move(left), std::move(right),
+                           std::move(pairs), num_threads, guard);
+  if (!rows.ok()) return rows.status();
+  return rows.value().GatherGuarded(num_threads, guard,
+                                    rows.value().AllColumns());
 }
 
 /// The selection-vector machinery (uint32_t indices, kNullRow sentinel)
 /// addresses strictly fewer than 2^32 - 1 rows per input.
-Status CheckJoinInputSizes(const Table& left, const Table& right) {
+Status CheckJoinInputSizes(const RowSet& left, const RowSet& right) {
   constexpr size_t kMaxRows = 0xFFFFFFFEu;
   if (left.num_rows() > kMaxRows || right.num_rows() > kMaxRows) {
     return Status::Unsupported("join inputs above 2^32 - 2 rows");
@@ -47,19 +57,18 @@ void HashJoinKeysParallel(const std::vector<const Column*>& keys, size_t n,
 
 }  // namespace
 
-Result<JoinPairView> HashJoinPairs(TablePtr left, TablePtr right,
-                                   const std::vector<const Column*>& left_keys,
-                                   const std::vector<const Column*>& right_keys,
-                                   sql::JoinType join_type,
-                                   const sql::Expr* residual,
-                                   uint64_t rand_seed, int num_threads,
-                                   const ExecGuard* guard) {
+Result<JoinPairs> HashJoinPairs(const RowSet& left, const RowSet& right,
+                                const std::vector<const Column*>& left_keys,
+                                const std::vector<const Column*>& right_keys,
+                                sql::JoinType join_type,
+                                const sql::Expr* residual, uint64_t rand_seed,
+                                int num_threads, const ExecGuard* guard) {
   if (left_keys.empty() || left_keys.size() != right_keys.size()) {
     return Status::Internal("hash join requires matching key lists");
   }
-  VDB_RETURN_IF_ERROR(CheckJoinInputSizes(*left, *right));
-  const size_t rn = right->num_rows();
-  const size_t ln = left->num_rows();
+  VDB_RETURN_IF_ERROR(CheckJoinInputSizes(left, right));
+  const size_t rn = right.num_rows();
+  const size_t ln = left.num_rows();
 
   // Key-hash scratch for both sides (8B hash + 1B null flag per row),
   // released when the join returns.
@@ -127,7 +136,9 @@ Result<JoinPairView> HashJoinPairs(TablePtr left, TablePtr right,
   };
 
   const bool left_join = join_type == sql::JoinType::kLeft;
-  SelVector out_l, out_r;
+  JoinPairs out;
+  SelVector& out_l = out.left;
+  SelVector& out_r = out.right;
 
   if (residual == nullptr) {
     // Probe and emit in left-row-major order. The build table is read-only
@@ -161,7 +172,7 @@ Result<JoinPairView> HashJoinPairs(TablePtr left, TablePtr right,
     size_t total = 0;
     for (const ProbeSlot& slot : slots) total += slot.l.size();
     // The pair lists live to the end of the statement (they become the
-    // JoinPairView); the charge stays until ResetForStatement.
+    // join's row set); the charge stays until ResetForStatement.
     VDB_RETURN_IF_ERROR(GuardTryReserve(
         guard, static_cast<uint64_t>(total) * 2 * sizeof(uint32_t),
         "join_probe_alloc"));
@@ -171,9 +182,13 @@ Result<JoinPairView> HashJoinPairs(TablePtr left, TablePtr right,
     } else {
       out_l.reserve(total);  // vdb-lint: allow(naked-reserve) charged via GuardTryReserve above
       out_r.reserve(total);  // vdb-lint: allow(naked-reserve) charged via GuardTryReserve above
-      for (const ProbeSlot& slot : slots) {
+      // Release each slot's lists as soon as they are appended, so the
+      // pair lists are never held twice over.
+      for (ProbeSlot& slot : slots) {
         out_l.insert(out_l.end(), slot.l.begin(), slot.l.end());
+        SelVector().swap(slot.l);
         out_r.insert(out_r.end(), slot.r.begin(), slot.r.end());
+        SelVector().swap(slot.r);
       }
     }
   } else {
@@ -189,7 +204,7 @@ Result<JoinPairView> HashJoinPairs(TablePtr left, TablePtr right,
     SelVector chunk_l, chunk_r, real_l, real_r;
     chunk_l.reserve(kChunk);  // vdb-lint: allow(naked-reserve) fixed 64K chunk scratch
     chunk_r.reserve(kChunk);  // vdb-lint: allow(naked-reserve) fixed 64K chunk scratch
-    PairPredicateEvaluator eval(*left, *right, rand_seed, num_threads, guard);
+    PairPredicateEvaluator eval(left, right, rand_seed, num_threads, guard);
     // Global ordinal of the next candidate pair handed to the evaluator:
     // candidates are enumerated in a deterministic left-row-major order, so
     // the ordinal addresses rand-family draws in the residual.
@@ -274,8 +289,7 @@ Result<JoinPairView> HashJoinPairs(TablePtr left, TablePtr right,
     }
   }
 
-  return JoinPairView(std::move(left), std::move(right), std::move(out_l),
-                      std::move(out_r));
+  return out;
 }
 
 Result<TablePtr> HashJoin(const Table& left, const Table& right,
@@ -284,12 +298,12 @@ Result<TablePtr> HashJoin(const Table& left, const Table& right,
                           sql::JoinType join_type, const sql::Expr* residual,
                           uint64_t rand_seed, int num_threads,
                           const ExecGuard* guard) {
-  auto pairs = HashJoinPairs(BorrowTable(left), BorrowTable(right), left_keys,
-                             right_keys, join_type, residual, rand_seed,
-                             num_threads, guard);
+  RowSet l = BorrowTable(left), r = BorrowTable(right);
+  auto pairs = HashJoinPairs(l, r, left_keys, right_keys, join_type, residual,
+                             rand_seed, num_threads, guard);
   if (!pairs.ok()) return pairs.status();
-  return pairs.value().GatherGuarded(num_threads, guard,
-                                     pairs.value().AllColumns());
+  return GatherAll(std::move(l), std::move(r), std::move(pairs).ValueOrDie(),
+                   num_threads, guard);
 }
 
 Result<TablePtr> HashJoin(const Table& left, const Table& right,
@@ -308,13 +322,13 @@ Result<TablePtr> HashJoin(const Table& left, const Table& right,
                   num_threads);
 }
 
-Result<JoinPairView> CrossJoinPairs(TablePtr left, TablePtr right,
-                                    const sql::Expr* residual,
-                                    uint64_t rand_seed, size_t max_pairs,
-                                    int num_threads, const ExecGuard* guard) {
-  VDB_RETURN_IF_ERROR(CheckJoinInputSizes(*left, *right));
-  const size_t ln = left->num_rows();
-  const size_t rn = right->num_rows();
+Result<JoinPairs> CrossJoinPairs(const RowSet& left, const RowSet& right,
+                                 const sql::Expr* residual, uint64_t rand_seed,
+                                 size_t max_pairs, int num_threads,
+                                 const ExecGuard* guard) {
+  VDB_RETURN_IF_ERROR(CheckJoinInputSizes(left, right));
+  const size_t ln = left.num_rows();
+  const size_t rn = right.num_rows();
   const size_t pairs = ln * rn;
   if (pairs > max_pairs) {
     return Status::Unsupported(
@@ -322,7 +336,9 @@ Result<JoinPairView> CrossJoinPairs(TablePtr left, TablePtr right,
         std::to_string(pairs));
   }
 
-  SelVector out_l, out_r;
+  JoinPairs out;
+  SelVector& out_l = out.left;
+  SelVector& out_r = out.right;
   if (residual == nullptr) {
     VDB_RETURN_IF_ERROR(GuardTryReserve(
         guard, static_cast<uint64_t>(pairs) * 2 * sizeof(uint32_t),
@@ -342,8 +358,7 @@ Result<JoinPairView> CrossJoinPairs(TablePtr left, TablePtr right,
         out_r.push_back(static_cast<uint32_t>(rr));
       }
     }
-    return JoinPairView(std::move(left), std::move(right), std::move(out_l),
-                        std::move(out_r));
+    return out;
   }
 
   // With a residual: evaluate the predicate batch-at-a-time over bounded
@@ -353,7 +368,7 @@ Result<JoinPairView> CrossJoinPairs(TablePtr left, TablePtr right,
   SelVector chunk_l, chunk_r;
   chunk_l.reserve(kChunk);  // vdb-lint: allow(naked-reserve) fixed 64K chunk scratch
   chunk_r.reserve(kChunk);  // vdb-lint: allow(naked-reserve) fixed 64K chunk scratch
-  PairPredicateEvaluator eval(*left, *right, rand_seed, num_threads, guard);
+  PairPredicateEvaluator eval(left, right, rand_seed, num_threads, guard);
   // Pairs are enumerated row-major, so the running count IS the global pair
   // ordinal lr * rn + rr of the chunk's first pair.
   uint64_t pair_base = 0;
@@ -385,19 +400,19 @@ Result<JoinPairView> CrossJoinPairs(TablePtr left, TablePtr right,
     }
   }
   VDB_RETURN_IF_ERROR(flush());
-  return JoinPairView(std::move(left), std::move(right), std::move(out_l),
-                      std::move(out_r));
+  return out;
 }
 
 Result<TablePtr> CrossJoin(const Table& left, const Table& right,
                            const sql::Expr* residual, uint64_t rand_seed,
                            size_t max_pairs, int num_threads,
                            const ExecGuard* guard) {
-  auto pairs = CrossJoinPairs(BorrowTable(left), BorrowTable(right), residual,
-                              rand_seed, max_pairs, num_threads, guard);
+  RowSet l = BorrowTable(left), r = BorrowTable(right);
+  auto pairs = CrossJoinPairs(l, r, residual, rand_seed, max_pairs,
+                              num_threads, guard);
   if (!pairs.ok()) return pairs.status();
-  return pairs.value().GatherGuarded(num_threads, guard,
-                                     pairs.value().AllColumns());
+  return GatherAll(std::move(l), std::move(r), std::move(pairs).ValueOrDie(),
+                   num_threads, guard);
 }
 
 }  // namespace vdb::engine

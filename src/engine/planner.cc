@@ -120,8 +120,16 @@ void AssignRandSites(SelectStmt* stmt) {
   WalkRandSitesStmt(stmt, &next, /*assign=*/true);
 }
 
+/// A gathered FROM relation: the table the statement reads.
 struct RelResult {
   TablePtr table;
+  Scope scope;
+};
+
+/// A FROM-tree relation before the FROM root's gather: a leaf table or a
+/// join's row set. Scope ordinals are the row set's combined columns.
+struct RelRows {
+  RowSet rows;
   Scope scope;
 };
 
@@ -160,13 +168,14 @@ bool RandOutsideWhere(const SelectStmt& stmt) {
 // Column names a statement can reference from its FROM tree: every
 // kColumnRef name in the statement's own expressions (select list, WHERE,
 // GROUP BY, HAVING, ORDER BY, every join ON condition of the tree), folded
-// the way Scope stores names. Join outputs and derived-table outputs keep
-// only these columns. Nested derived subqueries and scalar subqueries
-// resolve against their own scopes (the engine has no correlated
-// subqueries), so the walk does not descend into them — descending would
-// also pick up their internal `*` items and defeat the prune. A `*` select
-// item references everything; the star that is count(*)'s argument
-// references nothing and is skipped.
+// the way Scope stores names. Derived-table outputs keep only these
+// columns; the FROM root's gather keeps only those read after the joins
+// (no ON condition, and no WHERE the joins already applied). Nested
+// derived subqueries and scalar subqueries resolve against their own scopes
+// (the engine has no correlated subqueries), so the walk does not descend
+// into them — descending would also pick up their internal `*` items and
+// defeat the prune. A `*` select item references everything; the star that
+// is count(*)'s argument references nothing and is skipped.
 void CollectColumnRefNames(const Expr& e, std::set<std::string>* names,
                            bool* star) {
   switch (e.kind) {
@@ -192,22 +201,27 @@ void CollectColumnRefNamesFrom(const TableRef& ref,
   if (ref.right) CollectColumnRefNamesFrom(*ref.right, names, star);
 }
 
-/// The statement's referenced names; nullopt when a `*` select item
-/// references every column.
+/// The statement's referenced names, with or without its WHERE and the ON
+/// conditions of its FROM tree; nullopt when a `*` select item references
+/// every column.
 std::optional<std::set<std::string>> CollectColumnRefNamesStmt(
-    const SelectStmt& stmt) {
+    const SelectStmt& stmt, bool with_where, bool with_on) {
   std::set<std::string> names;
   bool star = false;
   for (const auto& it : stmt.items) {
     CollectColumnRefNames(*it.expr, &names, &star);
   }
-  if (stmt.where) CollectColumnRefNames(*stmt.where, &names, &star);
+  if (stmt.where && with_where) {
+    CollectColumnRefNames(*stmt.where, &names, &star);
+  }
   for (const auto& g : stmt.group_by) CollectColumnRefNames(*g, &names, &star);
   if (stmt.having) CollectColumnRefNames(*stmt.having, &names, &star);
   for (const auto& o : stmt.order_by) {
     CollectColumnRefNames(*o.expr, &names, &star);
   }
-  if (stmt.from) CollectColumnRefNamesFrom(*stmt.from, &names, &star);
+  if (stmt.from && with_on) {
+    CollectColumnRefNamesFrom(*stmt.from, &names, &star);
+  }
   if (star) return std::nullopt;
   return names;
 }
@@ -246,17 +260,47 @@ class SelectExecutor {
 
  private:
   // ---------------------------------------------------------------- FROM --
-  Result<RelResult> ExecuteFrom(TableRef* ref) {
+  /// Executes the FROM tree and performs its one gather. A leaf (base or
+  /// derived table) is read as is; a join tree's row set gathers only the
+  /// columns the statement reads after the joins — neither ON-only columns
+  /// nor, once the root join applied it, WHERE-only ones. A `*` keeps them
+  /// all. At least one column survives so the row count does, as for
+  /// derived tables: a table's columns carry its row count.
+  Result<RelResult> ExecuteFrom(const SelectStmt& stmt) {
+    auto rel = ExecuteRel(stmt.from.get());
+    if (!rel.ok()) return rel.status();
+    RelRows& r = rel.value();
+    RelResult out;
+    if (r.rows.leaf_table() != nullptr) {
+      out.table = r.rows.leaf_table();
+      out.scope = std::move(r.scope);
+      return out;
+    }
+    const auto read = CollectColumnRefNamesStmt(
+        stmt, /*with_where=*/!pushdown_where_applied_, /*with_on=*/false);
+    std::vector<size_t> keep;
+    for (size_t i = 0; i < r.scope.size(); ++i) {
+      if (!read || read->count(r.scope.name(i)) != 0) keep.push_back(i);
+    }
+    if (keep.empty() && r.scope.size() > 0) keep.push_back(0);
+    auto gathered = r.rows.GatherGuarded(db_->num_threads(), guard_, keep);
+    if (!gathered.ok()) return gathered.status();
+    out.table = std::move(gathered).ValueOrDie();
+    for (size_t i : keep) out.scope.Add(r.scope.qualifier(i), r.scope.name(i));
+    return out;
+  }
+
+  Result<RelRows> ExecuteRel(TableRef* ref) {
     switch (ref->kind) {
       case TableRef::Kind::kBase: {
         TablePtr t = db_->catalog().GetTable(ref->table_name);
         if (!t) return Status::NotFound("no such table: " + ref->table_name);
         db_->AddRowsScanned(t->num_rows());
-        RelResult r;
-        r.table = t;
+        RelRows r;
         for (size_t i = 0; i < t->num_columns(); ++i) {
           r.scope.Add(ref->EffectiveName(), t->column_name(i));
         }
+        r.rows = RowSet::Of(std::move(t));
         return r;
       }
       case TableRef::Kind::kDerived: {
@@ -276,9 +320,9 @@ class SelectExecutor {
         }
         auto rs = sub.Run(d);
         if (!rs.ok()) return rs.status();
-        RelResult r;
-        r.table = rs.value().table;
+        RelRows r;
         for (const auto& n : rs.value().names) r.scope.Add(ref->alias, n);
+        r.rows = RowSet::Of(rs.value().table);
         return r;
       }
       case TableRef::Kind::kJoin:
@@ -287,19 +331,23 @@ class SelectExecutor {
     return Status::Internal("unknown table ref kind");
   }
 
-  Result<RelResult> ExecuteJoin(TableRef* ref) {
+  /// Joins two row sets and hands the joined row set up the tree, without
+  /// gathering: the join reads only its key columns and the columns its ON
+  /// residual and a pushed-down WHERE reference.
+  Result<RelRows> ExecuteJoin(TableRef* ref) {
     // The FROM-root join consumes the pushed-down WHERE (if any); nested
     // join children, executed below, must not see it.
     const Expr* pushdown = pushdown_where_;
     pushdown_where_ = nullptr;
-    auto left = ExecuteFrom(ref->left.get());
+    auto left = ExecuteRel(ref->left.get());
     if (!left.ok()) return left.status();
-    auto right = ExecuteFrom(ref->right.get());
+    auto right = ExecuteRel(ref->right.get());
     if (!right.ok()) return right.status();
-    RelResult& lr = left.value();
-    RelResult& rr = right.value();
+    RelRows& lr = left.value();
+    RelRows& rr = right.value();
 
-    Scope combined;
+    RelRows out;
+    Scope& combined = out.scope;
     for (size_t i = 0; i < lr.scope.size(); ++i) {
       combined.Add(lr.scope.qualifier(i), lr.scope.name(i));
     }
@@ -343,75 +391,79 @@ class SelectExecutor {
       VDB_RETURN_IF_ERROR(BindExpr(residual.get(), combined));
     }
 
-    Result<JoinPairView> joined = Status::Internal("join not executed");
+    Result<JoinPairs> joined = Status::Internal("join not executed");
     if (!left_keys.empty()) {
-      joined = HashJoinPairsExprs(lr.table, rr.table, left_keys, right_keys,
+      joined = HashJoinPairsExprs(lr.rows, rr.rows, left_keys, right_keys,
                                   ref->join_type, residual.get());
     } else {
       if (ref->join_type == sql::JoinType::kLeft) {
         return Status::Unsupported("left join requires an equi condition");
       }
-      joined = CrossJoinPairs(lr.table, rr.table, residual.get(), rand_seed_,
+      joined = CrossJoinPairs(lr.rows, rr.rows, residual.get(), rand_seed_,
                               200'000'000, db_->num_threads(), guard_);
     }
     if (!joined.ok()) return joined.status();
-    JoinPairView pairs = std::move(joined).ValueOrDie();
+    JoinPairs pairs = std::move(joined).ValueOrDie();
 
-    // Pair-view WHERE pushdown: the query's WHERE filters candidate pairs
-    // while they are still a view, so non-surviving pairs never reach the
-    // combined gather below. Valid for inner joins (identical to a residual)
-    // AND left joins (null-extended pairs evaluate with NULL right columns,
-    // exactly as the materialized rows would) — including rand()-bearing
-    // predicates: their draws address the global pair ordinal, which equals
-    // the materialized row position the post-gather WHERE would see. If the
-    // clone fails to bind against the combined scope, fall back to the
-    // post-gather WHERE path.
+    // WHERE pushdown: the query's WHERE filters the pairs before they are
+    // composed, so non-surviving pairs never reach the FROM root's gather.
+    // Valid for inner joins (identical to a residual) AND left joins
+    // (null-extended pairs evaluate with NULL right columns, exactly as the
+    // materialized rows would) — including rand()-bearing predicates: their
+    // draws address the global pair ordinal, which equals the materialized
+    // row position the post-gather WHERE would see. If the clone fails to
+    // bind against the combined scope, fall back to the post-gather WHERE
+    // path.
     if (pushdown != nullptr) {
       auto w = pushdown->Clone();
       if (BindExpr(w.get(), combined).ok()) {
-        VDB_RETURN_IF_ERROR(FilterJoinPairs(*w, &pairs, rand_seed_,
-                                            db_->num_threads(), guard_));
+        VDB_RETURN_IF_ERROR(FilterJoinPairs(*w, lr.rows, rr.rows, &pairs,
+                                            rand_seed_, db_->num_threads(),
+                                            guard_));
         pushdown_where_applied_ = true;
       }
     }
 
-    // Gather only the combined columns the statement references (its ON
-    // conditions included, so ancestor join keys survive); a `*` keeps
-    // them all. At least one column survives so the row count does, as for
-    // derived tables: a table's columns carry its row count.
-    std::vector<size_t> keep;
-    for (size_t i = 0; i < combined.size(); ++i) {
-      if (!referenced_ || referenced_->count(combined.name(i)) != 0) {
-        keep.push_back(i);
-      }
-    }
-    if (keep.empty() && combined.size() > 0) keep.push_back(0);
-    RelResult out;
-    auto gathered = pairs.GatherGuarded(db_->num_threads(), guard_, keep);
-    if (!gathered.ok()) return gathered.status();
-    out.table = std::move(gathered).ValueOrDie();
-    for (size_t i : keep) {
-      out.scope.Add(combined.qualifier(i), combined.name(i));
-    }
+    auto rows = RowSet::Join(std::move(lr.rows), std::move(rr.rows),
+                             std::move(pairs), db_->num_threads(), guard_);
+    if (!rows.ok()) return rows.status();
+    out.rows = std::move(rows).ValueOrDie();
     return out;
   }
 
   /// Hash join on arbitrary bound key expressions. Plain column-ref keys
-  /// borrow the input's own columns; expression keys are evaluated into
-  /// standalone columns passed by pointer — the join inputs are never padded
-  /// or copied, the output schema never contains helper columns, and
+  /// borrow the key source's own columns; expression keys are evaluated
+  /// into standalone columns passed by pointer — the join inputs are never
+  /// padded or copied, the output schema never contains helper columns, and
   /// residual predicates (bound against the combined schema) compose with
   /// expression keys without any ordinal shifting.
-  Result<JoinPairView> HashJoinPairsExprs(const TablePtr& left,
-                                          const TablePtr& right,
-                                          const std::vector<Expr::Ptr>& lkeys,
-                                          const std::vector<Expr::Ptr>& rkeys,
-                                          sql::JoinType type,
-                                          const Expr* residual) {
+  Result<JoinPairs> HashJoinPairsExprs(const RowSet& left,
+                                       const RowSet& right,
+                                       const std::vector<Expr::Ptr>& lkeys,
+                                       const std::vector<Expr::Ptr>& rkeys,
+                                       sql::JoinType type,
+                                       const Expr* residual) {
+    // A leaf side reads its own table; a joined side gathers only the
+    // columns its keys read, charged at "gather_alloc" and released with
+    // them when the join returns.
+    auto key_mask = [](const RowSet& rows, const std::vector<Expr::Ptr>& keys) {
+      std::vector<uint8_t> mask(rows.num_columns(), 0);
+      for (const auto& k : keys) MarkBoundColumns(*k, &mask);
+      return mask;
+    };
+    const std::vector<uint8_t> lmask = key_mask(left, lkeys);
+    const std::vector<uint8_t> rmask = key_mask(right, rkeys);
+    ScopedReservation key_charge(
+        guard_, left.MaskedBytes(lmask) + right.MaskedBytes(rmask),
+        "gather_alloc");
+    VDB_RETURN_IF_ERROR(key_charge.status());
+    const TablePtr lsrc = left.GatherMasked(lmask, db_->num_threads());
+    const TablePtr rsrc = right.GatherMasked(rmask, db_->num_threads());
+
     // One pass per side decides borrow-vs-evaluate exactly once; the deque
     // gives evaluated columns stable addresses as it grows. The key columns
-    // only need to live through HashJoinPairs — the returned pair view holds
-    // row indices, not key references.
+    // only need to live through HashJoinPairs — the returned pairs hold row
+    // indices, not key references.
     std::deque<Column> owned;
     auto collect = [&](const Table& t, const std::vector<Expr::Ptr>& keys,
                        std::vector<const Column*>* cols) -> Status {
@@ -429,8 +481,8 @@ class SelectExecutor {
       return Status::Ok();
     };
     std::vector<const Column*> lcols, rcols;
-    VDB_RETURN_IF_ERROR(collect(*left, lkeys, &lcols));
-    VDB_RETURN_IF_ERROR(collect(*right, rkeys, &rcols));
+    VDB_RETURN_IF_ERROR(collect(*lsrc, lkeys, &lcols));
+    VDB_RETURN_IF_ERROR(collect(*rsrc, rkeys, &rcols));
     return HashJoinPairs(left, right, lcols, rcols, type, residual,
                          rand_seed_, db_->num_threads(), guard_);
   }
@@ -476,7 +528,8 @@ class SelectExecutor {
 
   // ------------------------------------------------------------ main body --
   Result<ResultSet> RunSingle(SelectStmt* stmt) {
-    referenced_ = CollectColumnRefNamesStmt(*stmt);
+    referenced_ = CollectColumnRefNamesStmt(*stmt, /*with_where=*/true,
+                                            /*with_on=*/true);
     // WHERE pushdown eligibility: when the FROM root is a join, the WHERE
     // can filter candidate pairs before the join's one combined gather
     // (ExecuteJoin consumes pushdown_where_). rand()-bearing predicates are
@@ -502,7 +555,7 @@ class SelectExecutor {
     // FROM
     RelResult input;
     if (stmt->from) {
-      auto r = ExecuteFrom(stmt->from.get());
+      auto r = ExecuteFrom(*stmt);
       if (!r.ok()) return r.status();
       input = std::move(r).ValueOrDie();
       pushdown_where_ = nullptr;  // only the FROM-root join may consume it
@@ -1302,9 +1355,9 @@ class SelectExecutor {
   bool pushdown_where_applied_ = false;
 
   /// Case-folded names of the columns the statement executing in RunSingle
-  /// references (CollectColumnRefNamesStmt); nullopt when a `*` select
-  /// item wants every column. Joins gather only these columns and derived
-  /// tables in the FROM tree emit only these outputs.
+  /// references anywhere (CollectColumnRefNamesStmt); nullopt when a `*`
+  /// select item wants every column. Derived tables in the FROM tree emit
+  /// only these outputs.
   std::optional<std::set<std::string>> referenced_;
   /// Derived-table projection pruning (set by the PARENT executor to its
   /// referenced_ before Run): when set, RunProjection drops select outputs

@@ -14,7 +14,13 @@ std::string ToLower(std::string s) {
   return s;
 }
 
-/// Rough per-cell heap footprint of a column of type `t` (ApproxBytes).
+/// Threads for a column-parallel gather of `rows` rows. Below 4096 rows the
+/// fan-out costs more than it saves, so one thread runs every column.
+int GatherThreads(size_t rows, int num_threads) {
+  return rows >= 4096 ? num_threads : 1;
+}
+}  // namespace
+
 uint64_t ApproxCellBytes(TypeId t) {
   switch (t) {
     case TypeId::kNull: return 0;
@@ -25,13 +31,6 @@ uint64_t ApproxCellBytes(TypeId t) {
   }
   return 0;
 }
-
-/// Threads for a column-parallel gather of `rows` rows. Below 4096 rows the
-/// fan-out costs more than it saves, so one thread runs every column.
-int GatherThreads(size_t rows, int num_threads) {
-  return rows >= 4096 ? num_threads : 1;
-}
-}  // namespace
 
 void Table::AddColumn(const std::string& name, TypeId type) {
   names_.push_back(ToLower(name));
@@ -218,85 +217,203 @@ Column RowView::GatherColumn(const Column& src, int num_threads) const {
   return Column::ConcatChunks(std::move(chunks));
 }
 
-// ---- JoinPairView -----------------------------------------------------------
+// ---- RowSet -----------------------------------------------------------------
 
 namespace {
 
-/// Appends combined (left ++ right) column `c` of `count` row pairs to
-/// `*col`. Right rows equal to kNullRightRow append NULL.
-void AppendPairColumn(const Table& left, const uint32_t* lrows,
-                      const Table& right, const uint32_t* rrows, size_t count,
-                      size_t c, Column* col) {
-  const size_t lcols = left.num_columns();
-  if (c < lcols) {
-    col->AppendSelected(left.column(c), lrows, count);
-    return;
-  }
-  const Column& src = right.column(c - lcols);
-  // Bulk-gather maximal sentinel-free segments; per-element work only for
-  // the null extensions themselves.
+/// Appends src[rows[i]] for i in [0, count) to `*col`; rows equal to
+/// kNullRightRow append NULL. Bulk-gathers maximal sentinel-free segments,
+/// so per-element work is spent only on the null extensions themselves.
+void AppendRowsOrNull(const Column& src, const uint32_t* rows, size_t count,
+                      Column* col) {
   size_t i = 0;
   while (i < count) {
-    if (rrows[i] == JoinPairView::kNullRightRow) {
+    if (rows[i] == RowSet::kNullRightRow) {
       col->AppendNull();
       ++i;
       continue;
     }
     size_t j = i;
-    while (j < count && rrows[j] != JoinPairView::kNullRightRow) ++j;
-    col->AppendSelected(src, rrows + i, j - i);
+    while (j < count && rows[j] != RowSet::kNullRightRow) ++j;
+    col->AppendSelected(src, rows + i, j - i);
     i = j;
   }
 }
 
 }  // namespace
 
-std::vector<size_t> JoinPairView::AllColumns() const {
-  std::vector<size_t> all(left_->num_columns() + right_->num_columns());
+RowSet RowSet::Of(TablePtr table) {
+  RowSet set;
+  set.num_rows_ = table->num_rows();
+  set.leaf_ = true;
+  set.AddSource({std::move(table), SelVector()});
+  return set;
+}
+
+void RowSet::AddSource(Source source) {
+  for (size_t c = 0; c < source.table->num_columns(); ++c) {
+    col_source_.push_back(sources_.size());
+    col_index_.push_back(c);
+  }
+  sources_.push_back(std::move(source));
+}
+
+Result<RowSet> RowSet::Join(RowSet left, RowSet right, JoinPairs pairs,
+                            int num_threads, const ExecGuard* guard) {
+  const size_t n = pairs.size();
+  size_t composed = 0;
+  if (!left.leaf_) composed += left.sources_.size();
+  if (!right.leaf_) composed += right.sources_.size();
+  if (composed > 0) {
+    // The composed vectors live as long as the set; a leaf side's pair list
+    // is moved in and was charged by the join that produced it.
+    VDB_RETURN_IF_ERROR(GuardTryReserve(
+        guard, static_cast<uint64_t>(composed) * n * sizeof(uint32_t),
+        "join_rows_alloc"));
+  }
+  RowSet out;
+  out.num_rows_ = n;
+  auto add_side = [&](RowSet& side, SelVector& pos) -> Status {
+    if (side.leaf_) {
+      out.AddSource({std::move(side.sources_[0].table), std::move(pos)});
+      return Status::Ok();
+    }
+    for (Source& src : side.sources_) {
+      SelVector rows(n);
+      VDB_RETURN_IF_ERROR(ThreadPool::Global().ParallelForStatus(
+          n, MorselRows(), num_threads, guard, "join_rows",
+          [&](size_t, size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i) {
+              rows[i] = pos[i] == kNullRightRow ? kNullRightRow
+                                                : src.rows[pos[i]];
+            }
+            return Status::Ok();
+          }));
+      SelVector().swap(src.rows);  // the child's vector is spent
+      out.AddSource({std::move(src.table), std::move(rows)});
+    }
+    SelVector().swap(pos);
+    return Status::Ok();
+  };
+  VDB_RETURN_IF_ERROR(add_side(left, pairs.left));
+  VDB_RETURN_IF_ERROR(add_side(right, pairs.right));
+  return out;
+}
+
+const TablePtr& RowSet::leaf_table() const {
+  static const TablePtr kNone;
+  return leaf_ ? sources_[0].table : kNone;
+}
+
+const std::string& RowSet::column_name(size_t c) const {
+  return sources_[col_source_[c]].table->column_name(col_index_[c]);
+}
+
+TypeId RowSet::column_type(size_t c) const {
+  return sources_[col_source_[c]].table->column(col_index_[c]).type();
+}
+
+void RowSet::AppendColumnRange(size_t c, size_t begin, size_t count,
+                               Column* out) const {
+  const Source& s = sources_[col_source_[c]];
+  const Column& src = s.table->column(col_index_[c]);
+  if (leaf_) {
+    out->AppendRange(src, begin, count);  // a leaf's positions are its rows
+  } else {
+    AppendRowsOrNull(src, s.rows.data() + begin, count, out);
+  }
+}
+
+void RowSet::AppendColumnAt(size_t c, const uint32_t* pos, size_t count,
+                            Column* out) const {
+  const Source& s = sources_[col_source_[c]];
+  const Column& src = s.table->column(col_index_[c]);
+  if (leaf_) {
+    AppendRowsOrNull(src, pos, count, out);
+    return;
+  }
+  // Compose the positions through the source's vector a block at a time.
+  constexpr size_t kBlock = 1024;
+  uint32_t rows[kBlock];
+  for (size_t i = 0; i < count; i += kBlock) {
+    const size_t m = std::min(kBlock, count - i);
+    for (size_t k = 0; k < m; ++k) {
+      const uint32_t p = pos[i + k];
+      rows[k] = p == kNullRightRow ? kNullRightRow : s.rows[p];
+    }
+    AppendRowsOrNull(src, rows, m, out);
+  }
+}
+
+Column RowSet::GatherColumn(size_t c, int num_threads) const {
+  // Same-type chunks bulk-append, so the result matches a one-chunk gather.
+  auto chunks = ParallelMorselMap<Column>(
+      num_rows_, num_threads, [&](Column& chunk, size_t begin, size_t end) {
+        chunk = Column(column_type(c));
+        AppendColumnRange(c, begin, end - begin, &chunk);
+      });
+  return Column::ConcatChunks(std::move(chunks));
+}
+
+TablePtr RowSet::GatherMasked(const std::vector<uint8_t>& mask,
+                              int num_threads) const {
+  if (leaf_) return sources_[0].table;
+  auto out = std::make_shared<Table>();
+  for (size_t c = 0; c < num_columns(); ++c) {
+    out->AddColumn(column_name(c), mask[c] != 0
+                                       ? GatherColumn(c, num_threads)
+                                       : Column(column_type(c)));
+  }
+  out->SetRowCount(num_rows_);
+  return out;
+}
+
+uint64_t RowSet::MaskedBytes(const std::vector<uint8_t>& mask) const {
+  if (leaf_) return 0;
+  uint64_t per_row = 0;
+  for (size_t c = 0; c < num_columns(); ++c) {
+    if (mask[c] != 0) per_row += ApproxCellBytes(column_type(c));
+  }
+  return per_row * static_cast<uint64_t>(num_rows_);
+}
+
+std::vector<size_t> RowSet::AllColumns() const {
+  std::vector<size_t> all(num_columns());
   for (size_t c = 0; c < all.size(); ++c) all[c] = c;
   return all;
 }
 
-Result<TablePtr> JoinPairView::GatherGuarded(
-    int num_threads, const ExecGuard* guard,
-    const std::vector<size_t>& keep) const {
+Result<TablePtr> RowSet::GatherGuarded(int num_threads, const ExecGuard* guard,
+                                       const std::vector<size_t>& keep) const {
   VDB_RETURN_IF_ERROR(GuardCheck(guard, "gather"));
-  const size_t lcols = left_->num_columns();
-  auto source = [&](size_t c) -> const Column& {
-    return c < lcols ? left_->column(c) : right_->column(c - lcols);
-  };
-  auto name = [&](size_t c) -> const std::string& {
-    return c < lcols ? left_->column_name(c) : right_->column_name(c - lcols);
-  };
-  uint64_t per_pair = 0;
-  for (size_t c : keep) per_pair += ApproxCellBytes(source(c).type());
+  uint64_t per_row = 0;
+  for (size_t c : keep) per_row += ApproxCellBytes(column_type(c));
   // Charge persists with the gathered table (see RowView::GatherGuarded).
   VDB_RETURN_IF_ERROR(GuardTryReserve(
-      guard, per_pair * static_cast<uint64_t>(lrows_.size()), "gather_alloc"));
+      guard, per_row * static_cast<uint64_t>(num_rows_), "gather_alloc"));
   auto out = std::make_shared<Table>();
-  for (size_t c : keep) out->AddColumn(name(c), source(c).type());
-  ParallelForEach(keep.size(), GatherThreads(lrows_.size(), num_threads),
+  for (size_t c : keep) out->AddColumn(column_name(c), column_type(c));
+  ParallelForEach(keep.size(), GatherThreads(num_rows_, num_threads),
                   [&](size_t k) {
-                    AppendPairColumn(*left_, lrows_.data(), *right_,
-                                     rrows_.data(), lrows_.size(), keep[k],
-                                     &out->column(k));
+                    AppendColumnRange(keep[k], 0, num_rows_,
+                                      &out->column(k));
                   });
-  out->SetRowCount(lrows_.size());
+  out->SetRowCount(num_rows_);
   return out;
 }
 
-void GatherJoinPairsInto(const Table& left, const uint32_t* lrows,
-                         const Table& right, const uint32_t* rrows,
+void GatherJoinPairsInto(const RowSet& left, const uint32_t* lrows,
+                         const RowSet& right, const uint32_t* rrows,
                          size_t count, int num_threads, Table* out,
                          const std::vector<uint8_t>* column_mask) {
   const size_t lcols = left.num_columns();
   const size_t rcols = right.num_columns();
   if (out->num_columns() == 0) {
     for (size_t c = 0; c < lcols; ++c) {
-      out->AddColumn(left.column_name(c), left.column(c).type());
+      out->AddColumn(left.column_name(c), left.column_type(c));
     }
     for (size_t c = 0; c < rcols; ++c) {
-      out->AddColumn(right.column_name(c), right.column(c).type());
+      out->AddColumn(right.column_name(c), right.column_type(c));
     }
   }
   out->ClearRows();
@@ -305,8 +422,12 @@ void GatherJoinPairsInto(const Table& left, const uint32_t* lrows,
                     if (column_mask != nullptr && (*column_mask)[c] == 0) {
                       return;
                     }
-                    AppendPairColumn(left, lrows, right, rrows, count, c,
-                                     &out->column(c));
+                    if (c < lcols) {
+                      left.AppendColumnAt(c, lrows, count, &out->column(c));
+                    } else {
+                      right.AppendColumnAt(c - lcols, rrows, count,
+                                           &out->column(c));
+                    }
                   });
   out->SetRowCount(count);
 }

@@ -13,6 +13,10 @@
 
 namespace vdb::engine {
 
+/// Rough per-cell heap footprint of a column of type `t`: the unit of
+/// Table::ApproxBytes and of the gathers' budget charges.
+uint64_t ApproxCellBytes(TypeId t);
+
 /// A selection vector: physical row indices (ascending for filters, arbitrary
 /// for gathers) into a table. The vectorized paths support row counts up to
 /// 2^32 - 2 (0xFFFFFFFF is a join null-extension sentinel); joins reject
@@ -157,65 +161,132 @@ class RowView {
   size_t begin_ = 0, end_ = 0;  // meaningful when !has_sel_
 };
 
-/// The two-source counterpart of RowView: a join result that stays a view.
-/// Parallel lists of (left_row, right_row) physical index pairs over two
-/// borrowed tables, in output order; a right entry of kNullRightRow is a
-/// LEFT JOIN null extension. Pair lists let post-join predicates — the ON
-/// residual and a pushed-down WHERE — filter candidate pairs BEFORE the one
-/// combined materialization, which GatherGuarded() performs (column-parallel)
-/// at the result boundary: the join-stage form of the gather-once invariant.
-class JoinPairView {
+/// Parallel pair lists of a join, in output order: row i of the join is
+/// left position left[i] ++ right position right[i] of the joined row sets,
+/// and right[i] == RowSet::kNullRightRow is a LEFT JOIN null extension.
+/// RowSet::Join composes them into the join's row set.
+struct JoinPairs {
+  SelVector left, right;
+
+  size_t size() const { return left.size(); }
+};
+
+/// The N-source counterpart of RowView: a join result that stays row
+/// indices. It holds one selection vector per source table — the leaves of
+/// a join tree, left to right — and row i of the set is row sel_s[i] of
+/// every source s, concatenated in source order; the combined schema is the
+/// sources' columns in that order. A source row of kNullRightRow is a LEFT
+/// JOIN null extension, whose columns read NULL. A leaf set (RowSet::Of) is
+/// one whole table in physical order and holds no index vector.
+///
+/// Joins hand row sets up the tree: a parent join gathers only its own key
+/// columns (GatherMasked), filters candidate pairs by its ON residual and a
+/// pushed-down WHERE while they are still indices (GatherJoinPairsInto),
+/// and composes its children's index vectors through its pair lists
+/// (Join). The FROM root materializes once (GatherGuarded): the join-tree
+/// form of the gather-once invariant.
+class RowSet {
  public:
-  /// Right-side null-extension sentinel (matches the SelVector contract:
-  /// tables address at most 2^32 - 2 rows).
+  /// Null-extension sentinel (matches the SelVector contract: tables
+  /// address at most 2^32 - 2 rows).
   static constexpr uint32_t kNullRightRow = 0xFFFFFFFFu;
 
-  JoinPairView() = default;
-  JoinPairView(TablePtr left, TablePtr right, SelVector lrows, SelVector rrows)
-      : left_(std::move(left)),
-        right_(std::move(right)),
-        lrows_(std::move(lrows)),
-        rrows_(std::move(rrows)) {}
+  RowSet() = default;
 
-  size_t num_pairs() const { return lrows_.size(); }
-  const TablePtr& left() const { return left_; }
-  const TablePtr& right() const { return right_; }
-  const SelVector& lrows() const { return lrows_; }
-  const SelVector& rrows() const { return rrows_; }
+  /// Every row of `table`, in physical order: one source, no index vector.
+  static RowSet Of(TablePtr table);
 
-  /// Every combined (left ++ right) column ordinal, in order: the keep
-  /// list of a full-width gather.
+  /// The join of `left` and `right` through their pair lists: row i is left
+  /// row pairs.left[i] ++ right row pairs.right[i], and a right entry of
+  /// kNullRightRow null-extends every right source. A leaf side's pair list
+  /// becomes its
+  /// source's index vector as is; every other source's vector is composed
+  /// through its side's pair list (morsel-parallel, polling "join_rows")
+  /// and charged at "join_rows_alloc" for the statement's lifetime. The
+  /// sides and pair lists are consumed: each child vector is freed as soon
+  /// as it has been composed.
+  static Result<RowSet> Join(RowSet left, RowSet right, JoinPairs pairs,
+                             int num_threads, const ExecGuard* guard);
+
+  size_t num_rows() const { return num_rows_; }
+  size_t num_columns() const { return col_source_.size(); }
+
+  /// The table of a leaf set, else nullptr.
+  const TablePtr& leaf_table() const;
+
+  /// Name and type of combined column `c`.
+  const std::string& column_name(size_t c) const;
+  TypeId column_type(size_t c) const;
+
+  /// Appends combined column `c` at the set's positions pos[0, count) to
+  /// `*out`. A kNullRightRow position, or a null-extended source row,
+  /// appends NULL; sentinel-free spans bulk-gather.
+  void AppendColumnAt(size_t c, const uint32_t* pos, size_t count,
+                      Column* out) const;
+
+  /// Combined column `c` over every row of the set: a morsel-parallel
+  /// chunked gather concatenated in morsel order.
+  Column GatherColumn(size_t c, int num_threads) const;
+
+  /// The set as a table to read the combined columns flagged in `mask`
+  /// from: a leaf set's own table, or else a table with the full combined
+  /// schema in which only the flagged columns are gathered (GatherColumn)
+  /// and the others stay EMPTY while the table reports num_rows() rows, so
+  /// bound ordinals line up but only flagged columns may be read (a parent
+  /// join's key source).
+  TablePtr GatherMasked(const std::vector<uint8_t>& mask,
+                        int num_threads) const;
+
+  /// The approximate footprint GatherMasked materializes: 0 for a leaf.
+  uint64_t MaskedBytes(const std::vector<uint8_t>& mask) const;
+
+  /// Every combined column ordinal, in order: the keep list of a
+  /// full-width gather.
   std::vector<size_t> AllColumns() const;
 
-  /// The single materialization of the surviving pairs. The result holds
-  /// only the combined (left ++ right) columns whose ordinals `keep` lists,
-  /// in that order; null extensions emit NULL right columns. Polls `guard`
-  /// (site "gather") and pre-charges the kept columns' approximate
-  /// footprint (site "gather_alloc") before materializing; the charge
-  /// persists with the gathered table. guard == nullptr is ungoverned.
+  /// The single materialization of the set. The result holds only the
+  /// combined columns whose ordinals `keep` lists, in that order, gathered
+  /// column-parallel. Polls `guard` (site "gather") and pre-charges the
+  /// kept columns' approximate footprint (site "gather_alloc") before
+  /// materializing; the charge persists with the gathered table.
+  /// guard == nullptr is ungoverned.
   Result<TablePtr> GatherGuarded(int num_threads, const ExecGuard* guard,
                                  const std::vector<size_t>& keep) const;
 
  private:
-  TablePtr left_, right_;
-  SelVector lrows_, rrows_;
+  struct Source {
+    TablePtr table;
+    SelVector rows;  // physical rows; empty in a leaf set
+  };
+
+  void AddSource(Source source);
+
+  /// AppendColumnAt over the positions [begin, begin + count).
+  void AppendColumnRange(size_t c, size_t begin, size_t count,
+                         Column* out) const;
+
+  std::vector<Source> sources_;
+  // Combined column c is column col_index_[c] of source col_source_[c].
+  std::vector<size_t> col_source_, col_index_;
+  size_t num_rows_ = 0;
+  bool leaf_ = false;
 };
 
-/// Gathers the combined (left ++ right) schema for `count` parallel row
-/// pairs into `*out`: existing rows are cleared but column storage is kept,
-/// so a streaming caller (the chunked residual/WHERE pair filter) reuses one
-/// scratch table's buffers across every chunk; on an empty `*out` the schema
-/// is created first. Right rows equal to JoinPairView::kNullRightRow emit
-/// NULLs; sentinel-free spans bulk-gather. Column-parallel when num_threads
-/// > 1 and the gather is large enough to amortize the fan-out.
+/// Gathers the combined (left ++ right) schema of `count` candidate pairs
+/// into `*out`: row i is left position lrows[i] ++ right position rrows[i]
+/// (kNullRightRow emits NULL right columns). Existing rows are cleared but
+/// column storage is kept, so a streaming caller (the chunked residual/WHERE
+/// pair filter) reuses one scratch table's buffers across every chunk; on
+/// an empty `*out` the schema is created first. Column-parallel when
+/// num_threads > 1 and the gather is large enough to amortize the fan-out.
 ///
 /// `column_mask` (may be null = all columns), one flag per combined column,
 /// restricts the gather to the flagged columns: unflagged columns keep the
 /// schema slot but stay EMPTY while the table reports `count` rows, so the
 /// caller must only read flagged columns (the predicate-scratch path gathers
 /// just the columns the predicate references).
-void GatherJoinPairsInto(const Table& left, const uint32_t* lrows,
-                         const Table& right, const uint32_t* rrows,
+void GatherJoinPairsInto(const RowSet& left, const uint32_t* lrows,
+                         const RowSet& right, const uint32_t* rrows,
                          size_t count, int num_threads, Table* out,
                          const std::vector<uint8_t>* column_mask = nullptr);
 

@@ -1509,6 +1509,16 @@ Result<Column> EvalExprView(const Expr& e, const RowView& view,
 
 // ---- pair-list predicate evaluation -----------------------------------------
 
+void MarkBoundColumns(const sql::Expr& e, std::vector<uint8_t>* mask) {
+  sql::AnyExprNode(e, [&](const sql::Expr& n) {
+    if (n.kind == sql::ExprKind::kColumnRef && n.bound_column >= 0 &&
+        static_cast<size_t>(n.bound_column) < mask->size()) {
+      (*mask)[static_cast<size_t>(n.bound_column)] = 1;
+    }
+    return false;
+  });
+}
+
 Result<const kernels::Bitmap*> PairPredicateEvaluator::Eval(
     const sql::Expr& pred, const uint32_t* lrows, const uint32_t* rrows,
     size_t count, uint64_t row_id_base) {
@@ -1520,13 +1530,7 @@ Result<const kernels::Bitmap*> PairPredicateEvaluator::Eval(
     // streaming callers reuse one predicate, so this walk runs once.
     mask_pred_ = &pred;
     col_mask_.assign(left_.num_columns() + right_.num_columns(), 0);
-    sql::AnyExprNode(pred, [&](const sql::Expr& n) {
-      if (n.kind == sql::ExprKind::kColumnRef && n.bound_column >= 0 &&
-          static_cast<size_t>(n.bound_column) < col_mask_.size()) {
-        col_mask_[static_cast<size_t>(n.bound_column)] = 1;
-      }
-      return false;
-    });
+    MarkBoundColumns(pred, &col_mask_);
   }
   GatherJoinPairsInto(left_, lrows, right_, rrows, count, num_threads_,
                       &scratch_, &col_mask_);
@@ -1543,13 +1547,13 @@ Result<const kernels::Bitmap*> PairPredicateEvaluator::Eval(
   return const_cast<const kernels::Bitmap*>(&pass_);
 }
 
-Status FilterJoinPairs(const sql::Expr& pred, JoinPairView* pairs,
+Status FilterJoinPairs(const sql::Expr& pred, const RowSet& left,
+                       const RowSet& right, JoinPairs* pairs,
                        uint64_t rand_seed, int num_threads,
                        const ExecGuard* guard) {
   constexpr size_t kChunk = 1 << 16;
-  const size_t n = pairs->num_pairs();
-  PairPredicateEvaluator eval(*pairs->left(), *pairs->right(), rand_seed,
-                              num_threads, guard);
+  const size_t n = pairs->size();
+  PairPredicateEvaluator eval(left, right, rand_seed, num_threads, guard);
   // Survivors stream straight into fresh pair lists (never positions into
   // the old list, which could exceed the uint32 index range). `begin` is the
   // global pair ordinal — the row this pair would occupy in the materialized
@@ -1557,22 +1561,22 @@ Status FilterJoinPairs(const sql::Expr& pred, JoinPairView* pairs,
   SelVector out_l, out_r;
   for (size_t begin = 0; begin < n; begin += kChunk) {
     const size_t end = std::min(n, begin + kChunk);
-    auto mask = eval.Eval(pred, pairs->lrows().data() + begin,
-                          pairs->rrows().data() + begin, end - begin, begin);
+    auto mask = eval.Eval(pred, pairs->left.data() + begin,
+                          pairs->right.data() + begin, end - begin, begin);
     if (!mask.ok()) return mask.status();
     const kernels::Bitmap& pass = *mask.value();
     for (size_t w = 0; w < pass.num_words(); ++w) {
       uint64_t word = pass.word(w);
       while (word != 0) {
         const size_t i = w * 64 + static_cast<size_t>(__builtin_ctzll(word));
-        out_l.push_back(pairs->lrows()[begin + i]);
-        out_r.push_back(pairs->rrows()[begin + i]);
+        out_l.push_back(pairs->left[begin + i]);
+        out_r.push_back(pairs->right[begin + i]);
         word &= word - 1;
       }
     }
   }
-  *pairs = JoinPairView(pairs->left(), pairs->right(), std::move(out_l),
-                        std::move(out_r));
+  pairs->left = std::move(out_l);
+  pairs->right = std::move(out_r);
   return Status::Ok();
 }
 

@@ -144,23 +144,29 @@ Result<Column> EvalExprView(const sql::Expr& e, const RowView& view,
                             uint64_t rand_seed, int num_threads,
                             const ExecGuard* guard = nullptr);
 
-/// Evaluates predicates over candidate (left_row, right_row) join pairs:
-/// each call gathers its pairs into a combined left ++ right scratch table
-/// and runs EvalPredicateBatch over it. Only the columns the predicate
-/// actually references (bound column ordinals in its tree) are gathered —
+/// Flags, in `*mask` (one flag per column of the schema `e` is bound
+/// against), every column `e` references by bound ordinal: the columns a
+/// masked gather must fetch to evaluate `e`.
+void MarkBoundColumns(const sql::Expr& e, std::vector<uint8_t>* mask);
+
+/// Evaluates predicates over candidate (left, right) join pairs of two row
+/// sets: each call gathers its pairs into a combined left ++ right scratch
+/// table (GatherJoinPairsInto) and runs EvalPredicateBatch over it. Only
+/// the columns the predicate actually references (bound column ordinals in
+/// its tree) are gathered —
 /// the scratch keeps the full combined schema so ordinals line up, but
 /// unreferenced columns stay empty. The scratch table and pass bitmap are
 /// REUSED across calls — the streaming residual path evaluates millions of
 /// candidate pairs in 64K-pair chunks, and per-chunk allocation dominated
 /// the old flush loop; the bitmap is overwritten wholesale by the evaluator
 /// (never re-zeroed per chunk). Right rows equal to
-/// JoinPairView::kNullRightRow gather as NULL right columns (pushed-down
+/// RowSet::kNullRightRow gather as NULL right columns (pushed-down
 /// WHERE over left-join null extensions). The returned bitmap (bit i set:
 /// predicate non-null and true for pair i) stays valid until the next Eval
 /// call.
 class PairPredicateEvaluator {
  public:
-  PairPredicateEvaluator(const Table& left, const Table& right,
+  PairPredicateEvaluator(const RowSet& left, const RowSet& right,
                          uint64_t rand_seed, int num_threads,
                          const ExecGuard* guard = nullptr)
       : left_(left),
@@ -181,8 +187,8 @@ class PairPredicateEvaluator {
                                       uint64_t row_id_base);
 
  private:
-  const Table& left_;
-  const Table& right_;
+  const RowSet& left_;
+  const RowSet& right_;
   uint64_t rand_seed_;
   int num_threads_;
   const ExecGuard* guard_ = nullptr;  // polled per Eval chunk
@@ -192,13 +198,15 @@ class PairPredicateEvaluator {
   kernels::Bitmap pass_;
 };
 
-/// Filters a JoinPairView in place by a predicate bound against the combined
-/// (left ++ right) schema, streaming in bounded chunks through one reused
-/// PairPredicateEvaluator scratch — candidate pairs are decided BEFORE the
-/// combined gather, so non-survivors are never materialized. Null-extended
-/// pairs evaluate with NULL right columns, matching post-materialization
-/// WHERE semantics exactly (the planner's pair-view WHERE pushdown).
-Status FilterJoinPairs(const sql::Expr& pred, JoinPairView* pairs,
+/// Filters the pair lists of a join of `left` and `right` in place by a
+/// predicate bound against the combined (left ++ right) schema, streaming
+/// in bounded chunks through one reused PairPredicateEvaluator scratch —
+/// pairs are decided BEFORE they are composed into the join's row set, so
+/// non-survivors are never composed or gathered. Null-extended pairs
+/// evaluate with NULL right columns, matching post-materialization WHERE
+/// semantics exactly (the planner's WHERE pushdown).
+Status FilterJoinPairs(const sql::Expr& pred, const RowSet& left,
+                       const RowSet& right, JoinPairs* pairs,
                        uint64_t rand_seed, int num_threads,
                        const ExecGuard* guard = nullptr);
 

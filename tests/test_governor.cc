@@ -72,8 +72,9 @@ std::unique_ptr<Database> MakeDb(size_t rows, int num_threads) {
 }
 
 // One query per execution stage the governor polls: scan/filter, grouped
-// aggregation (all paths), hash join build+probe, non-equi (cross) join,
-// derived table, and the row-addressed rand() rewrite shape.
+// aggregation (all paths), hash join build+probe, a join tree (row-set
+// composition and key gathers), non-equi (cross) join, derived table, and
+// the row-addressed rand() rewrite shape.
 const std::vector<std::string>& WorkloadQueries() {
   static const std::vector<std::string> kQueries = {
       "select id, price from orders where price > 500",
@@ -81,6 +82,9 @@ const std::vector<std::string>& WorkloadQueries() {
       "group by city order by city",
       "select d.label, count(*) as c, avg(o.price) as ap from orders o "
       "inner join dim d on o.k = d.k group by d.label order by d.label",
+      "select d2.label, sum(o.price) as sp from orders o join dim d1 "
+      "on o.k = d1.k join dim d2 on d1.k + 1 = d2.k group by d2.label "
+      "order by d2.label",
       "select count(*) as c from orders o inner join dim d on o.k < d.k "
       "where d.k > 47",
       "select count(*) as c from orders o cross join dim d",
@@ -351,7 +355,8 @@ TEST_F(GovernorTest, FaultSweepEveryReachableSiteFailsClean) {
   ASSERT_FALSE(sites.empty());
   // The stages the tentpole governs must all be represented.
   for (const char* must : {"agg_partial", "join_build", "join_probe",
-                           "gather", "cross_join"}) {
+                           "gather", "gather_alloc", "join_rows",
+                           "join_rows_alloc", "cross_join"}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), must), sites.end())
         << "workload never reached governed site " << must;
   }
@@ -451,6 +456,59 @@ TEST_F(GovernorTest, JoinGatherChargesOnlyReferencedColumns) {
   EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(got.status().message().find("gather"), std::string::npos)
       << got.status().ToString();
+}
+
+TEST_F(GovernorTest, JoinTreeGathersOnceUnderPerLevelFootprint) {
+  // A 4-way join tree hands row sets up the tree and gathers once, at the
+  // FROM root, only the columns read after the joins (every `label`). A
+  // per-level gather would have held, at each level, every referenced
+  // column of the relations joined so far: the `k`s the ONs name and the
+  // `label`s. The tree must complete under a budget below that footprint,
+  // with the composed index vectors ("join_rows_alloc") and the parent
+  // joins' transient key gathers ("gather_alloc") charged.
+  const std::string sql =
+      "select d3.label, count(*) as c, sum(o.price) as sp from orders o "
+      "join dim d1 on o.k = d1.k join dim d2 on d1.k = d2.k "
+      "join dim d3 on d2.k = d3.k group by d3.label order by d3.label";
+  constexpr uint64_t kKey = 8, kLabel = 24;  // ApproxCellBytes
+  for (int threads : {1, 2, 8}) {
+    auto db = MakeDb(4001, threads);
+    auto pairs = db->Execute(
+        "select count(*) as c from orders o join dim d on o.k = d.k");
+    ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+    // dim is keyed 1:1, so every level of the tree has the same rows.
+    const uint64_t rows = static_cast<uint64_t>(pairs.value().Get(0, 0).AsInt());
+    ASSERT_GT(rows, 0u);
+    // Per-level gathers: o.k d1.k d1.label, then + d2.k d2.label, then
+    // + d3.k d3.label.
+    const uint64_t per_level = rows * ((2 * kKey + kLabel) +
+                                       (3 * kKey + 2 * kLabel) +
+                                       (4 * kKey + 3 * kLabel));
+    auto ref = db->Execute(sql);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+
+    SetFaultObservationForTest(true);
+    auto seen = db->Execute(sql);
+    SetFaultObservationForTest(false);
+    ASSERT_TRUE(seen.ok()) << seen.status().ToString();
+    // Levels 2 and 3 compose their left child's vectors and gather its key.
+    EXPECT_EQ(FaultPointHits("join_rows_alloc"), 2u) << "@" << threads;
+    EXPECT_GE(FaultPointHits("gather_alloc"), 3u) << "@" << threads;
+    DisarmAllFaultPoints();
+
+    ExecGuard guard;
+    guard.set_memory_budget_bytes(per_level);
+    auto got = db->Execute(sql, &guard);
+    ASSERT_TRUE(got.ok()) << "@" << threads << " budget " << per_level
+                          << " -> " << got.status().ToString();
+    EXPECT_LT(guard.peak_reserved_bytes(), per_level) << "@" << threads;
+    // The charge includes the composed vectors: two at level 2 and three
+    // at level 3, 4 bytes per row each.
+    EXPECT_GE(guard.peak_reserved_bytes(), rows * (2 + 3) * sizeof(uint32_t))
+        << "@" << threads;
+    ExpectBitIdentical(ref.value(), got.value(),
+                       sql + " @" + std::to_string(threads));
+  }
 }
 
 TEST_F(GovernorTest, ProbePairListsChargedAtEveryThreadCount) {

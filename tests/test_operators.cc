@@ -386,12 +386,13 @@ class JoinBloomTest : public ::testing::Test {
     SetJoinBloomForTest(-1);
   }
 
-  static Result<JoinPairView> RunPairs(const TablePtr& left,
-                                       const TablePtr& right, int bloom_mode,
-                                       int threads) {
+  static Result<JoinPairs> RunPairs(const TablePtr& left,
+                                    const TablePtr& right, int bloom_mode,
+                                    int threads) {
     SetJoinBloomForTest(bloom_mode);
-    auto view = HashJoinPairs(left, right, {&left->column(0)},
-                              {&right->column(0)}, sql::JoinType::kInner,
+    auto view = HashJoinPairs(RowSet::Of(left), RowSet::Of(right),
+                              {&left->column(0)}, {&right->column(0)},
+                              sql::JoinType::kInner,
                               /*residual=*/nullptr, /*rand_seed=*/1, threads);
     SetJoinBloomForTest(-1);
     return view;
@@ -409,12 +410,12 @@ class JoinBloomTest : public ::testing::Test {
       ASSERT_TRUE(ref.ok()) << what << ": " << ref.status().ToString();
       ASSERT_TRUE(fil.ok()) << what << ": " << fil.status().ToString();
       if (expect_pairs != kAnyCount) {
-        EXPECT_EQ(ref.value().num_pairs(), expect_pairs)
+        EXPECT_EQ(ref.value().size(), expect_pairs)
             << what << " @" << threads;
       }
-      ASSERT_EQ(fil.value().lrows(), ref.value().lrows())
+      ASSERT_EQ(fil.value().left, ref.value().left)
           << what << " @" << threads << ": filter dropped/reordered pairs";
-      ASSERT_EQ(fil.value().rrows(), ref.value().rrows())
+      ASSERT_EQ(fil.value().right, ref.value().right)
           << what << " @" << threads << ": filter dropped/reordered pairs";
     }
   }

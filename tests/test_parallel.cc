@@ -412,6 +412,110 @@ TEST_F(ParallelTest, JoinPruningStarsCountsAndAmbiguity) {
       << amb.status().ToString();
 }
 
+// ---- join trees --------------------------------------------------------------
+// A join hands its row set to its parent join, which gathers only its own
+// key columns, filters pairs by its ON residual and a pushed-down WHERE,
+// and composes the row set through its pair lists; only the FROM root
+// gathers. Each tree must return exactly what the same tree returns with
+// every nested join written as a derived table, which gathers its output.
+
+TEST_F(ParallelTest, JoinTreeInnerAndLeftMatchesNestedDerived) {
+  // Three-way inner join.
+  CheckJoinPruningMatchesExplicit(
+      "select o.id as id, d.label as label, r.region as region from orders o "
+      "join dim d on o.k = d.k join regions r on d.label = r.label",
+      "select od.o_id as id, od.d_label as label, r.region as region from "
+      "(select o.id as o_id, d.label as d_label from orders o "
+      "join dim d on o.k = d.k) od join regions r on od.d_label = r.label");
+  // Four-way, with a nested left join whose null extensions flow up the
+  // tree and a left join at the root whose ON carries a residual.
+  CheckJoinPruningMatchesExplicit(
+      "select o.id as id, r.weight as w, d.label as label, "
+      "r2.region as region from orders o left join regions r on o.k = r.rk "
+      "join dim d on o.k = d.k left join regions r2 on d.label = r2.label "
+      "and o.price > r2.weight * 50",
+      "select t2.o_id as id, t2.r_weight as w, t2.d_label as label, "
+      "r2.region as region from (select t1.o_id as o_id, "
+      "t1.o_price as o_price, t1.r_weight as r_weight, d.label as d_label "
+      "from (select o.id as o_id, o.k as o_k, o.price as o_price, "
+      "r.weight as r_weight from orders o left join regions r "
+      "on o.k = r.rk) t1 join dim d on t1.o_k = d.k) t2 "
+      "left join regions r2 on t2.d_label = r2.label "
+      "and t2.o_price > r2.weight * 50");
+  // A right-nested join under a left join: the right side's row set is
+  // null-extended as a whole, and the ON residual and the pushed-down WHERE
+  // read its columns through its index vectors.
+  CheckJoinPruningMatchesExplicit(
+      "select o.id as id, r.region as region, d.label as label from orders o "
+      "left join (regions r join dim d on r.label = d.label) "
+      "on o.k = r.rk and d.k < 30 where d.label is null or o.price > 500",
+      "select o.id as id, rd.r_region as region, rd.d_label as label from "
+      "orders o left join (select r.rk as r_rk, r.region as r_region, "
+      "d.k as d_k, d.label as d_label from regions r join dim d "
+      "on r.label = d.label) rd on o.k = rd.r_rk and rd.d_k < 30 "
+      "where rd.d_label is null or o.price > 500");
+  // A parent join keyed on a null-extended column: NULL keys never match.
+  CheckJoinPruningMatchesExplicit(
+      "select o.id as id, d.label as label, r.note as note from orders o "
+      "left join regions r on o.k = r.rk join dim d on r.rk = d.k "
+      "left join regions r2 on d.k = r2.rk + 5",
+      "select t2.o_id as id, t2.d_label as label, t2.r_note as note from "
+      "(select t1.o_id as o_id, t1.r_note as r_note, d.k as d_k, "
+      "d.label as d_label from (select o.id as o_id, r.rk as r_rk, "
+      "r.note as r_note from orders o left join regions r "
+      "on o.k = r.rk) t1 join dim d on t1.r_rk = d.k) t2 "
+      "left join regions r2 on t2.d_k = r2.rk + 5");
+}
+
+TEST_F(ParallelTest, JoinTreeFiveWayWithRandWhereMatchesNestedDerived) {
+  // Five relations; a nested left join's NULL labels never match below
+  // the root, and the WHERE, drawing rand(), is pushed into the root join.
+  CheckJoinPruningMatchesExplicit(
+      "select d.label as label, count(*) as c, sum(o.price) as sp, "
+      "count(r.note) as n from orders o join dim d on o.k = d.k "
+      "left join regions r on d.label = r.label join dim d2 on o.k = d2.k "
+      "join regions r3 on o.k = r3.rk where rand() < 0.5 and o.qty > 10 "
+      "group by d.label order by d.label",
+      "select t3.d_label as label, count(*) as c, sum(t3.o_price) as sp, "
+      "count(t3.r_note) as n from (select t2.o_k as o_k, "
+      "t2.o_price as o_price, t2.o_qty as o_qty, t2.d_label as d_label, "
+      "t2.r_note as r_note from (select t1.o_k as o_k, "
+      "t1.o_price as o_price, t1.o_qty as o_qty, t1.d_label as d_label, "
+      "r.note as r_note from (select o.k as o_k, o.price as o_price, "
+      "o.qty as o_qty, d.label as d_label from orders o "
+      "join dim d on o.k = d.k) t1 left join regions r "
+      "on t1.d_label = r.label) t2 join dim d2 on t2.o_k = d2.k) t3 "
+      "join regions r3 on t3.o_k = r3.rk where rand() < 0.5 "
+      "and t3.o_qty > 10 group by t3.d_label order by t3.d_label");
+}
+
+TEST_F(ParallelTest, JoinTreeCrossDerivedAndCountMatchNestedDerived) {
+  // A cross join above a hash join, filtered by the pushed-down WHERE.
+  CheckJoinPruningMatchesExplicit(
+      "select o.id as id, d.label as label, r.region as region from orders o "
+      "join dim d on o.k = d.k cross join regions r "
+      "where r.region = 1 and o.price > 900",
+      "select od.o_id as id, od.d_label as label, r.region as region from "
+      "(select o.id as o_id, o.price as o_price, d.label as d_label "
+      "from orders o join dim d on o.k = d.k) od cross join regions r "
+      "where r.region = 1 and od.o_price > 900");
+  // A derived table inside the tree is a leaf of it.
+  CheckJoinPruningMatchesExplicit(
+      "select o.id as id, d.label as label, r.weight as w from orders o "
+      "join (select k, label from dim where k < 30) d on o.k = d.k "
+      "join regions r on d.label = r.label",
+      "select od.o_id as id, od.d_label as label, r.weight as w from "
+      "(select o.id as o_id, d.label as d_label from orders o "
+      "join (select k, label from dim where k < 30) d on o.k = d.k) od "
+      "join regions r on od.d_label = r.label");
+  // count(*) reads no column outside the ON conditions.
+  CheckJoinPruningMatchesExplicit(
+      "select count(*) as c from orders o join dim d on o.k = d.k "
+      "join regions r on d.label = r.label",
+      "select count(*) as c from (select d.label as d_label from orders o "
+      "join dim d on o.k = d.k) od join regions r on od.d_label = r.label");
+}
+
 TEST_F(ParallelTest, DistinctAndOrderBy) {
   CheckQueryAcrossThreads(
       10007, "select distinct city, qty from orders order by city, qty");

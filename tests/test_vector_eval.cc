@@ -1023,20 +1023,24 @@ TEST(MorselPathTest, EmptyInputs) {
     for (bool empty_probe : {true, false}) {
       const TablePtr left = empty_probe ? empty : full;
       const TablePtr right = empty_probe ? full : empty;
-      Result<JoinPairView> pairs = Status::Internal("not run");
+      Result<JoinPairs> pairs = Status::Internal("not run");
       EXPECT_EQ(polls("join_probe",
                       [&] {
                         pairs = HashJoinPairs(
-                            left, right, {&left->column(0)},
-                            {&right->column(0)}, sql::JoinType::kInner,
-                            nullptr, 0, threads);
+                            RowSet::Of(left), RowSet::Of(right),
+                            {&left->column(0)}, {&right->column(0)},
+                            sql::JoinType::kInner, nullptr, 0, threads);
                       }),
                 1u)
           << at << " empty_probe=" << empty_probe;
       ASSERT_TRUE(pairs.ok()) << at;
-      EXPECT_EQ(pairs.value().num_pairs(), 0u) << at;
-      auto joined = pairs.value().GatherGuarded(threads, nullptr,
-                                                pairs.value().AllColumns());
+      EXPECT_EQ(pairs.value().size(), 0u) << at;
+      auto rows = RowSet::Join(RowSet::Of(left), RowSet::Of(right),
+                               std::move(pairs).ValueOrDie(), threads,
+                               nullptr);
+      ASSERT_TRUE(rows.ok()) << at;
+      auto joined = rows.value().GatherGuarded(threads, nullptr,
+                                               rows.value().AllColumns());
       ASSERT_TRUE(joined.ok()) << at;
       ASSERT_EQ(joined.value()->num_columns(), 4u) << at;
       EXPECT_EQ(joined.value()->num_rows(), 0u) << at;

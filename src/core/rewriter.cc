@@ -61,6 +61,9 @@ struct SidPlan {
   std::string hash_alias;    // relation owning the hashed column
   std::string hash_column;
   double tau = 1.0;          // effective universe ratio
+  // Hash cut-off of the sampled rows: every row has verdict_hash < it, so
+  // sids 1 + floor(hash * b / block_cutoff) stay within 1..b.
+  double block_cutoff = 1.0;
   // Probability expression mode: per-tuple product vs constant tau.
   bool constant_prob = false;
 };
@@ -98,12 +101,14 @@ struct RewriteCtx {
       case SidPlan::Mode::kRandomSingle:
         return Ref(sid.sampled_aliases[0], "__vdb_sid");
       case SidPlan::Mode::kHashBlock: {
-        // 1 + floor(verdict_hash(col) * (b / tau)); hash < tau on the sample.
+        // 1 + floor(verdict_hash(col) * (b / cutoff)); hash < cutoff on
+        // the sample, so the blocks are b equal slices of [0, cutoff).
         auto h = Fn("verdict_hash", {});
         h->args.push_back(Ref(sid.hash_alias, sid.hash_column));
         auto scaled = Bin(BinaryOp::kMul, std::move(h),
-                          sql::MakeDoubleLit(static_cast<double>(b) /
-                                             std::max(sid.tau, 1e-12)));
+                          sql::MakeDoubleLit(
+                              static_cast<double>(b) /
+                              std::max(sid.block_cutoff, 1e-12)));
         auto fl = Fn("floor", {});
         fl->args.push_back(std::move(scaled));
         return Bin(BinaryOp::kAdd, sql::MakeIntLit(1), std::move(fl));
@@ -476,6 +481,12 @@ Status SubstituteSamples(TableRef* ref, const RewriteCtx& ctx) {
   return Status::Ok();
 }
 
+/// The build's hash cut-off of a hashed sample; the realized ratio when
+/// none is recorded.
+double BlockCutoff(const sampling::SampleInfo& s) {
+  return s.hash_cutoff > 0.0 ? s.hash_cutoff : s.ratio;
+}
+
 /// Decides the sid-generation strategy from the plan and query class.
 Result<SidPlan> MakeSidPlan(const QueryClass& qc, const SamplePlan& plan) {
   SidPlan sp;
@@ -493,6 +504,7 @@ Result<SidPlan> MakeSidPlan(const QueryClass& qc, const SamplePlan& plan) {
       sp.hash_alias = sp.sampled_aliases[0];
       sp.hash_column = choice.sample.columns[0];
       sp.tau = choice.sample.ratio;
+      sp.block_cutoff = BlockCutoff(choice.sample);
       sp.constant_prob = false;  // per-tuple prob column still valid
     } else {
       sp.mode = SidPlan::Mode::kRandomSingle;
@@ -524,6 +536,8 @@ Result<SidPlan> MakeSidPlan(const QueryClass& qc, const SamplePlan& plan) {
         sp.hash_alias = sp.sampled_aliases[0];
         sp.hash_column = a.sample.columns[0];
         sp.tau = std::min(a.sample.ratio, b.sample.ratio);
+        sp.block_cutoff =
+            std::min(BlockCutoff(a.sample), BlockCutoff(b.sample));
         sp.constant_prob = true;
         return sp;
       }

@@ -121,55 +121,50 @@ Result<ApproxAnswer> VerdictContext::ExecuteApprox(const std::string& sql,
   guard_.set_memory_budget_bytes(options_.memory_budget_bytes);
   guard_.set_deadline_after_ms(options_.timeout_ms);
   conn_.set_exec_guard(&guard_);
+  // Each user statement starts a fresh statement log, so the log holds
+  // this statement's catalog read, probes and rewritten query, and stays
+  // bounded in a long-lived context.
+  conn_.ClearLog();
   ExecInfo local;
   ExecInfo* ei = info ? info : &local;
+  auto finish = [&](Result<engine::ResultSet> rs) -> Result<ApproxAnswer> {
+    ei->peak_memory_bytes = guard_.peak_reserved_bytes();
+    if (!rs.ok()) return rs.status();
+    ApproxAnswer out;
+    out.result = std::move(rs).ValueOrDie();
+    out.confidence = options_.confidence;
+    return out;
+  };
+  // Parsed once: the approximation attempt, the pass-through and the HAC's
+  // exact run all read this statement.
+  auto parsed = sql::ParseStatement(sql);
+  if (!parsed.ok() || parsed.value()->kind != sql::StatementKind::kSelect) {
+    ei->skip_reason =
+        parsed.ok() ? "not a SELECT" : "parse error (passed through)";
+    return finish(conn_.Execute(sql));
+  }
+  sql::Statement& stmt = *parsed.value();
+  // Comparison subqueries -> joins (§2.2), before classification and for the
+  // pass-through alike: flattening is semantics-preserving, and many engines
+  // (including ours) cannot evaluate correlated subqueries natively.
+  auto flattened = FlattenComparisonSubqueries(stmt.select.get());
+  if (!flattened.ok()) {
+    // The statement may be half rewritten: pass the original text through.
+    ei->skip_reason = "flattening failed";
+    return finish(conn_.Execute(sql));
+  }
   bool handled = false;
-  auto approx = TryApproximate(sql, ei, &handled);
+  auto approx = TryApproximate(stmt, ei, &handled);
   ei->peak_memory_bytes = guard_.peak_reserved_bytes();
   if (handled) return approx;
-  // Passthrough: unsupported queries run unchanged on the underlying DB —
-  // except that correlated comparison subqueries are still flattened, since
-  // flattening is semantics-preserving and many engines (including ours)
-  // cannot evaluate them natively.
-  Result<engine::ResultSet> rs = Status::Internal("unset");
-  auto parsed = sql::ParseStatement(sql);
-  if (parsed.ok() && parsed.value()->kind == sql::StatementKind::kSelect) {
-    (void)FlattenComparisonSubqueries(parsed.value()->select.get());
-    rs = conn_.ExecuteAst(*parsed.value());
-  } else {
-    rs = conn_.Execute(sql);
-  }
-  if (!rs.ok()) return rs.status();
-  ApproxAnswer out;
-  out.result = std::move(rs).ValueOrDie();
-  out.confidence = options_.confidence;
-  ei->peak_memory_bytes = guard_.peak_reserved_bytes();
-  return out;
+  // Passthrough: unsupported queries run unchanged on the underlying DB.
+  return finish(conn_.ExecuteAst(stmt));
 }
 
-Result<ApproxAnswer> VerdictContext::TryApproximate(const std::string& sql,
-                                                    ExecInfo* info,
-                                                    bool* handled) {
+Result<ApproxAnswer> VerdictContext::TryApproximate(
+    const sql::Statement& stmt, ExecInfo* info, bool* handled) {
   *handled = false;
-  auto parsed = sql::ParseStatement(sql);
-  if (!parsed.ok()) {
-    info->skip_reason = "parse error (passed through)";
-    return Status::InvalidArgument("unparsed");
-  }
-  auto stmt = std::move(parsed).ValueOrDie();
-  if (stmt->kind != sql::StatementKind::kSelect) {
-    info->skip_reason = "not a SELECT";
-    return Status::InvalidArgument("not select");
-  }
-  SelectStmt* sel = stmt->select.get();
-
-  // Comparison subqueries -> joins (§2.2) before classification.
-  auto flattened = FlattenComparisonSubqueries(sel);
-  if (!flattened.ok()) {
-    info->skip_reason = "flattening failed";
-    return flattened.status();
-  }
-
+  const SelectStmt* sel = stmt.select.get();
   QueryClass qc = ClassifyQuery(*sel);
   if (!qc.supported) {
     info->skip_reason = qc.reason;
@@ -285,7 +280,7 @@ Result<ApproxAnswer> VerdictContext::TryApproximate(const std::string& sql,
        answer.value().unmeasured_rows > 0)) {
     info->exact_rerun = true;
     info->approximated = false;
-    auto exact = conn_.Execute(sql);
+    auto exact = conn_.ExecuteAst(stmt);
     if (!exact.ok()) {
       // Graceful degradation: when the exact fallback trips the governor
       // (out of time or budget after the approximate answer is already in
@@ -348,9 +343,7 @@ Result<ApproxAnswer> VerdictContext::DecomposeAndExecute(
   mean_stmt.select = std::move(mean_sel);
   ExecInfo sub_info;
   bool sub_handled = false;
-  auto approx = TryApproximate(
-      sql::PrintStatement(mean_stmt, conn_.dialect().print_options), &sub_info,
-      &sub_handled);
+  auto approx = TryApproximate(mean_stmt, &sub_info, &sub_handled);
   if (!sub_handled || !approx.ok()) {
     info->skip_reason = "decomposition: mean-like half not approximable (" +
                         sub_info.skip_reason + ")";
@@ -528,8 +521,8 @@ int64_t VerdictContext::EstimateGroupCardinality(
   // replay re-issues the logged statements between the catalog read and the
   // rewritten query and accepts only ones starting "select count(distinct ".
   // Changing its shape breaks trace.replay_mismatch, not only this probe.
-  auto rs = conn_.Execute("select count(distinct " + expr + ") as c from " +
-                          probe_table);
+  auto rs = conn_.ExecuteCached("select count(distinct " + expr +
+                                ") as c from " + probe_table);
   if (!rs.ok() || rs.value().NumRows() == 0) return 0;
   return rs.value().Get(0, 0).AsInt();
 }

@@ -64,8 +64,10 @@ class VerdictContext {
   ExecGuard& exec_guard() { return guard_; }
 
  private:
-  Result<ApproxAnswer> TryApproximate(const std::string& sql, ExecInfo* info,
-                                      bool* handled);
+  /// Approximates a parsed, flattened SELECT; *handled is false when it
+  /// must pass through instead.
+  Result<ApproxAnswer> TryApproximate(const sql::Statement& stmt,
+                                      ExecInfo* info, bool* handled);
 
   /// Splits a query mixing extreme (min/max) and mean-like statistics into
   /// an exact half and an approximated half, merging results by group key

@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "sql/parser.h"
+
 namespace vdb::driver {
 
 namespace {
@@ -37,42 +39,6 @@ Dialect MakeRedshift() {
   d.print_options.identifier_quote = '"';
   d.fixed_overhead_ms = 30.0;
   return d;
-}
-
-/// Counts rand() calls under e, excluding subqueries.
-int CountRandCalls(const sql::Expr& e) {
-  int n = 0;
-  if (e.kind == sql::ExprKind::kFunction &&
-      (e.name == "rand" || e.name == "random")) {
-    n += 1;
-  }
-  for (const auto& a : e.args) {
-    if (a) n += CountRandCalls(*a);
-  }
-  for (const auto& w : e.case_whens) n += CountRandCalls(*w);
-  for (const auto& t : e.case_thens) n += CountRandCalls(*t);
-  if (e.case_else) n += CountRandCalls(*e.case_else);
-  return n;
-}
-
-/// Replaces each rand() call with a reference to a generated column
-/// `__vdb_rand<i>`, returning the number of replacements.
-int ReplaceRandCalls(sql::Expr* e, int next_id) {
-  if (e->kind == sql::ExprKind::kFunction &&
-      (e->name == "rand" || e->name == "random")) {
-    e->kind = sql::ExprKind::kColumnRef;
-    e->qualifier.clear();
-    e->name = "__vdb_rand" + std::to_string(next_id);
-    e->args.clear();
-    return next_id + 1;
-  }
-  for (auto& a : e->args) {
-    if (a) next_id = ReplaceRandCalls(a.get(), next_id);
-  }
-  for (auto& w : e->case_whens) next_id = ReplaceRandCalls(w.get(), next_id);
-  for (auto& t : e->case_thens) next_id = ReplaceRandCalls(t.get(), next_id);
-  if (e->case_else) next_id = ReplaceRandCalls(e->case_else.get(), next_id);
-  return next_id;
 }
 
 }  // namespace
@@ -111,21 +77,31 @@ Status ApplySyntaxRules(const Dialect& dialect, sql::SelectStmt* stmt) {
   }
 
   if (dialect.allows_rand_in_where || !stmt->where) return Status::Ok();
-  int rand_count = CountRandCalls(*stmt->where);
-  if (rand_count == 0) return Status::Ok();
+  // The WHERE's own rand-family calls; a subquery's calls stay in the
+  // subquery, where they draw per subquery row.
+  std::vector<sql::Expr*> calls;
+  sql::ForEachRandCallInExpr(
+      *stmt->where, [&calls](sql::Expr& e) { calls.push_back(&e); },
+      /*into_subqueries=*/false);
+  if (calls.empty()) return Status::Ok();
 
   // Hoist: from F where P(rand())  =>
   //   from (select *, rand() as __vdb_rand0, ... from F) as __vdb_r
   //   where P(__vdb_rand0, ...)
+  // Back to front, so a call nested in another's arguments (which the
+  // binder rejects) is replaced before the enclosing call is cloned.
+  std::vector<sql::SelectItem> hoisted(calls.size());
+  for (size_t i = calls.size(); i-- > 0;) {
+    const std::string column = "__vdb_rand" + std::to_string(i);
+    hoisted[i] = sql::SelectItem(calls[i]->Clone(), column);
+    *calls[i] = sql::Expr(sql::ExprKind::kColumnRef);
+    calls[i]->name = column;
+  }
   auto inner = std::make_unique<sql::SelectStmt>();
   inner->items.emplace_back(sql::MakeStar(), "");
-  for (int i = 0; i < rand_count; ++i) {
-    inner->items.emplace_back(sql::MakeFunction("rand", {}),
-                              "__vdb_rand" + std::to_string(i));
-  }
+  for (auto& item : hoisted) inner->items.push_back(std::move(item));
   inner->from = std::move(stmt->from);
   stmt->from = sql::MakeDerivedTable(std::move(inner), "__vdb_r");
-  ReplaceRandCalls(stmt->where.get(), 0);
   return Status::Ok();
 }
 
@@ -146,6 +122,29 @@ Result<engine::ResultSet> Connection::ExecuteAst(const sql::Statement& stmt) {
 Result<engine::ResultSet> Connection::Execute(const std::string& sql) {
   log_.push_back(sql);
   return db_->Execute(sql, guard_);
+}
+
+Result<engine::ResultSet> Connection::ExecuteCached(const std::string& sql) {
+  log_.push_back(sql);
+  const uint64_t generation = db_->write_generation();
+  if (generation != memo_generation_) {
+    memo_.clear();
+    memo_generation_ = generation;
+  } else if (auto hit = memo_.find(sql); hit != memo_.end()) {
+    return hit->second;
+  }
+  auto parsed = sql::ParseStatement(sql);
+  if (!parsed.ok()) return parsed.status();
+  if (parsed.value()->kind != sql::StatementKind::kSelect) {
+    return db_->Execute(sql, guard_);
+  }
+  const sql::SelectStmt& select = *parsed.value()->select;
+  auto rs = db_->ExecuteSelect(select, guard_);
+  if (rs.ok() && !sql::DrawsRand(select) &&
+      db_->write_generation() == generation) {
+    memo_.emplace(sql, rs.value());
+  }
+  return rs;
 }
 
 }  // namespace vdb::driver

@@ -13,6 +13,8 @@
 #define VDB_DRIVER_DIALECT_H_
 
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "common/governor.h"
 #include "common/status.h"
@@ -58,6 +60,17 @@ class Connection {
   /// Executes raw SQL text.
   Result<engine::ResultSet> Execute(const std::string& sql);
 
+  /// Executes raw SQL text through the metadata memo: while the database's
+  /// write generation is unchanged, a statement memoized under it returns
+  /// the memoized result without running. Otherwise the statement runs as
+  /// in Execute, and its result is memoized when it is OK, the statement is
+  /// a SELECT calling no rand-family function, and no write landed while it
+  /// ran. Either way the statement is logged, so statement_log() has the
+  /// same shape on a hit. A hit shares the memoized result's table; callers
+  /// must not modify it. Contract: "Metadata memo contract" in
+  /// docs/INVARIANTS.md.
+  Result<engine::ResultSet> ExecuteCached(const std::string& sql);
+
   const Dialect& dialect() const { return dialect_; }
   engine::Database* database() { return db_; }
 
@@ -79,6 +92,9 @@ class Connection {
   const Dialect& dialect_;
   const ExecGuard* guard_ = nullptr;
   std::vector<std::string> log_;
+  /// The memo: statement text -> result, all computed under memo_generation_.
+  uint64_t memo_generation_ = 0;
+  std::unordered_map<std::string, engine::ResultSet> memo_;
 };
 
 }  // namespace vdb::driver

@@ -19,6 +19,7 @@ Status Catalog::CreateTable(const std::string& name, TablePtr table) {
     return Status::AlreadyExists("table already exists: " + name);
   }
   tables_[key] = std::move(table);
+  MarkWritten();
   return Status::Ok();
 }
 
@@ -30,6 +31,7 @@ Status Catalog::DropTable(const std::string& name, bool if_exists) {
     return Status::NotFound("no such table: " + name);
   }
   tables_.erase(it);
+  MarkWritten();
   return Status::Ok();
 }
 

@@ -128,6 +128,7 @@ Result<ResultSet> Database::Execute(const std::string& sql,
       for (size_t row = 0; row < r.NumRows(); ++row) {
         target->AppendRowFrom(*r.table, row);
       }
+      catalog_.MarkWritten();
       ResultSet empty;
       empty.table = std::make_shared<Table>();
       return empty;

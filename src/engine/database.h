@@ -65,10 +65,21 @@ class Database {
   Catalog& catalog() { return catalog_; }
   const Catalog& catalog() const { return catalog_; }
 
+  /// Moves on every table create and drop (CREATE TABLE AS, DROP,
+  /// RegisterTable, direct catalog calls) and every INSERT. A SELECT's
+  /// answer is a function of the tables while it is unchanged, unless the
+  /// SELECT draws rand; driver::Connection::ExecuteCached memoizes on it.
+  /// Code that writes rows into a registered table object in place, outside
+  /// SQL, must report it through catalog().MarkWritten().
+  uint64_t write_generation() const { return catalog_.generation(); }
+
   /// Draws the per-statement seed for the row-addressed rand() substrate
-  /// (common/random.h): one Rng draw per executed statement, so consecutive
-  /// statements get independent draws while a fixed database seed plus a
-  /// fixed statement sequence stays fully reproducible. Within a statement
+  /// (common/random.h): one Rng draw per executed statement that calls a
+  /// rand-family function (statements without one draw nothing), so
+  /// consecutive rand statements get independent draws, a fixed database
+  /// seed plus a fixed sequence of rand statements stays fully
+  /// reproducible, and rand-free statements in between (catalog reads,
+  /// probes, DDL, memo hits) shift nothing. Within a statement
   /// every rand-family value is a pure function of (this seed, row id, call
   /// site) — never of evaluation order, plan shape, or thread count.
   ///

@@ -57,9 +57,8 @@ size_t BitmapSelect(const kernels::Bitmap& bits,
 
 // ---- rand call-site numbering ---------------------------------------------
 // Every rand/random/rand_poisson node gets a 1-based call-site id, assigned
-// once per statement in a fixed traversal order (select items, WHERE,
-// GROUP BY, HAVING, ORDER BY, FROM tree, UNION chain; recursing into derived
-// tables and subqueries). The id is part of the row-addressed draw
+// once per statement in sql::ForEachRandCall's fixed traversal order
+// (sql/ast.h). The id is part of the row-addressed draw
 // (RandAddr.site), so distinct call sites draw independently while clones of
 // the same site — pushdown copies, rebinds — keep identical draws. Numbering
 // is two-pass: a scan pass finds the maximum id already present (statements
@@ -68,56 +67,17 @@ size_t BitmapSelect(const kernels::Bitmap& bits,
 // with a pre-numbered one and silently correlate two call sites. Re-entry on
 // a fully numbered statement is a no-op.
 
-void WalkRandSitesStmt(SelectStmt* stmt, int* next, bool assign);
-
-void WalkRandSitesExpr(Expr* e, int* next, bool assign) {
-  if (e == nullptr) return;
-  if (sql::IsRandFunctionExpr(*e)) {
-    if (!assign) {
-      if (e->rand_site >= *next) *next = e->rand_site + 1;
-    } else if (e->rand_site == 0) {
-      e->rand_site = (*next)++;
-    }
-  }
-  for (auto& a : e->args) WalkRandSitesExpr(a.get(), next, assign);
-  for (auto& w : e->case_whens) WalkRandSitesExpr(w.get(), next, assign);
-  for (auto& t : e->case_thens) WalkRandSitesExpr(t.get(), next, assign);
-  WalkRandSitesExpr(e->case_else.get(), next, assign);
-  for (auto& p : e->partition_by) WalkRandSitesExpr(p.get(), next, assign);
-  if (e->subquery) WalkRandSitesStmt(e->subquery.get(), next, assign);
-}
-
-void WalkRandSitesRef(TableRef* ref, int* next, bool assign) {
-  if (ref == nullptr) return;
-  switch (ref->kind) {
-    case TableRef::Kind::kBase:
-      return;
-    case TableRef::Kind::kDerived:
-      WalkRandSitesStmt(ref->derived.get(), next, assign);
-      return;
-    case TableRef::Kind::kJoin:
-      WalkRandSitesRef(ref->left.get(), next, assign);
-      WalkRandSitesRef(ref->right.get(), next, assign);
-      WalkRandSitesExpr(ref->on.get(), next, assign);
-      return;
-  }
-}
-
-void WalkRandSitesStmt(SelectStmt* stmt, int* next, bool assign) {
-  if (stmt == nullptr) return;
-  for (auto& it : stmt->items) WalkRandSitesExpr(it.expr.get(), next, assign);
-  WalkRandSitesExpr(stmt->where.get(), next, assign);
-  for (auto& g : stmt->group_by) WalkRandSitesExpr(g.get(), next, assign);
-  WalkRandSitesExpr(stmt->having.get(), next, assign);
-  for (auto& o : stmt->order_by) WalkRandSitesExpr(o.expr.get(), next, assign);
-  WalkRandSitesRef(stmt->from.get(), next, assign);
-  WalkRandSitesStmt(stmt->union_next.get(), next, assign);
-}
-
-void AssignRandSites(SelectStmt* stmt) {
+/// Numbers the statement's rand call sites and returns the highest id, 0
+/// when the statement calls no rand-family function.
+int AssignRandSites(SelectStmt* stmt) {
   int next = 1;
-  WalkRandSitesStmt(stmt, &next, /*assign=*/false);
-  WalkRandSitesStmt(stmt, &next, /*assign=*/true);
+  sql::ForEachRandCall(*stmt, [&next](Expr& e) {
+    if (e.rand_site >= next) next = e.rand_site + 1;
+  });
+  sql::ForEachRandCall(*stmt, [&next](Expr& e) {
+    if (e.rand_site == 0) e.rand_site = next++;
+  });
+  return next - 1;
 }
 
 /// A gathered FROM relation: the table the statement reads.
@@ -1376,9 +1336,12 @@ void SetJoinWherePushdownForTest(bool enabled) {
 Result<ResultSet> RunSelect(Database* db, sql::SelectStmt* stmt,
                             const ExecGuard* guard) {
   // Number the statement's rand call sites, then draw its query seed — the
-  // two inputs (with the row id) of every row-addressed rand draw below.
-  AssignRandSites(stmt);
-  SelectExecutor exec(db, db->NewQuerySeed(), guard);
+  // two inputs (with the row id) of every row-addressed rand draw below. A
+  // statement without rand draws no seed, so a user statement's draws do
+  // not depend on how many rand-free statements (catalog reads, probes,
+  // DDL) ran before it.
+  const bool draws_rand = AssignRandSites(stmt) > 0;
+  SelectExecutor exec(db, draws_rand ? db->NewQuerySeed() : 0, guard);
   return exec.Run(stmt);
 }
 

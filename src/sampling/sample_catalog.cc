@@ -116,9 +116,10 @@ Result<std::vector<SampleInfo>> SampleCatalog::SamplesFor(
   if (!base_table.empty()) {
     sql += " where base_table = '" + ToLower(base_table) + "'";
   }
-  auto rs = conn_->Execute(sql);
+  auto rs = conn_->ExecuteCached(sql);
   if (!rs.ok()) return rs.status();
   const auto& r = rs.value();
+  if (r.table && r.table == decoded_table_) return decoded_;
   int c_sample = r.ColumnIndex("sample_table");
   int c_base = r.ColumnIndex("base_table");
   int c_type = r.ColumnIndex("sample_type");
@@ -143,6 +144,8 @@ Result<std::vector<SampleInfo>> SampleCatalog::SamplesFor(
     info.sample_rows = static_cast<uint64_t>(cell(row, c_srows).AsInt());
     out.push_back(std::move(info));
   }
+  decoded_table_ = r.table;
+  decoded_ = out;
   return out;
 }
 

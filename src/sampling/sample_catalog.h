@@ -33,6 +33,8 @@ class SampleCatalog {
   Status Unregister(const std::string& sample_table);
 
   /// All samples of `base_table` (case-insensitive); empty base returns all.
+  /// Reads through the connection's metadata memo (ExecuteCached), and a
+  /// memo hit reuses the decoding of the result it last decoded.
   Result<std::vector<SampleInfo>> SamplesFor(const std::string& base_table);
 
   /// Updates sample_rows/base_rows after an append.
@@ -41,6 +43,10 @@ class SampleCatalog {
 
  private:
   driver::Connection* conn_;
+  /// The metadata result SamplesFor last decoded, held so its address
+  /// cannot be reused, and its decoding.
+  engine::TablePtr decoded_table_;
+  std::vector<SampleInfo> decoded_;
 };
 
 }  // namespace vdb::sampling

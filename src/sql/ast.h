@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/value.h"
@@ -240,6 +241,96 @@ struct Statement {
   bool if_exists = false;  // DROP TABLE IF EXISTS
   std::unique_ptr<SelectStmt> select;  // null for DROP
 };
+
+// ---- The rand-family walk ---------------------------------------------------
+//
+// The one walk over a statement's rand-family calls (IsRandFunctionExpr). It
+// visits select items, WHERE, GROUP BY, HAVING, ORDER BY, the FROM tree
+// (left, right, then ON; derived tables recursively) and the UNION chain, in
+// that order; inside an expression, the node itself before its arguments,
+// CASE arms, window partition keys and subquery. Call-site numbering
+// (engine/planner.cc) depends on this order. The per-statement seed
+// decision, the driver memo's rand-free check (DrawsRand) and the dialect's
+// WHERE hoist (driver/dialect.cc) share it, so a new place a call can sit
+// is added once. `fn` receives `Expr&`, or `const Expr&` under a const root.
+
+namespace ast_internal {
+template <class From, class To>
+using LikeConst = std::conditional_t<std::is_const_v<From>, const To, To>;
+template <class Ref, class Fn>
+void ForEachRandCallInRef(Ref& ref, const Fn& fn);
+}  // namespace ast_internal
+
+template <class Stmt, class Fn>
+void ForEachRandCall(Stmt& stmt, const Fn& fn);
+
+/// The walk over one expression; `into_subqueries` = false stops at scalar
+/// and EXISTS subqueries.
+template <class E, class Fn>
+void ForEachRandCallInExpr(E& e, const Fn& fn, bool into_subqueries) {
+  using Node = ast_internal::LikeConst<E, Expr>;
+  auto walk = [&](Node& child) {
+    ForEachRandCallInExpr<Node>(child, fn, into_subqueries);
+  };
+  if (IsRandFunctionExpr(e)) fn(e);
+  for (auto& a : e.args) {
+    if (a) walk(*a);
+  }
+  for (auto& w : e.case_whens) walk(*w);
+  for (auto& t : e.case_thens) walk(*t);
+  if (e.case_else) walk(*e.case_else);
+  for (auto& p : e.partition_by) walk(*p);
+  if (into_subqueries && e.subquery) {
+    ForEachRandCall<ast_internal::LikeConst<E, SelectStmt>>(*e.subquery, fn);
+  }
+}
+
+template <class Stmt, class Fn>
+void ForEachRandCall(Stmt& stmt, const Fn& fn) {
+  using Node = ast_internal::LikeConst<Stmt, Expr>;
+  auto walk = [&](Node& e) { ForEachRandCallInExpr<Node>(e, fn, true); };
+  for (auto& it : stmt.items) {
+    if (it.expr) walk(*it.expr);
+  }
+  if (stmt.where) walk(*stmt.where);
+  for (auto& g : stmt.group_by) walk(*g);
+  if (stmt.having) walk(*stmt.having);
+  for (auto& o : stmt.order_by) walk(*o.expr);
+  if (stmt.from) {
+    ast_internal::ForEachRandCallInRef<ast_internal::LikeConst<Stmt, TableRef>>(
+        *stmt.from, fn);
+  }
+  if (stmt.union_next) ForEachRandCall<Stmt>(*stmt.union_next, fn);
+}
+
+template <class Ref, class Fn>
+void ast_internal::ForEachRandCallInRef(Ref& ref, const Fn& fn) {
+  switch (ref.kind) {
+    case TableRef::Kind::kBase:
+      return;
+    case TableRef::Kind::kDerived:
+      if (ref.derived) {
+        ForEachRandCall<LikeConst<Ref, SelectStmt>>(*ref.derived, fn);
+      }
+      return;
+    case TableRef::Kind::kJoin:
+      if (ref.left) ForEachRandCallInRef<Ref>(*ref.left, fn);
+      if (ref.right) ForEachRandCallInRef<Ref>(*ref.right, fn);
+      if (ref.on) {
+        ForEachRandCallInExpr<LikeConst<Ref, Expr>>(*ref.on, fn, true);
+      }
+      return;
+  }
+}
+
+/// True if the statement calls a rand-family function anywhere. Such a
+/// statement draws a query seed, and its answer is not a function of the
+/// tables alone.
+inline bool DrawsRand(const SelectStmt& stmt) {
+  bool any = false;
+  ForEachRandCall(stmt, [&any](const Expr&) { any = true; });
+  return any;
+}
 
 }  // namespace vdb::sql
 

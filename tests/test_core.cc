@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <utility>
 
+#include "common/fault_injection.h"
 #include "common/random.h"
 #include "core/flattener.h"
 #include "core/query_classifier.h"
@@ -358,7 +362,6 @@ TEST_F(VerdictE2E, InfeasibleQuerySendsNoProbe) {
   tiny->AddColumn("g", TypeId::kInt64);
   for (int i = 0; i < 500; ++i) tiny->AppendRow({Value::Int(i % 7)});
   ASSERT_TRUE(db_.RegisterTable("tiny", tiny).ok());
-  ctx_->connection().ClearLog();
   VerdictContext::ExecInfo info;
   auto rs = ctx_->Execute("select g, count(*) as c from tiny group by g",
                           &info);
@@ -371,7 +374,6 @@ TEST_F(VerdictE2E, InfeasibleQuerySendsNoProbe) {
 TEST_F(VerdictE2E, FeasibleQueryPlansWithTheProbedHint) {
   const std::string sql =
       "select g10, count(*) as c from big group by g10 order by g10";
-  ctx_->connection().ClearLog();
   VerdictContext::ExecInfo info;
   ASSERT_TRUE(ctx_->Execute(sql, &info).ok());
   ASSERT_TRUE(info.approximated) << info.skip_reason;
@@ -413,6 +415,226 @@ TEST_F(VerdictE2E, RewrittenSqlIsExposed) {
   EXPECT_NE(info.rewritten_sql.find("__vdb_sid"), std::string::npos);
   EXPECT_NE(info.rewritten_sql.find("big_vdb_uniform"), std::string::npos);
   EXPECT_GT(info.subsamples, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Metadata memo: the catalog read and the group-cardinality probe are
+// answered from Connection::ExecuteCached until a table changes.
+// ---------------------------------------------------------------------------
+
+constexpr char kGroupedQuery[] =
+    "select g10, count(*) as c, avg(value) as a from big group by g10"
+    " order by g10";
+
+/// Rows the engine scanned answering `sql` through the memo: 0 on a hit.
+uint64_t ScannedThroughMemo(VerdictContext* ctx, engine::Database* db,
+                            const std::string& sql) {
+  const uint64_t before = db->rows_scanned();
+  auto rs = ctx->connection().ExecuteCached(sql);
+  EXPECT_TRUE(rs.ok()) << sql << ": " << rs.status().ToString();
+  return db->rows_scanned() - before;
+}
+
+/// Same names, and every cell equal to the bit (NULLs in the same places).
+void ExpectBitIdentical(const engine::ResultSet& a,
+                        const engine::ResultSet& b) {
+  ASSERT_EQ(a.names, b.names);
+  ASSERT_EQ(a.NumRows(), b.NumRows());
+  for (size_t r = 0; r < a.NumRows(); ++r) {
+    for (size_t c = 0; c < a.NumCols(); ++c) {
+      const Value x = a.Get(r, c), y = b.Get(r, c);
+      ASSERT_EQ(x.is_null(), y.is_null()) << "row " << r << " col " << c;
+      if (x.is_null()) continue;
+      if (x.is_numeric()) {
+        const double dx = x.AsDouble(), dy = y.AsDouble();
+        EXPECT_EQ(std::memcmp(&dx, &dy, sizeof dx), 0)
+            << "row " << r << " col " << c << ": " << dx << " vs " << dy;
+      } else {
+        EXPECT_EQ(x.AsString(), y.AsString()) << "row " << r << " col " << c;
+      }
+    }
+  }
+}
+
+TEST_F(VerdictE2E, MemoHitKeepsTheLogShape) {
+  ASSERT_TRUE(ctx_->Execute(kGroupedQuery).ok());
+  const std::vector<std::string> cold = ctx_->connection().statement_log();
+  const uint64_t before = db_.rows_scanned();
+  VerdictContext::ExecInfo info;
+  ASSERT_TRUE(ctx_->Execute(kGroupedQuery, &info).ok());
+  ASSERT_TRUE(info.approximated) << info.skip_reason;
+  // Each statement starts a fresh log: catalog read first, the probe, the
+  // rewritten query last, on a hit as on a miss.
+  const std::vector<std::string> warm = ctx_->connection().statement_log();
+  EXPECT_EQ(warm, cold);
+  ASSERT_EQ(warm.size(), 3u);
+  EXPECT_EQ(warm[0], "select * from verdictdb_metadata");
+  EXPECT_TRUE(LogHasProbe({warm[1]})) << warm[1];
+  EXPECT_EQ(warm[2], info.rewritten_sql);
+  // Only the rewritten query read rows: the other two were memo hits.
+  EXPECT_EQ(db_.rows_scanned() - before, sample_rows_);
+}
+
+TEST(MetadataMemo, WarmAndColdAnswersAreBitIdentical) {
+  // Two identical databases. One answers cold; the other first warms its
+  // memo with the same rand-free reads, which draw no query seed, so its
+  // rewritten query draws the same sids.
+  auto make = [](engine::Database* db) {
+    EXPECT_TRUE(workload::GenerateSynthetic(db, "big", 50000, 99).ok());
+    VerdictOptions opts;
+    opts.min_rows_for_sampling = 10000;
+    opts.io_budget = 0.2;
+    auto ctx = std::make_unique<VerdictContext>(
+        db, driver::EngineKind::kGeneric, opts);
+    EXPECT_TRUE(ctx->sample_builder().CreateUniformSample("big", 0.1).ok());
+    return ctx;
+  };
+  engine::Database cold_db(31), warm_db(31);
+  auto cold = make(&cold_db);
+  auto warm = make(&warm_db);
+
+  VerdictContext::ExecInfo cold_info;
+  auto cold_answer = cold->Execute(kGroupedQuery, &cold_info);
+  ASSERT_TRUE(cold_answer.ok()) << cold_answer.status().ToString();
+  ASSERT_TRUE(cold_info.approximated) << cold_info.skip_reason;
+  const std::vector<std::string> cold_log = cold->connection().statement_log();
+  ASSERT_GE(cold_log.size(), 3u);
+
+  for (size_t i = 0; i + 1 < cold_log.size(); ++i) {
+    ASSERT_TRUE(warm->connection().ExecuteCached(cold_log[i]).ok());
+  }
+  const uint64_t before = warm_db.rows_scanned();
+  VerdictContext::ExecInfo warm_info;
+  auto warm_answer = warm->Execute(kGroupedQuery, &warm_info);
+  ASSERT_TRUE(warm_answer.ok()) << warm_answer.status().ToString();
+  EXPECT_EQ(warm->connection().statement_log(), cold_log);
+  EXPECT_EQ(warm_info.rewritten_sql, cold_info.rewritten_sql);
+  auto sample = warm_db.catalog().GetTable("big_vdb_uniform");
+  ASSERT_NE(sample, nullptr);
+  EXPECT_EQ(warm_db.rows_scanned() - before, sample->num_rows());  // all hits
+  ExpectBitIdentical(warm_answer.value(), cold_answer.value());
+}
+
+TEST_F(VerdictE2E, EveryWriteInvalidatesTheMemo) {
+  ASSERT_TRUE(
+      db_.Execute("create table staging as select * from big where id < 100")
+          .ok());
+  auto small_table = [] {
+    auto t = std::make_shared<engine::Table>();
+    t->AddColumn("x", TypeId::kInt64);
+    t->AppendRow({Value::Int(1)});
+    return t;
+  };
+  VerdictContext other(&db_, driver::EngineKind::kGeneric, ctx_->options());
+  const std::vector<std::pair<std::string, std::function<Status()>>> writes = {
+      {"sample create",
+       [&] {
+         return ctx_->sample_builder()
+             .CreateHashedSample("big", "g100", 0.5)
+             .status();
+       }},
+      {"Unregister",
+       [&] {
+         return ctx_->sample_catalog().Unregister("big_vdb_hashed_g100");
+       }},
+      {"AppendData",
+       [&] { return ctx_->sample_builder().AppendData("big", "staging"); }},
+      {"INSERT through the context",
+       [&] {
+         return ctx_->Execute("insert into staging select * from staging")
+             .status();
+       }},
+      {"CTAS through the context",
+       [&] {
+         return ctx_->Execute("create table side as select id from staging")
+             .status();
+       }},
+      {"DROP through the context",
+       [&] { return ctx_->Execute("drop table side").status(); }},
+      {"db.RegisterTable",
+       [&] { return db_.RegisterTable("side", small_table()); }},
+      {"db.Execute", [&] { return db_.Execute("drop table side").status(); }},
+      {"AppendData by a second context",
+       [&] { return other.sample_builder().AppendData("big", "staging"); }},
+  };
+  for (const auto& [what, write] : writes) {
+    SCOPED_TRACE(what);
+    ASSERT_TRUE(ctx_->Execute(kGroupedQuery).ok());
+    const std::vector<std::string> log = ctx_->connection().statement_log();
+    ASSERT_GE(log.size(), 3u);
+    for (size_t i = 0; i + 1 < log.size(); ++i) {
+      EXPECT_EQ(ScannedThroughMemo(ctx_.get(), &db_, log[i]), 0u) << log[i];
+    }
+    const Status st = write();
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    for (size_t i = 0; i + 1 < log.size(); ++i) {
+      EXPECT_GT(ScannedThroughMemo(ctx_.get(), &db_, log[i]), 0u) << log[i];
+    }
+  }
+}
+
+TEST_F(VerdictE2E, CatalogReadSeesEverySampleChange) {
+  auto samples = [&] {
+    auto s = ctx_->sample_catalog().SamplesFor("");
+    EXPECT_TRUE(s.ok()) << s.status().ToString();
+    return s.ok() ? s.value() : std::vector<sampling::SampleInfo>{};
+  };
+  ASSERT_EQ(samples().size(), 1u);
+  ASSERT_TRUE(
+      ctx_->sample_builder().CreateHashedSample("big", "g100", 0.5).ok());
+  EXPECT_EQ(samples().size(), 2u);
+  ASSERT_TRUE(ctx_->sample_catalog().Unregister("big_vdb_hashed_g100").ok());
+  EXPECT_EQ(samples().size(), 1u);
+  // An append made through a second context on the same database shows in
+  // the first context's catalog read.
+  ASSERT_TRUE(ctx_->Execute(kGroupedQuery).ok());
+  ASSERT_TRUE(
+      db_.Execute("create table staging as select * from big where g10 = 3")
+          .ok());
+  const uint64_t added = db_.catalog().GetTable("staging")->num_rows();
+  ASSERT_GT(added, 0u);
+  VerdictContext other(&db_, driver::EngineKind::kGeneric, ctx_->options());
+  ASSERT_TRUE(other.sample_builder().AppendData("big", "staging").ok());
+  const auto after = samples();
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].base_rows, 200000u + added);
+  EXPECT_EQ(after[0].sample_rows,
+            db_.catalog().GetTable("big_vdb_uniform")->num_rows());
+}
+
+TEST_F(VerdictE2E, FailedProbeIsNotMemoized) {
+  ASSERT_TRUE(ctx_->Execute(kGroupedQuery).ok());
+  const std::string probe = ctx_->connection().statement_log()[1];
+  ASSERT_TRUE(LogHasProbe({probe})) << probe;
+  // The governed sites the probe consults.
+  SetFaultObservationForTest(true);
+  ASSERT_TRUE(db_.Execute(probe).ok());
+  const std::vector<std::string> sites = ObservedFaultSites();
+  SetFaultObservationForTest(false);
+  DisarmAllFaultPoints();
+  ASSERT_FALSE(sites.empty());
+
+  // A write empties the memo; the probe's re-run then fails.
+  auto t = std::make_shared<engine::Table>();
+  t->AddColumn("x", TypeId::kInt64);
+  ASSERT_TRUE(db_.RegisterTable("unrelated", t).ok());
+  ArmFaultPointNth(sites.front(), 1, StatusCode::kResourceExhausted);
+  auto failed = ctx_->connection().ExecuteCached(probe);
+  DisarmAllFaultPoints();
+  EXPECT_FALSE(failed.ok());
+  // The failure was not memoized: the next read runs, and the one after it
+  // hits.
+  EXPECT_GT(ScannedThroughMemo(ctx_.get(), &db_, probe), 0u);
+  EXPECT_EQ(ScannedThroughMemo(ctx_.get(), &db_, probe), 0u);
+}
+
+TEST_F(VerdictE2E, RandStatementsAreNotMemoized) {
+  const std::string rand_free = "select count(*) as c from big";
+  EXPECT_GT(ScannedThroughMemo(ctx_.get(), &db_, rand_free), 0u);
+  EXPECT_EQ(ScannedThroughMemo(ctx_.get(), &db_, rand_free), 0u);
+  const std::string draws = "select count(*) as c from big where rand() < 0.5";
+  EXPECT_GT(ScannedThroughMemo(ctx_.get(), &db_, draws), 0u);
+  EXPECT_GT(ScannedThroughMemo(ctx_.get(), &db_, draws), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -482,6 +704,52 @@ TEST_F(VerdictJoinE2E, CountDistinctOnHashedSample) {
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_TRUE(info.approximated) << info.skip_reason;
   EXPECT_NEAR(rs.value().GetDouble(0, 0), 30000.0, 30000.0 * 0.10);
+}
+
+TEST_F(VerdictJoinE2E, HashBlockSidsStayWithinB) {
+  // Both samples keep fewer rows than their 0.1 cut-off; sids scaled by
+  // the realized ratio instead of the cut-off would run past b.
+  auto samples = ctx_->sample_catalog().SamplesFor("");
+  ASSERT_TRUE(samples.ok());
+  for (const auto& s : samples.value()) {
+    ASSERT_LT(s.ratio, s.hash_cutoff) << s.sample_table;
+  }
+  for (const char* query :
+       {"select count(distinct k) as d from fact",
+        "select sum(f.v * d.w) as s from fact f inner join dim d"
+        " on f.k = d.k"}) {
+    SCOPED_TRACE(query);
+    VerdictContext::ExecInfo info;
+    ASSERT_TRUE(ctx_->Execute(query, &info).ok());
+    ASSERT_TRUE(info.approximated) << info.skip_reason;
+    ASSERT_EQ(info.rewritten_sql.find("rand()"), std::string::npos)
+        << "expected hash-block sids: " << info.rewritten_sql;
+    // The per-subsample query's sid item, evaluated over its own FROM.
+    auto rewritten = sql::ParseSelect(info.rewritten_sql);
+    ASSERT_TRUE(rewritten.ok());
+    ASSERT_TRUE(rewritten.value()->from &&
+                rewritten.value()->from->kind == sql::TableRef::Kind::kDerived);
+    const sql::SelectStmt& inner = *rewritten.value()->from->derived;
+    const sql::Expr* sid = nullptr;
+    for (const auto& item : inner.items) {
+      if (item.alias == "__vdb_sid") sid = item.expr.get();
+    }
+    ASSERT_NE(sid, nullptr) << info.rewritten_sql;
+    sql::SelectStmt range;
+    std::vector<sql::Expr::Ptr> lo_args, hi_args;
+    lo_args.push_back(sid->Clone());
+    hi_args.push_back(sid->Clone());
+    range.items.emplace_back(sql::MakeFunction("min", std::move(lo_args)),
+                             "lo");
+    range.items.emplace_back(sql::MakeFunction("max", std::move(hi_args)),
+                             "hi");
+    range.from = inner.from->Clone();
+    if (inner.where) range.where = inner.where->Clone();
+    auto rs = db_.ExecuteSelect(range);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    EXPECT_GE(rs.value().Get(0, 0).AsInt(), 1);
+    EXPECT_LE(rs.value().Get(0, 1).AsInt(), info.subsamples);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -716,37 +984,65 @@ TEST_F(DerivedSampleE2E, KeepsTheBaseTableWithoutAnEqualityChain) {
   EXPECT_NE(sql.find(kReadsFact), std::string::npos) << sql;
 }
 
-TEST(DerivedSampleWorkload, Tq17ReadsTheLineitemUniverseSample) {
-  // The benchmark fixture's lineitem samples and sampling threshold. A
-  // silent fall-back to the full lineitem scan inside __vdb_f0 fails here.
-  engine::Database db(4242);
-  workload::TpchConfig tc;
-  tc.scale = 0.1;
-  ASSERT_TRUE(workload::GenerateTpch(&db, tc).ok());
-  VerdictOptions opts;
-  opts.io_budget = 0.12;
-  opts.min_tuples_per_group = 16;
-  opts.min_rows_for_sampling = 30000;
-  VerdictContext ctx(&db, driver::EngineKind::kGeneric, opts);
-  auto& b = ctx.sample_builder();
-  ASSERT_TRUE(b.CreateUniformSample("lineitem", 0.01).ok());
-  ASSERT_TRUE(b.CreateHashedSample("lineitem", "l_orderkey", 0.02).ok());
-  ASSERT_TRUE(b.CreateHashedSample("lineitem", "l_partkey", 0.02).ok());
-  for (const auto& q : workload::TpchQueries()) {
-    if (q.id != "tq-17") continue;
-    VerdictContext::ExecInfo info;
-    auto rs = ctx.Execute(q.sql, &info);
-    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-    ASSERT_TRUE(info.approximated) << info.skip_reason;
-    EXPECT_NE(info.rewritten_sql.find(
-                  "avg(l_quantity) as __vdb_corr0 from"
-                  " lineitem_vdb_hashed_l_partkey as lineitem group by"
-                  " l_partkey) as __vdb_f0"),
-              std::string::npos)
-        << info.rewritten_sql;
-    return;
+// The benchmark fixture's lineitem samples and sampling threshold, at TPC-H
+// scale 0.1.
+class DerivedSampleWorkload : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    workload::TpchConfig tc;
+    tc.scale = 0.1;
+    ASSERT_TRUE(workload::GenerateTpch(&db_, tc).ok());
+    VerdictOptions opts;
+    opts.io_budget = 0.12;
+    opts.min_tuples_per_group = 16;
+    opts.min_rows_for_sampling = 30000;
+    ctx_ = std::make_unique<VerdictContext>(&db_, driver::EngineKind::kGeneric,
+                                            opts);
+    auto& b = ctx_->sample_builder();
+    ASSERT_TRUE(b.CreateUniformSample("lineitem", 0.01).ok());
+    ASSERT_TRUE(b.CreateHashedSample("lineitem", "l_orderkey", 0.02).ok());
+    ASSERT_TRUE(b.CreateHashedSample("lineitem", "l_partkey", 0.02).ok());
+    for (const auto& q : workload::TpchQueries()) {
+      if (q.id == "tq-17") tq17_ = q.sql;
+    }
+    ASSERT_FALSE(tq17_.empty()) << "no tq-17 template";
   }
-  FAIL() << "no tq-17 template";
+
+  engine::Database db_{4242};
+  std::unique_ptr<VerdictContext> ctx_;
+  std::string tq17_;
+};
+
+TEST_F(DerivedSampleWorkload, Tq17ReadsTheLineitemUniverseSample) {
+  // A silent fall-back to the full lineitem scan inside __vdb_f0 fails here.
+  VerdictContext::ExecInfo info;
+  auto rs = ctx_->Execute(tq17_, &info);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_TRUE(info.approximated) << info.skip_reason;
+  EXPECT_NE(info.rewritten_sql.find(
+                "avg(l_quantity) as __vdb_corr0 from"
+                " lineitem_vdb_hashed_l_partkey as lineitem group by"
+                " l_partkey) as __vdb_f0"),
+            std::string::npos)
+      << info.rewritten_sql;
+}
+
+TEST_F(DerivedSampleWorkload, Tq17HacFallbackRunsTheFlattenedStatement) {
+  // The contract cannot hold at 1% sampling, so the exact run answers. It
+  // must run the flattened statement: the engine has no correlated
+  // subqueries.
+  ctx_->options().min_accuracy = 0.9999;
+  VerdictContext::ExecInfo info;
+  auto rs = ctx_->Execute(tq17_, &info);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_TRUE(info.exact_rerun);
+  EXPECT_FALSE(info.approximated);
+  auto exact = sql::ParseSelect(tq17_);
+  ASSERT_TRUE(exact.ok());
+  ASSERT_TRUE(FlattenComparisonSubqueries(exact.value().get()).ok());
+  auto truth = db_.ExecuteSelect(*exact.value());
+  ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+  ExpectBitIdentical(rs.value(), truth.value());
 }
 
 }  // namespace

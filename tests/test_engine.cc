@@ -342,6 +342,40 @@ TEST_F(EngineTest, RandIsDeterministicPerSeed) {
   EXPECT_EQ(r1.value().Get(0, 0).AsInt(), r2.value().Get(0, 0).AsInt());
 }
 
+TEST_F(EngineTest, RandFreeStatementsDrawNoSeed) {
+  // Only statements calling a rand-family function draw a query seed, so
+  // rand-free statements run in between (reads, subqueries, DDL, INSERT)
+  // leave the next rand statement's draws alone.
+  Database quiet(123), busy(123);
+  auto t = std::make_shared<Table>();
+  t->AddColumn("x", TypeId::kInt64);
+  for (int i = 0; i < 100; ++i) t->AppendRow({Value::Int(i)});
+  ASSERT_TRUE(quiet.RegisterTable("t", t).ok());
+  ASSERT_TRUE(busy.RegisterTable("t", t).ok());
+  const uint64_t generation = busy.write_generation();
+  for (const char* sql :
+       {"select count(*) as c from t", "create table u as select x from t",
+        "insert into u select x from t where x < 10",
+        "select x from t where x > (select avg(x) from u)", "drop table u"}) {
+    ASSERT_TRUE(busy.Execute(sql).ok()) << sql;
+  }
+  EXPECT_GT(busy.write_generation(), generation);  // CTAS, INSERT, DROP
+  const std::string draws =
+      "select x, rand() as r from t where x < (select max(rand_poisson())"
+      " + 50 from t)";
+  auto a = quiet.Execute(draws);
+  auto b = busy.Execute(draws);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ(a.value().NumRows(), b.value().NumRows());
+  for (size_t r = 0; r < a.value().NumRows(); ++r) {
+    EXPECT_EQ(a.value().GetDouble(r, 1), b.value().GetDouble(r, 1));
+  }
+  // ... and a rand statement does draw: the next one differs.
+  auto c = quiet.Execute(draws);
+  ASSERT_TRUE(c.ok());
+  EXPECT_NE(a.value().GetDouble(0, 1), c.value().GetDouble(0, 1));
+}
+
 TEST_F(EngineTest, ErrorOnUnknownColumn) {
   auto rs = db_.Execute("select nope from orders");
   EXPECT_FALSE(rs.ok());

@@ -270,6 +270,26 @@ TEST(DialectTest, ImpalaHoistsRandOutOfWhere) {
   EXPECT_EQ(text.find("rand()", where_pos), std::string::npos) << text;
 }
 
+TEST(DialectTest, ImpalaHoistsEveryRandFamilyCall) {
+  // Each rand-family call moves into the derived table as is; a
+  // subquery's rand stays in the subquery.
+  auto sel = sql::ParseSelect(
+      "select * from t where rand() < 0.5 and rand_poisson() > 0"
+      " and x < (select max(rand()) from u)");
+  ASSERT_TRUE(sel.ok());
+  ASSERT_TRUE(driver::ApplySyntaxRules(
+                  driver::GetDialect(driver::EngineKind::kImpala),
+                  sel.value().get())
+                  .ok());
+  const std::string text = sql::PrintSelect(*sel.value());
+  EXPECT_NE(text.find("rand() as __vdb_rand0"), std::string::npos) << text;
+  EXPECT_NE(text.find("rand_poisson() as __vdb_rand1"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("__vdb_rand2"), std::string::npos) << text;
+  EXPECT_NE(text.find("select max(rand()) from u"), std::string::npos)
+      << text;
+}
+
 TEST(DialectTest, GenericLeavesRandAlone) {
   auto sel = sql::ParseSelect("select * from t where rand() < 0.01");
   ASSERT_TRUE(sel.ok());

@@ -125,9 +125,8 @@ Result<ResultSet> Database::Execute(const std::string& sql,
             std::to_string(target->num_columns()) + ", select produced " +
             std::to_string(r.NumCols()));
       }
-      for (size_t row = 0; row < r.NumRows(); ++row) {
-        target->AppendRowFrom(*r.table, row);
-      }
+      // Column ranges coerce a mismatched cell type as a row append would.
+      target->AppendRange(*r.table, 0, r.NumRows());
       catalog_.MarkWritten();
       ResultSet empty;
       empty.table = std::make_shared<Table>();

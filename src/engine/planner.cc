@@ -719,6 +719,22 @@ class SelectExecutor {
       if (!col.ok()) return col.status();
       computed[i] = std::move(col).ValueOrDie();
     }
+    if (!view.is_identity()) {
+      // A filtered view materializes new columns; charge the projected
+      // output before gathering, as RowView::GatherGuarded does. The charge
+      // persists with the output (cleared by ResetForStatement).
+      uint64_t per_row = 0;
+      for (size_t i = 0; i < outs.size(); ++i) {
+        per_row += ApproxCellBytes(
+            outs[i].direct_column >= 0
+                ? work->column(static_cast<size_t>(outs[i].direct_column))
+                      .type()
+                : computed[i].type());
+      }
+      VDB_RETURN_IF_ERROR(GuardTryReserve(
+          guard_, per_row * static_cast<uint64_t>(view.num_rows()),
+          "gather_alloc"));
+    }
     for (size_t i = 0; i < outs.size(); ++i) {
       const auto& oi = outs[i];
       if (oi.direct_column >= 0) {

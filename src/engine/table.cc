@@ -59,13 +59,6 @@ void Table::AppendRow(const std::vector<Value>& row) {
   ++num_rows_;
 }
 
-void Table::AppendRowFrom(const Table& src, size_t src_row) {
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    columns_[i].Append(src.columns_[i].Get(src_row));
-  }
-  ++num_rows_;
-}
-
 void Table::AppendSelected(const Table& src, const SelVector& sel,
                            int num_threads) {
   // Column-parallel gather: each column writes only its own storage.

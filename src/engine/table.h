@@ -47,9 +47,6 @@ class Table {
   /// Appends one row; `row` must have num_columns() values.
   void AppendRow(const std::vector<Value>& row);
 
-  /// Copies row `src_row` of `src` (same schema arity) into this table.
-  void AppendRowFrom(const Table& src, size_t src_row);
-
   /// Bulk-copies the rows selected by `sel` from `src` (same schema arity),
   /// in selection order. The vectorized executor's materialization path.
   /// The columns are gathered on up to num_threads threads (each column is

@@ -1417,28 +1417,6 @@ Status EvalPredicateBatch(const Expr& e, const Batch& batch, SelVector* out) {
   return Status::Ok();
 }
 
-Result<TablePtr> FilterGatherParallel(const Expr& pred, const TablePtr& table,
-                                      uint64_t rand_seed, int num_threads,
-                                      const ExecGuard* guard) {
-  auto view = RowView::All(table);
-  if (!view.ok()) return view.status();
-  SelVector sel;
-  VDB_RETURN_IF_ERROR(EvalPredicateView(pred, view.value(), rand_seed,
-                                        num_threads, &sel, guard));
-  // The gathered output is row-proportional (survivor count x the parent's
-  // per-row footprint); charge it against the budget once the survivor count
-  // is known, before materializing. The charge persists with the output
-  // table (freed by the statement issuer's accounting reset).
-  const size_t n = table->num_rows();
-  const uint64_t per_row =
-      n > 0 ? static_cast<uint64_t>(table->ApproxBytes()) / n : 0;
-  VDB_RETURN_IF_ERROR(
-      GuardTryReserve(guard, per_row * sel.size(), "filter_gather_alloc"));
-  auto out = table->CloneSchema();
-  out->AppendSelected(*table, sel, num_threads);
-  return out;
-}
-
 Status EvalPredicateView(const Expr& e, const RowView& view,
                          uint64_t rand_seed, int num_threads, SelVector* out,
                          const ExecGuard* guard) {

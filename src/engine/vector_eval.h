@@ -107,20 +107,12 @@ Status EvalPredicateBatch(const sql::Expr& e, const Batch& batch,
 /// ungoverned) is polled at every morsel claim; a trip unwinds with the
 /// guard's Status and discards partial output.
 
-/// Membership scan + gather: evaluates `pred` over the whole table
-/// (EvalPredicateView over RowView::All), charges the survivors' footprint
-/// to the budget, and gathers them column-parallel in one AppendSelected.
-/// The sample builder's membership scans (Bernoulli rand() < tau,
-/// verdict_hash(C) < tau) are the primary caller.
-Result<TablePtr> FilterGatherParallel(const sql::Expr& pred,
-                                      const TablePtr& table,
-                                      uint64_t rand_seed, int num_threads,
-                                      const ExecGuard* guard = nullptr);
-
 /// Evaluates a predicate over a RowView (selection composed with morsel
 /// row-ranges) and appends the surviving PHYSICAL row indices to `*out` in
 /// view order — the survivors directly form the composed downstream view, so
-/// filters never gather.
+/// filters never gather. Every WHERE runs through it, the sample builder's
+/// membership predicates included: they arrive as SQL, and the projection
+/// that gathers the survivors charges the budget (engine/planner.cc).
 Status EvalPredicateView(const sql::Expr& e, const RowView& view,
                          uint64_t rand_seed, int num_threads, SelVector* out,
                          const ExecGuard* guard = nullptr);

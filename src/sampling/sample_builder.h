@@ -16,25 +16,15 @@
 
 namespace vdb::sampling {
 
-struct BuilderOptions {
-  /// Failure probability delta for the per-stratum minimum-count guarantee
-  /// (Lemma 1). Paper default: 0.001.
-  double delta = 0.001;
-  /// Geometric growth factor between staircase steps.
-  double staircase_growth = 1.2;
-  /// Appendix F: target sample size in rows; tau = target_rows / |T|.
-  int64_t default_target_rows = 10'000'000;
-  /// Appendix F: max hashed/stratified samples per table.
-  int max_column_samples = 10;
-  /// Appendix F: cardinality threshold as a fraction of |T|.
-  double cardinality_threshold = 0.01;
-};
-
+/// Every sample is built and extended by SQL sent through the driver
+/// connection; the dialect's syntax rules (e.g. Impala's rand() hoist) apply
+/// to every statement that carries a membership predicate. Each sample type
+/// has one membership predicate, shared by its build and by AppendData.
+/// Contract: "Sample construction contract" in docs/INVARIANTS.md.
 class SampleBuilder {
  public:
-  SampleBuilder(driver::Connection* conn, SampleCatalog* catalog,
-                BuilderOptions options = {})
-      : conn_(conn), catalog_(catalog), options_(options) {}
+  SampleBuilder(driver::Connection* conn, SampleCatalog* catalog)
+      : conn_(conn), catalog_(catalog) {}
 
   /// Bernoulli sample with probability tau; inclusion probability stored per
   /// tuple is exactly tau.
@@ -71,10 +61,12 @@ class SampleBuilder {
   Result<std::vector<std::string>> BaseColumns(const std::string& table);
   std::string SampleName(const std::string& base, SampleType type,
                          const std::vector<std::string>& cols) const;
+  /// Parses `sql` and sends it through Connection::ExecuteAst, so the
+  /// dialect's syntax rules apply.
+  Status ExecuteThroughDialect(const std::string& sql);
 
   driver::Connection* conn_;
   SampleCatalog* catalog_;
-  BuilderOptions options_;
 };
 
 }  // namespace vdb::sampling

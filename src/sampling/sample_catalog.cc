@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
-#include <iomanip>
-#include <limits>
 #include <sstream>
+
+#include "sql/printer.h"
 
 namespace vdb::sampling {
 
@@ -42,7 +42,6 @@ const char* SampleTypeName(SampleType t) {
     case SampleType::kUniform: return "uniform";
     case SampleType::kHashed: return "hashed";
     case SampleType::kStratified: return "stratified";
-    case SampleType::kIrregular: return "irregular";
   }
   return "?";
 }
@@ -50,7 +49,6 @@ const char* SampleTypeName(SampleType t) {
 SampleType SampleTypeFromName(const std::string& name) {
   if (name == "hashed") return SampleType::kHashed;
   if (name == "stratified") return SampleType::kStratified;
-  if (name == "irregular") return SampleType::kIrregular;
   return SampleType::kUniform;
 }
 
@@ -74,11 +72,11 @@ Status SampleCatalog::Register(const SampleInfo& info) {
   sql << "insert into " << kMetadataTable << " select '"
       << ToLower(info.sample_table) << "' as sample_table, '"
       << ToLower(info.base_table) << "' as base_table, '"
-      << SampleTypeName(info.type) << "' as sample_type, " << info.ratio
-      << " as ratio, "
-      // Round-trip precision: AppendData re-applies the exact cut-off.
-      << std::setprecision(std::numeric_limits<double>::max_digits10)
-      << info.hash_cutoff << " as hash_cutoff, '"
+      << SampleTypeName(info.type) << "' as sample_type, "
+      // Round-trip precision: AppendData re-applies the exact cut-off and
+      // probability.
+      << sql::PrintDouble(info.ratio) << " as ratio, "
+      << sql::PrintDouble(info.hash_cutoff) << " as hash_cutoff, '"
       << ToLower(JoinColumns(info.columns))
       << "' as column_set, " << info.base_rows << " as base_rows, "
       << info.sample_rows << " as sample_rows";
@@ -87,26 +85,28 @@ Status SampleCatalog::Register(const SampleInfo& info) {
   return Status::Ok();
 }
 
+Status SampleCatalog::RewriteMetadata(const std::string& select) {
+  const std::string tmp = std::string(kMetadataTable) + "_tmp";
+  VDB_RETURN_IF_ERROR(conn_->Execute("drop table if exists " + tmp).status());
+  VDB_RETURN_IF_ERROR(
+      conn_->Execute("create table " + tmp + " as " + select).status());
+  VDB_RETURN_IF_ERROR(
+      conn_->Execute(std::string("drop table ") + kMetadataTable).status());
+  VDB_RETURN_IF_ERROR(conn_->Execute("create table " +
+                                     std::string(kMetadataTable) +
+                                     " as select * from " + tmp)
+                          .status());
+  return conn_->Execute("drop table " + tmp).status();
+}
+
 Status SampleCatalog::Unregister(const std::string& sample_table) {
   VDB_RETURN_IF_ERROR(EnsureMetadataTable());
   // SQL-only deletion: rebuild the metadata table without the row.
-  std::string tmp = std::string(kMetadataTable) + "_tmp";
-  std::string key = ToLower(sample_table);
-  VDB_RETURN_IF_ERROR(
-      conn_->Execute("drop table if exists " + tmp).status());
-  auto r = conn_->Execute("create table " + tmp + " as select * from " +
-                          kMetadataTable + " where sample_table <> '" + key +
-                          "'");
-  if (!r.ok()) return r.status();
-  VDB_RETURN_IF_ERROR(
-      conn_->Execute(std::string("drop table ") + kMetadataTable).status());
-  VDB_RETURN_IF_ERROR(conn_->Execute("create table " + std::string(kMetadataTable) +
-                                     " as select * from " + tmp)
-                          .status());
-  VDB_RETURN_IF_ERROR(conn_->Execute("drop table " + tmp).status());
-  VDB_RETURN_IF_ERROR(
-      conn_->Execute("drop table if exists " + key).status());
-  return Status::Ok();
+  const std::string key = ToLower(sample_table);
+  VDB_RETURN_IF_ERROR(RewriteMetadata(std::string("select * from ") +
+                                      kMetadataTable +
+                                      " where sample_table <> '" + key + "'"));
+  return conn_->Execute("drop table if exists " + key).status();
 }
 
 Result<std::vector<SampleInfo>> SampleCatalog::SamplesFor(
@@ -149,29 +149,23 @@ Result<std::vector<SampleInfo>> SampleCatalog::SamplesFor(
   return out;
 }
 
-Status SampleCatalog::UpdateCounts(const std::string& sample_table,
-                                   uint64_t sample_rows, uint64_t base_rows) {
+Status SampleCatalog::UpdateCounts(const std::vector<SampleCount>& counts) {
   VDB_RETURN_IF_ERROR(EnsureMetadataTable());
-  std::string tmp = std::string(kMetadataTable) + "_tmp";
-  std::string key = ToLower(sample_table);
-  VDB_RETURN_IF_ERROR(conn_->Execute("drop table if exists " + tmp).status());
-  std::ostringstream sql;
-  sql << "create table " << tmp
-      << " as select sample_table, base_table, sample_type, ratio,"
-      << " hash_cutoff, column_set,"
-      << " case when sample_table = '" << key << "' then " << base_rows
-      << " else base_rows end as base_rows,"
-      << " case when sample_table = '" << key << "' then " << sample_rows
-      << " else sample_rows end as sample_rows from " << kMetadataTable;
-  auto r = conn_->Execute(sql.str());
-  if (!r.ok()) return r.status();
-  VDB_RETURN_IF_ERROR(
-      conn_->Execute(std::string("drop table ") + kMetadataTable).status());
-  VDB_RETURN_IF_ERROR(conn_->Execute("create table " + std::string(kMetadataTable) +
-                                     " as select * from " + tmp)
-                          .status());
-  VDB_RETURN_IF_ERROR(conn_->Execute("drop table " + tmp).status());
-  return Status::Ok();
+  if (counts.empty()) return Status::Ok();
+  // One CASE arm per sample in each count column.
+  std::ostringstream base_rows, sample_rows;
+  for (const SampleCount& c : counts) {
+    const std::string when =
+        " when sample_table = '" + ToLower(c.sample_table) + "' then ";
+    base_rows << when << c.base_rows;
+    sample_rows << when << c.sample_rows;
+  }
+  return RewriteMetadata(
+      "select sample_table, base_table, sample_type, ratio, hash_cutoff,"
+      " column_set, case" +
+      base_rows.str() + " else base_rows end as base_rows, case" +
+      sample_rows.str() + " else sample_rows end as sample_rows from " +
+      kMetadataTable);
 }
 
 }  // namespace vdb::sampling

@@ -37,11 +37,22 @@ class SampleCatalog {
   /// memo hit reuses the decoding of the result it last decoded.
   Result<std::vector<SampleInfo>> SamplesFor(const std::string& base_table);
 
-  /// Updates sample_rows/base_rows after an append.
-  Status UpdateCounts(const std::string& sample_table, uint64_t sample_rows,
-                      uint64_t base_rows);
+  /// New row counts of one sample after an append.
+  struct SampleCount {
+    std::string sample_table;
+    uint64_t sample_rows = 0;
+    uint64_t base_rows = 0;
+  };
+
+  /// Updates sample_rows/base_rows of every listed sample in one rewrite of
+  /// the metadata table.
+  Status UpdateCounts(const std::vector<SampleCount>& counts);
 
  private:
+  /// SQL-only rewrite of the metadata table: replaces it with the rows of
+  /// `select` (a SELECT over the metadata table) through a temporary table.
+  Status RewriteMetadata(const std::string& select);
+
   driver::Connection* conn_;
   /// The metadata result SamplesFor last decoded, held so its address
   /// cannot be reused, and its decoding.

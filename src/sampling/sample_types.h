@@ -13,9 +13,9 @@ namespace vdb::sampling {
 /// probability (the paper records sampling probabilities as an extra column).
 inline constexpr const char* kProbColumn = "verdict_prob";
 
-/// Sample types, §3.1. Irregular samples arise only at query time from
-/// joining other samples and are never materialized.
-enum class SampleType { kUniform, kHashed, kStratified, kIrregular };
+/// The materialized sample types, §3.1. (The paper's irregular samples arise
+/// only at query time, from joining samples, and have no table.)
+enum class SampleType { kUniform, kHashed, kStratified };
 
 const char* SampleTypeName(SampleType t);
 SampleType SampleTypeFromName(const std::string& name);

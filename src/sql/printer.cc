@@ -1,6 +1,7 @@
 #include "sql/printer.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace vdb::sql {
 
@@ -87,6 +88,9 @@ std::string ExprText(const Expr& e, const PrintOptions& o) {
     case ExprKind::kLiteral:
       if (e.literal.type() == TypeId::kString) {
         return EscapeString(e.literal.AsString());
+      }
+      if (e.literal.type() == TypeId::kDouble) {
+        return PrintDouble(e.literal.AsDouble());
       }
       return e.literal.ToString();
     case ExprKind::kColumnRef:
@@ -196,6 +200,17 @@ std::string SelectText(const SelectStmt& s, const PrintOptions& o) {
 }
 
 }  // namespace
+
+std::string PrintDouble(double v) {
+  char buf[32];
+  auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  std::string out(buf, res.ptr);
+  // Integral values print without a fraction; nan and inf stay as is.
+  if (out.find_first_not_of("-0123456789") == std::string::npos) {
+    out += ".0";
+  }
+  return out;
+}
 
 std::string PrintExpr(const Expr& e, const PrintOptions& opts) {
   return ExprText(e, opts);

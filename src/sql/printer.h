@@ -18,6 +18,12 @@ struct PrintOptions {
   bool always_quote_identifiers = false;
 };
 
+/// The SQL text of a double: the shortest decimal that parses back to the
+/// same bits, with a fraction or an exponent so it lexes as a double
+/// literal (1.0 prints "1.0", not the integer "1"). Every double written
+/// into SQL goes through it, the printer's double literals included.
+std::string PrintDouble(double v);
+
 std::string PrintExpr(const Expr& e, const PrintOptions& opts = {});
 std::string PrintSelect(const SelectStmt& s, const PrintOptions& opts = {});
 std::string PrintStatement(const Statement& s, const PrintOptions& opts = {});

@@ -308,6 +308,37 @@ TEST_F(EngineTest, CreateTableAsAndInsert) {
   EXPECT_TRUE(db_.Execute("drop table if exists big").ok());
 }
 
+TEST_F(EngineTest, InsertCoercesCellsLikeRowAppends) {
+  // INSERT appends each selected column as one range; a cell whose type
+  // differs from the target column's coerces as a row append would: an int
+  // widens into a double column, and NULLs stay NULL in every type.
+  auto target = std::make_shared<Table>();
+  target->AddColumn("d", TypeId::kDouble);
+  target->AddColumn("i", TypeId::kInt64);
+  target->AddColumn("s", TypeId::kString);
+  target->AppendRow({Value::Double(1.5), Value::Int(7), Value::String("a")});
+  ASSERT_TRUE(db_.RegisterTable("target", target).ok());
+  ASSERT_TRUE(db_.Execute("insert into target select qty as d,"
+                          " case when id > 1 then id end as i,"
+                          " case when id < 2 then city end as s"
+                          " from orders where id <= 2")
+                  .ok());
+  auto rs = Run("select d, i, s from target");
+  ASSERT_EQ(rs.NumRows(), 3u);
+  EXPECT_EQ(target->column(0).type(), TypeId::kDouble);
+  EXPECT_EQ(target->column(1).type(), TypeId::kInt64);
+  EXPECT_EQ(target->column(2).type(), TypeId::kString);
+  EXPECT_EQ(rs.Get(1, 0).type(), TypeId::kDouble);
+  EXPECT_EQ(rs.Get(1, 0).AsDouble(), 1.0);
+  EXPECT_EQ(rs.Get(2, 0).AsDouble(), 2.0);
+  EXPECT_TRUE(rs.Get(1, 1).is_null());
+  EXPECT_EQ(rs.Get(2, 1).AsInt(), 2);
+  EXPECT_EQ(rs.Get(1, 2).AsString(), "ann arbor");
+  EXPECT_TRUE(rs.Get(2, 2).is_null());
+  EXPECT_EQ(rs.Get(0, 0).AsDouble(), 1.5);
+  EXPECT_EQ(rs.Get(0, 2).AsString(), "a");
+}
+
 TEST_F(EngineTest, SelectConstants) {
   auto rs = Run("select 1 + 2 as three, 'x' as s");
   EXPECT_EQ(rs.Get(0, 0).AsInt(), 3);

@@ -28,6 +28,7 @@
 #include "common/thread_pool.h"
 #include "core/verdict_context.h"
 #include "engine/database.h"
+#include "workload/tpch.h"
 
 namespace vdb::engine {
 namespace {
@@ -456,6 +457,48 @@ TEST_F(GovernorTest, JoinGatherChargesOnlyReferencedColumns) {
   EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(got.status().message().find("gather"), std::string::npos)
       << got.status().ToString();
+}
+
+TEST_F(GovernorTest, FilteredProjectionChargesItsGather) {
+  // A filtered SELECT gathers its survivors into new columns, so the
+  // projection charges them at "gather_alloc" before materializing: half of
+  // lineitem's 30k rows trips a 2 KB budget, and a generous budget leaves
+  // the result bit-identical to an ungoverned run. (A filter every row
+  // passes leaves the view the identity, which shares the base columns and
+  // gathers nothing.)
+  const std::string sql = "select * from lineitem where l_quantity > 25";
+  for (int threads : {1, 8}) {
+    auto make_db = [threads] {
+      auto db = std::make_unique<Database>(kSeed);
+      db->set_num_threads(threads);
+      workload::TpchConfig cfg;
+      cfg.scale = 0.05;
+      EXPECT_TRUE(workload::GenerateTpch(db.get(), cfg).ok());
+      return db;
+    };
+    const std::string at = "@" + std::to_string(threads);
+    auto db = make_db();
+    ExecGuard tiny;
+    tiny.set_memory_budget_bytes(2048);
+    auto tripped = db->Execute(sql, &tiny);
+    ASSERT_FALSE(tripped.ok()) << at;
+    EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted) << at;
+    EXPECT_NE(tripped.status().ToString().find("gather_alloc"),
+              std::string::npos)
+        << at << " " << tripped.status().ToString();
+
+    ExecGuard generous;
+    generous.set_memory_budget_bytes(1ull << 40);
+    auto got = db->Execute(sql, &generous);
+    ASSERT_TRUE(got.ok()) << at << " " << got.status().ToString();
+    EXPECT_GT(got.value().NumRows(), 0u) << at;
+    EXPECT_GE(generous.peak_reserved_bytes(), 8 * got.value().NumRows() *
+                                                  got.value().NumCols())
+        << at;
+    auto ref = make_db()->Execute(sql);
+    ASSERT_TRUE(ref.ok()) << at;
+    ExpectBitIdentical(ref.value(), got.value(), sql + " " + at);
+  }
 }
 
 TEST_F(GovernorTest, JoinTreeGathersOnceUnderPerLevelFootprint) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 #include "common/random.h"
 #include "common/stats_math.h"
@@ -250,6 +251,134 @@ TEST_F(BuilderTest, AppendMaintainsSamples) {
   ASSERT_TRUE(infos.ok());
   for (const auto& s : infos.value()) {
     EXPECT_EQ(s.base_rows, 70000u);
+  }
+}
+
+TEST_F(BuilderTest, AppendRewritesTheCatalogOnce) {
+  ASSERT_TRUE(builder_->CreateUniformSample("t", 0.05).ok());
+  auto hashed = builder_->CreateHashedSample("t", "id", 0.1);
+  ASSERT_TRUE(hashed.ok());
+  ASSERT_TRUE(builder_->CreateStratifiedSample("t", {"g10"}, 0.1).ok());
+  ASSERT_TRUE(workload::GenerateSynthetic(&db_, "staging", 20000, 77).ok());
+
+  // Catalog read, base insert and base count; one insert and one count per
+  // sample; one five-statement rewrite of the metadata table.
+  conn_->ClearLog();
+  ASSERT_TRUE(builder_->AppendData("t", "staging").ok());
+  EXPECT_EQ(conn_->statement_log().size(), 8u + 2u * 3u);
+
+  auto infos = catalog_->SamplesFor("t");
+  ASSERT_TRUE(infos.ok());
+  ASSERT_EQ(infos.value().size(), 3u);
+  for (const auto& s : infos.value()) {
+    EXPECT_EQ(s.base_rows, 70000u) << s.sample_table;
+    EXPECT_EQ(static_cast<int64_t>(s.sample_rows), Count(s.sample_table))
+        << s.sample_table;
+  }
+  EXPECT_GT(infos.value()[0].sample_rows, 0u);
+}
+
+TEST_F(BuilderTest, HashedRatioRoundTripsThroughTheCatalog) {
+  // The realized ratio is read back with its exact bits, so rows appended
+  // later carry the same probability as the build's. A prime row count
+  // gives the ratio more digits than a short decimal holds.
+  ASSERT_TRUE(workload::GenerateSynthetic(&db_, "p", 30011, 5).ok());
+  auto hashed = builder_->CreateHashedSample("p", "id", 0.1);
+  ASSERT_TRUE(hashed.ok());
+  auto infos = catalog_->SamplesFor("p");
+  ASSERT_TRUE(infos.ok());
+  ASSERT_EQ(infos.value().size(), 1u);
+  EXPECT_EQ(infos.value()[0].ratio, hashed.value().ratio);
+  EXPECT_EQ(infos.value()[0].hash_cutoff, 0.1);
+
+  ASSERT_TRUE(workload::GenerateSynthetic(&db_, "staging", 20000, 77).ok());
+  ASSERT_TRUE(builder_->AppendData("p", "staging").ok());
+  auto probs = conn_->Execute("select distinct verdict_prob from " +
+                              hashed.value().sample_table);
+  ASSERT_TRUE(probs.ok());
+  ASSERT_EQ(probs.value().NumRows(), 1u);
+  EXPECT_EQ(probs.value().GetDouble(0, 0), hashed.value().ratio);
+}
+
+// ---------------------------------------------------------------------------
+// One build path under every dialect
+// ---------------------------------------------------------------------------
+
+/// Every cell of `table`, doubles at their exact bits.
+std::vector<std::string> Cells(engine::Database* db, const std::string& table) {
+  auto t = db->catalog().GetTable(table);
+  std::vector<std::string> out;
+  if (!t) return out;
+  for (size_t c = 0; c < t->num_columns(); ++c) {
+    out.push_back(t->column_name(c));
+    for (size_t r = 0; r < t->num_rows(); ++r) {
+      const Value v = t->Get(r, c);
+      if (v.type() == TypeId::kDouble) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%a", v.AsDouble());
+        out.push_back(buf);
+      } else {
+        out.push_back(std::to_string(static_cast<int>(v.type())) + ":" +
+                      v.ToString());
+      }
+    }
+  }
+  return out;
+}
+
+struct DialectBuild {
+  /// Per sample, its cells after the build and after one AppendData.
+  std::vector<std::vector<std::string>> built, appended;
+  std::vector<std::string> log;
+};
+
+DialectBuild BuildUnder(driver::EngineKind kind) {
+  DialectBuild out;
+  engine::Database db(909);
+  EXPECT_TRUE(workload::GenerateSynthetic(&db, "t", 20000, 11).ok());
+  EXPECT_TRUE(workload::GenerateSynthetic(&db, "staging", 5000, 77).ok());
+  driver::Connection conn(&db, kind);
+  SampleCatalog catalog(&conn);
+  SampleBuilder builder(&conn, &catalog);
+  std::vector<std::string> names;
+  auto keep = [&names](const Result<SampleInfo>& s) {
+    EXPECT_TRUE(s.ok()) << s.status().ToString();
+    if (s.ok()) names.push_back(s.value().sample_table);
+  };
+  keep(builder.CreateUniformSample("t", 0.05));
+  keep(builder.CreateHashedSample("t", "g100", 0.1));
+  keep(builder.CreateStratifiedSample("t", {"g10"}, 0.1));
+  for (const auto& n : names) out.built.push_back(Cells(&db, n));
+  EXPECT_TRUE(builder.AppendData("t", "staging").ok());
+  for (const auto& n : names) out.appended.push_back(Cells(&db, n));
+  out.log = conn.statement_log();
+  return out;
+}
+
+TEST(DialectSampleTest, EveryDialectBuildsTheGenericSamples) {
+  const DialectBuild generic = BuildUnder(driver::EngineKind::kGeneric);
+  ASSERT_EQ(generic.built.size(), 3u);
+  for (const auto& cells : generic.appended) EXPECT_GT(cells.size(), 6u);
+  for (const std::string& sql : generic.log) {
+    EXPECT_EQ(sql.find("__vdb_rand"), std::string::npos) << sql;
+  }
+  for (auto kind : {driver::EngineKind::kImpala, driver::EngineKind::kSparkSql,
+                    driver::EngineKind::kRedshift}) {
+    const DialectBuild other = BuildUnder(kind);
+    const std::string name = driver::GetDialect(kind).name;
+    ASSERT_EQ(other.built.size(), 3u) << name;
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(other.built[i], generic.built[i]) << name << " sample " << i;
+      EXPECT_EQ(other.appended[i], generic.appended[i])
+          << name << " sample " << i;
+    }
+    // Impala forbids rand() in WHERE: its driver hoisted every rand-bearing
+    // build and append statement (uniform and stratified, two each).
+    size_t hoisted = 0;
+    for (const std::string& sql : other.log) {
+      if (sql.find("rand() as __vdb_rand0") != std::string::npos) ++hoisted;
+    }
+    EXPECT_EQ(hoisted, kind == driver::EngineKind::kImpala ? 4u : 0u) << name;
   }
 }
 

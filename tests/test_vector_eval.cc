@@ -1005,20 +1005,6 @@ TEST(MorselPathTest, EmptyInputs) {
     }
 
     const std::string at = "@" + std::to_string(threads);
-    Result<TablePtr> filtered = Status::Internal("not run");
-    EXPECT_EQ(polls("pred_view",
-                    [&] {
-                      filtered = FilterGatherParallel(*pred, empty, 0,
-                                                      threads);
-                    }),
-              1u)
-        << at;
-    ASSERT_TRUE(filtered.ok()) << at;
-    ASSERT_EQ(filtered.value()->num_columns(), 2u) << at;
-    EXPECT_EQ(filtered.value()->num_rows(), 0u) << at;
-    EXPECT_EQ(filtered.value()->column(0).type(), TypeId::kInt64) << at;
-    EXPECT_EQ(filtered.value()->column(1).type(), TypeId::kDouble) << at;
-
     // An empty probe side, then an empty build side.
     for (bool empty_probe : {true, false}) {
       const TablePtr left = empty_probe ? empty : full;

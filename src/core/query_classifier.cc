@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 
+#include "engine/catalog.h"
 #include "engine/functions.h"
 
 namespace vdb::core {
@@ -202,6 +203,25 @@ QueryClass ClassifyQuery(const SelectStmt& stmt) {
     }
   }
   return qc;
+}
+
+void QualifyJoinEdges(QueryClass* qc, const engine::Catalog& catalog) {
+  auto owner_of = [&](const std::string& column) -> std::string {
+    std::string found;
+    for (const auto& r : qc->relations) {
+      if (r.is_derived) continue;
+      auto t = catalog.GetTable(r.base_table);
+      if (t && t->ColumnIndex(column) >= 0) {
+        if (!found.empty()) return "";  // ambiguous
+        found = r.alias;
+      }
+    }
+    return found;
+  };
+  for (auto& e : qc->join_edges) {
+    if (e.left_alias.empty()) e.left_alias = owner_of(e.left_column);
+    if (e.right_alias.empty()) e.right_alias = owner_of(e.right_column);
+  }
 }
 
 }  // namespace vdb::core

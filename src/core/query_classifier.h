@@ -9,6 +9,10 @@
 
 #include "sql/ast.h"
 
+namespace vdb::engine {
+class Catalog;
+}  // namespace vdb::engine
+
 namespace vdb::core {
 
 /// One relation appearing in the FROM tree.
@@ -50,6 +54,12 @@ struct QueryClass {
 /// Classifies a SELECT. Unsupported queries pass through to the underlying
 /// database unchanged (they see no speedup but still succeed).
 QueryClass ClassifyQuery(const sql::SelectStmt& stmt);
+
+/// Join conditions often use unqualified columns (`on l_orderkey =
+/// o_orderkey`); universe-join detection needs the owning relations, so
+/// this fills empty edge qualifiers from the base-table schemas (left empty
+/// when no or several relations own the column).
+void QualifyJoinEdges(QueryClass* qc, const engine::Catalog& catalog);
 
 }  // namespace vdb::core
 

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "core/flattener.h"
 #include "core/query_classifier.h"
 #include "core/rewriter.h"
 #include "core/sample_planner.h"
-#include "engine/aggregates.h"
 #include "engine/functions.h"
+#include "engine/group_ids.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
 
@@ -53,36 +54,24 @@ bool IsGroupItem(const sql::SelectItem& item, const SelectStmt& stmt) {
   return false;
 }
 
-/// Join conditions often use unqualified columns (`on l_orderkey =
-/// o_orderkey`); universe-join detection needs the owning relations, so
-/// resolve empty edge qualifiers against the base-table schemas.
-void ResolveJoinEdgeAliases(QueryClass* qc, const engine::Catalog& cat) {
-  auto owner_of = [&](const std::string& column) -> std::string {
-    std::string found;
-    for (const auto& r : qc->relations) {
-      if (r.is_derived) continue;
-      auto t = cat.GetTable(r.base_table);
-      if (t && t->ColumnIndex(column) >= 0) {
-        if (!found.empty()) return "";  // ambiguous
-        found = r.alias;
-      }
-    }
-    return found;
-  };
-  for (auto& e : qc->join_edges) {
-    if (e.left_alias.empty()) e.left_alias = owner_of(e.left_column);
-    if (e.right_alias.empty()) e.right_alias = owner_of(e.right_column);
-  }
+/// The columns of `rs` at positions `cols`.
+std::vector<const engine::Column*> KeyColumns(const engine::ResultSet& rs,
+                                              const std::vector<int>& cols) {
+  std::vector<const engine::Column*> keys;
+  if (!rs.table) return keys;  // no rows, so no key is read
+  for (int c : cols) keys.push_back(&rs.table->column(static_cast<size_t>(c)));
+  return keys;
 }
 
-std::string RowKey(const engine::ResultSet& rs, size_t row,
-                   const std::vector<int>& cols) {
-  std::string key;
-  for (int c : cols) {
-    key += engine::ValueGroupKey(rs.Get(row, static_cast<size_t>(c)));
-    key.push_back('\x1f');
+/// Each row's typed group-key hash over `keys` (engine/group_ids.h): NULL
+/// hashes like NULL, 5 like 5.0, so it agrees with JoinKeysEqual.
+std::vector<uint64_t> KeyHashes(const std::vector<const engine::Column*>& keys,
+                                size_t num_rows) {
+  std::vector<uint64_t> hashes(num_rows, engine::kGroupHashSeed);
+  for (const engine::Column* k : keys) {
+    engine::HashGroupColumn(*k, num_rows, &hashes);
   }
-  return key;
+  return hashes;
 }
 
 }  // namespace
@@ -191,7 +180,7 @@ Result<ApproxAnswer> VerdictContext::TryApproximate(
     plan_qc = &qc_inner;
     plan_sel = qc.relations[0].derived;
   }
-  ResolveJoinEdgeAliases(plan_qc, conn_.database()->catalog());
+  QualifyJoinEdges(plan_qc, conn_.database()->catalog());
 
   std::map<std::string, uint64_t> base_rows;
   for (const auto& r : plan_qc->relations) {
@@ -250,11 +239,11 @@ Result<ApproxAnswer> VerdictContext::TryApproximate(
   sql::Statement rew_stmt;
   rew_stmt.kind = sql::StatementKind::kSelect;
   rew_stmt.select = std::move(rewritten.value().rewritten);
-  info->rewritten_sql =
-      sql::PrintStatement(rew_stmt, conn_.dialect().print_options);
   info->subsamples = rewritten.value().b;
 
   auto raw = conn_.ExecuteAst(rew_stmt);
+  // The text the connection logged: the SQL sent, after syntax rules.
+  info->rewritten_sql = conn_.statement_log().back();
   if (!raw.ok()) {
     info->skip_reason = "rewritten query failed: " + raw.status().message();
     return raw.status();
@@ -386,10 +375,25 @@ Result<ApproxAnswer> VerdictContext::DecomposeAndExecute(
       extreme_group_cols.push_back(pos_in_extreme[i]);
     }
   }
-  std::unordered_map<std::string, size_t> exact_rows;
+  // Exact rows by typed key hash. A key that repeats in the exact half (a
+  // GROUP BY column left out of the select list) matches its last row.
+  const auto exact_keys = KeyColumns(e, extreme_group_cols);
+  const auto mean_keys = KeyColumns(a.result, mean_group_cols);
+  const std::vector<uint64_t> exact_hashes = KeyHashes(exact_keys, e.NumRows());
+  const std::vector<uint64_t> mean_hashes =
+      KeyHashes(mean_keys, a.result.NumRows());
+  std::unordered_map<uint64_t, std::vector<size_t>> exact_rows;
   for (size_t r = 0; r < e.NumRows(); ++r) {
-    exact_rows[RowKey(e, r, extreme_group_cols)] = r;
+    exact_rows[exact_hashes[r]].push_back(r);
   }
+  auto exact_row_of = [&](size_t mean_row) -> std::optional<size_t> {
+    auto it = exact_rows.find(mean_hashes[mean_row]);
+    if (it == exact_rows.end()) return std::nullopt;
+    for (auto r = it->second.rbegin(); r != it->second.rend(); ++r) {
+      if (engine::JoinKeysEqual(mean_keys, mean_row, exact_keys, *r)) return *r;
+    }
+    return std::nullopt;
+  };
 
   ApproxAnswer out;
   out.confidence = a.confidence;
@@ -422,13 +426,12 @@ Result<ApproxAnswer> VerdictContext::DecomposeAndExecute(
 
   for (size_t r = 0; r < a.result.NumRows(); ++r) {
     std::vector<Value> row;
-    auto eit = exact_rows.find(RowKey(a.result, r, mean_group_cols));
+    const std::optional<size_t> exact_row = exact_row_of(r);
     for (size_t i = 0; i < sel.items.size(); ++i) {
       if (kinds[i] == ItemKind::kExtreme) {
-        row.push_back(eit == exact_rows.end()
-                          ? Value::Null()
-                          : e.Get(eit->second,
-                                  static_cast<size_t>(pos_in_extreme[i])));
+        row.push_back(exact_row ? e.Get(*exact_row,
+                                        static_cast<size_t>(pos_in_extreme[i]))
+                                : Value::Null());
       } else {
         row.push_back(a.result.Get(r, static_cast<size_t>(pos_in_mean[i])));
       }

@@ -35,7 +35,8 @@ class VerdictContext {
     bool degraded = false;       // exact fallback tripped the governor;
                                  // the approximate answer was served instead
     std::string skip_reason;     // why a query passed through
-    std::string rewritten_sql;   // the SQL actually sent (when approximated)
+    std::string rewritten_sql;   // the SQL actually sent, as the connection
+                                 // logged it (when approximated)
     std::string degradation_note;  // what degraded and why (when degraded)
     double max_relative_error = 0.0;
     int subsamples = 0;          // b

@@ -106,17 +106,23 @@ Status ApplySyntaxRules(const Dialect& dialect, sql::SelectStmt* stmt) {
 }
 
 Result<engine::ResultSet> Connection::ExecuteAst(const sql::Statement& stmt) {
-  // Apply dialect workarounds on a clone, then serialize and execute the
-  // resulting SQL text (the engine only ever sees text, as in the paper).
+  // The dialect's workarounds act on a clone, which then runs in process.
+  // Its printed text is the log's record of what was sent; the round-trip
+  // suite keeps that text equivalent to the clone ("Text/AST agreement
+  // contract" in docs/INVARIANTS.md).
   sql::Statement local;
   local.kind = stmt.kind;
   local.table_name = stmt.table_name;
   local.if_exists = stmt.if_exists;
   if (stmt.select) local.select = stmt.select->Clone();
-  if (local.select) {
-    VDB_RETURN_IF_ERROR(ApplySyntaxRules(dialect_, local.select.get()));
-  }
-  return Execute(sql::PrintStatement(local, dialect_.print_options));
+  const Status rules = local.select
+                           ? ApplySyntaxRules(dialect_, local.select.get())
+                           : Status::Ok();
+  // Logged even when a rule fails, so the log's last entry is always this
+  // statement.
+  log_.push_back(sql::PrintStatement(local, dialect_.print_options));
+  VDB_RETURN_IF_ERROR(rules);
+  return db_->ExecuteStatement(&local, guard_);
 }
 
 Result<engine::ResultSet> Connection::Execute(const std::string& sql) {
@@ -135,13 +141,10 @@ Result<engine::ResultSet> Connection::ExecuteCached(const std::string& sql) {
   }
   auto parsed = sql::ParseStatement(sql);
   if (!parsed.ok()) return parsed.status();
-  if (parsed.value()->kind != sql::StatementKind::kSelect) {
-    return db_->Execute(sql, guard_);
-  }
-  const sql::SelectStmt& select = *parsed.value()->select;
-  auto rs = db_->ExecuteSelect(select, guard_);
-  if (rs.ok() && !sql::DrawsRand(select) &&
-      db_->write_generation() == generation) {
+  sql::Statement& stmt = *parsed.value();
+  auto rs = db_->ExecuteStatement(&stmt, guard_);
+  if (rs.ok() && stmt.kind == sql::StatementKind::kSelect &&
+      !sql::DrawsRand(*stmt.select) && db_->write_generation() == generation) {
     memo_.emplace(sql, rs.value());
   }
   return rs;

@@ -48,13 +48,19 @@ const Dialect& GetDialect(EngineKind kind);
 Status ApplySyntaxRules(const Dialect& dialect, sql::SelectStmt* stmt);
 
 /// A connection to an underlying database through a specific driver. This is
-/// the only path by which VerdictDB reads or writes data: everything is SQL.
+/// the only path by which VerdictDB reads or writes data: every statement is
+/// SQL, sent as text (Execute) or as the AST whose printed text is logged
+/// (ExecuteAst).
 class Connection {
  public:
   Connection(engine::Database* db, EngineKind kind)
       : db_(db), dialect_(GetDialect(kind)) {}
 
-  /// Serializes with the dialect's print options, then executes.
+  /// Applies the dialect's syntax rules to a clone of `stmt`, logs the
+  /// clone's text under the dialect's print options, and runs the clone in
+  /// process (Database::ExecuteStatement). The logged text is the record of
+  /// what was sent; "Text/AST agreement contract" in docs/INVARIANTS.md
+  /// says what keeps it equivalent to the clone.
   Result<engine::ResultSet> ExecuteAst(const sql::Statement& stmt);
 
   /// Executes raw SQL text.

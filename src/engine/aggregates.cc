@@ -759,10 +759,13 @@ Result<AggSpec> AggSpecFromCall(const sql::Expr& call) {
   }
   if (s.name == "quantile" || s.name == "percentile") {
     const sql::Expr* p = call.args.size() == 2 ? call.args[1].get() : nullptr;
+    // A negative literal (-0.0 included) is spelled as a negation in SQL
+    // text, so it is no literal fraction either.
     const bool numeric = p != nullptr &&
                          p->kind == sql::ExprKind::kLiteral &&
                          (p->literal.type() == TypeId::kInt64 ||
-                          p->literal.type() == TypeId::kDouble);
+                          p->literal.type() == TypeId::kDouble) &&
+                         !std::signbit(p->literal.AsDouble());
     if (!numeric ||
         !(p->literal.AsDouble() >= 0.0 && p->literal.AsDouble() <= 1.0)) {
       return Status::InvalidArgument(

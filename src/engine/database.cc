@@ -75,8 +75,14 @@ Result<ResultSet> Database::Execute(const std::string& sql,
                                     const ExecGuard* guard) {
   auto parsed = sql::ParseStatement(sql);
   if (!parsed.ok()) return parsed.status();
-  auto stmt = std::move(parsed).ValueOrDie();
+  return ExecuteStatement(parsed.value().get(), guard);
+}
 
+Result<ResultSet> Database::ExecuteStatement(sql::Statement* stmt,
+                                             const ExecGuard* guard) {
+  if (stmt->kind != sql::StatementKind::kDropTable && !stmt->select) {
+    return Status::InvalidArgument("statement has no SELECT body");
+  }
   switch (stmt->kind) {
     case sql::StatementKind::kSelect:
       return RunSelect(this, stmt->select.get(), guard);

@@ -1,6 +1,7 @@
 // The in-process relational database used as VerdictDB's "underlying
-// database". The middleware communicates with it exclusively through SQL
-// strings, mirroring the paper's driver-level deployment (Fig. 1a).
+// database". The middleware reaches it only through driver::Connection,
+// mirroring the paper's driver-level deployment (Fig. 1a): statements go in
+// as SQL text or as the parsed statement whose printed text the driver logs.
 
 #ifndef VDB_ENGINE_DATABASE_H_
 #define VDB_ENGINE_DATABASE_H_
@@ -46,13 +47,20 @@ class Database {
  public:
   explicit Database(uint64_t seed = 0xC0FFEE);
 
-  /// Parses and executes one statement. DDL returns an empty ResultSet.
-  /// `guard` (optional, nullptr = ungoverned) is the per-statement execution
-  /// guard threaded into every SELECT body the statement runs (including the
-  /// SELECT inside CREATE TABLE AS / INSERT ... SELECT); a tripped guard
-  /// unwinds with kCancelled / kDeadlineExceeded / kResourceExhausted.
+  /// Parses one statement and runs it through ExecuteStatement.
   Result<ResultSet> Execute(const std::string& sql,
                             const ExecGuard* guard = nullptr);
+
+  /// Executes one parsed statement: SELECT, CREATE TABLE AS, DROP TABLE or
+  /// INSERT ... SELECT. DDL returns an empty ResultSet. The statement is
+  /// bound and run in place (binder outputs and rand call-site ids are
+  /// written into it); callers that keep the AST pass a clone. `guard`
+  /// (optional, nullptr = ungoverned) is the per-statement execution guard
+  /// threaded into every SELECT body the statement runs (including the
+  /// SELECT inside CREATE TABLE AS / INSERT ... SELECT); a tripped guard
+  /// unwinds with kCancelled / kDeadlineExceeded / kResourceExhausted.
+  Result<ResultSet> ExecuteStatement(sql::Statement* stmt,
+                                     const ExecGuard* guard = nullptr);
 
   /// Executes an already-parsed SELECT (the statement is cloned; the input
   /// is not mutated).

@@ -1264,8 +1264,11 @@ class SelectExecutor {
     std::vector<std::pair<int, bool>> keys;  // (column, ascending)
     for (auto& o : stmt->order_by) {
       int col = -1;
+      // An ordinal is a non-negative integer literal; a negative one is
+      // spelled as a negation in SQL text, an expression like any other.
       if (o.expr->kind == ExprKind::kLiteral &&
-          o.expr->literal.type() == TypeId::kInt64) {
+          o.expr->literal.type() == TypeId::kInt64 &&
+          o.expr->literal.AsInt() >= 0) {
         int64_t ord = o.expr->literal.AsInt();
         if (ord < 1 || ord > static_cast<int64_t>(rs.NumCols())) {
           return Status::InvalidArgument("ORDER BY ordinal out of range");

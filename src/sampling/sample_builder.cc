@@ -225,14 +225,14 @@ Result<SampleInfo> SampleBuilder::CreateStratifiedSample(
              static_cast<double>(n.value()) * tau /
              static_cast<double>(std::max<int64_t>(1, d.value()))));
   auto steps = BuildStaircase(max_stratum, m, kStratumDelta, kStaircaseGrowth);
-  auto case_expr = StaircaseCaseExpr(steps, "strata_size");
+  const std::string staircase = StaircaseCaseSql(steps, "strata_size");
 
   // Pass 2: Bernoulli-sample each stratum with the staircase probability.
   VDB_RETURN_IF_ERROR(ExecuteThroughDialect(
       "create table " + info.sample_table + " as " +
       SelectMembers(info, cols.value(),
                     "(select " + JoinList(cols.value(), ", ", "__vdb_b.") +
-                        ", " + sql::PrintExpr(*case_expr) +
+                        ", " + staircase +
                         " as verdict_prob from " + base +
                         " as __vdb_b inner join " + sizes + " as __vdb_t on " +
                         OnColumns(columns, "__vdb_b", "__vdb_t") +

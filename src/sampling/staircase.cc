@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/stats_math.h"
+#include "sql/printer.h"
 
 namespace vdb::sampling {
 
@@ -59,18 +60,20 @@ std::vector<StaircaseStep> BuildStaircase(int64_t max_stratum, int64_t m,
   return steps;
 }
 
-sql::Expr::Ptr StaircaseCaseExpr(const std::vector<StaircaseStep>& steps,
-                                 const std::string& size_column) {
-  auto e = std::make_unique<sql::Expr>(sql::ExprKind::kCase);
+std::string StaircaseCaseSql(const std::vector<StaircaseStep>& steps,
+                             const std::string& size_column) {
+  // The last step covers everything larger, so it is the ELSE branch; a
+  // one-step staircase is its probability alone (a CASE needs a WHEN).
+  const std::string last =
+      sql::PrintDouble(steps.empty() ? 1.0 : steps.back().prob);
+  if (steps.size() <= 1) return last;
+  std::string out = "case";
   for (size_t i = 0; i + 1 < steps.size(); ++i) {
-    e->case_whens.push_back(sql::MakeBinary(
-        sql::BinaryOp::kLe, sql::MakeColumnRef("", size_column),
-        sql::MakeIntLit(steps[i].max_size)));
-    e->case_thens.push_back(sql::MakeDoubleLit(steps[i].prob));
+    out += " when (" + size_column + " <= " +
+           std::to_string(steps[i].max_size) + ") then " +
+           sql::PrintDouble(steps[i].prob);
   }
-  // Last step becomes the ELSE branch (covers everything larger).
-  e->case_else = sql::MakeDoubleLit(steps.empty() ? 1.0 : steps.back().prob);
-  return e;
+  return out + " else " + last + " end";
 }
 
 }  // namespace vdb::sampling

@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "sql/ast.h"
-
 namespace vdb::sampling {
 
 /// Lemma 1: the smallest Bernoulli probability p such that sampling n tuples
@@ -35,10 +33,11 @@ struct StaircaseStep {
 std::vector<StaircaseStep> BuildStaircase(int64_t max_stratum, int64_t m,
                                           double delta, double growth = 1.2);
 
-/// Renders the staircase as a searched-CASE AST over `size_column`, e.g.
-/// `case when strata_size <= 100 then 1.0 when ... else 0.01 end`.
-sql::Expr::Ptr StaircaseCaseExpr(const std::vector<StaircaseStep>& steps,
-                                 const std::string& size_column);
+/// The staircase as SQL text over `size_column`, e.g.
+/// `case when (strata_size <= 100) then 1.0 when ... else 0.01 end`; a
+/// one-step staircase is its probability alone.
+std::string StaircaseCaseSql(const std::vector<StaircaseStep>& steps,
+                             const std::string& size_column);
 
 }  // namespace vdb::sampling
 

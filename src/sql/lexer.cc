@@ -1,7 +1,10 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <unordered_set>
 
 namespace vdb::sql {
 
@@ -47,15 +50,28 @@ Result<std::vector<Token>> Tokenize(const std::string& in) {
       continue;
     }
     if (c == '`' || c == '"') {
-      char quote = c;
+      const char quote = c;
+      std::string name;
       size_t j = i + 1;
-      while (j < n && in[j] != quote) ++j;
+      while (j < n) {
+        if (in[j] == quote) {
+          if (j + 1 < n && in[j + 1] == quote) {  // escaped quote
+            name.push_back(quote);
+            j += 2;
+            continue;
+          }
+          break;
+        }
+        name.push_back(in[j]);
+        ++j;
+      }
       if (j >= n) {
         return Status::InvalidArgument("unterminated quoted identifier");
       }
       Token t;
       t.kind = TokenKind::kIdentifier;
-      t.text = in.substr(i + 1, j - i - 1);
+      t.text = std::move(name);
+      t.quoted = true;
       t.offset = at;
       out.push_back(std::move(t));
       i = j + 1;
@@ -112,8 +128,17 @@ Result<std::vector<Token>> Tokenize(const std::string& in) {
         t.kind = TokenKind::kDoubleLiteral;
         t.double_value = std::strtod(num.c_str(), nullptr);
       } else {
+        // Up to 2^63, which only a leading '-' makes representable: it
+        // lexes as INT64_MIN and the parser accepts it only negated.
         t.kind = TokenKind::kIntLiteral;
-        t.int_value = std::strtoll(num.c_str(), nullptr, 10);
+        uint64_t magnitude = 0;
+        const auto parsed = std::from_chars(num.data(), num.data() + num.size(),
+                                            magnitude);
+        if (parsed.ec != std::errc() || magnitude > (uint64_t{1} << 63)) {
+          return Status::InvalidArgument("integer literal out of range at offset " +
+                                         std::to_string(at));
+        }
+        t.int_value = static_cast<int64_t>(magnitude);
       }
       out.push_back(std::move(t));
       i = j;
@@ -171,6 +196,20 @@ Result<std::vector<Token>> Tokenize(const std::string& in) {
   end.offset = n;
   out.push_back(std::move(end));
   return out;
+}
+
+bool IsReservedWord(const std::string& lower) {
+  // The printer asks once per short all-letter identifier it writes.
+  static const std::unordered_set<std::string> kWords = {
+      "select", "from",  "where",  "group",  "having", "order",  "limit",
+      "union",  "join",  "inner",  "left",   "right",  "outer",  "cross",
+      "on",     "and",   "or",     "not",    "as",     "by",     "asc",
+      "desc",   "case",  "when",   "then",   "else",   "end",    "in",
+      "is",     "null",  "like",   "between", "exists", "distinct", "all",
+      "create", "table", "drop",   "insert", "into",   "if",     "true",
+      "false",
+  };
+  return kWords.count(lower) > 0;
 }
 
 }  // namespace vdb::sql

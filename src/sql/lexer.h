@@ -15,7 +15,13 @@ namespace vdb::sql {
 /// is case-insensitive and happens in the parser). Supports: line comments
 /// (`-- ...`), backquoted and double-quoted identifiers, single-quoted string
 /// literals with '' escapes, integer and decimal/scientific numeric literals.
+/// Inside a quoted identifier the quote character is written twice.
 Result<std::vector<Token>> Tokenize(const std::string& input);
+
+/// True if `lower` (a lower-cased word) is a keyword the parser reserves:
+/// as a bare identifier it would end an alias position or start a clause,
+/// so the printer quotes a name spelled like one.
+bool IsReservedWord(const std::string& lower);
 
 }  // namespace vdb::sql
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 
 #include "sql/lexer.h"
 
@@ -13,23 +14,6 @@ std::string Lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   return s;
-}
-
-/// Reserved words that terminate an implicit alias position.
-bool IsReserved(const std::string& lower) {
-  static const char* kWords[] = {
-      "select", "from",  "where",  "group",  "having", "order",  "limit",
-      "union",  "join",  "inner",  "left",   "right",  "outer",  "cross",
-      "on",     "and",   "or",     "not",    "as",     "by",     "asc",
-      "desc",   "case",  "when",   "then",   "else",   "end",    "in",
-      "is",     "null",  "like",   "between", "exists", "distinct", "all",
-      "create", "table", "drop",   "insert", "into",   "if",     "true",
-      "false",
-  };
-  for (const char* w : kWords) {
-    if (lower == w) return true;
-  }
-  return false;
 }
 
 class Parser {
@@ -61,8 +45,15 @@ class Parser {
     return toks_[i];
   }
   bool At(TokenKind k) const { return Peek().kind == k; }
-  bool AtKeyword(const char* kw) const {
-    return Peek().kind == TokenKind::kIdentifier && Lower(Peek().text) == kw;
+  bool AtKeyword(const char* kw, int ahead = 0) const {
+    const Token& t = Peek(ahead);
+    return t.kind == TokenKind::kIdentifier && !t.quoted && Lower(t.text) == kw;
+  }
+  /// An identifier that can stand as an implicit alias: quoted, or a bare
+  /// word that is not reserved.
+  bool AtAliasName() const {
+    return At(TokenKind::kIdentifier) &&
+           (Peek().quoted || !IsReservedWord(Lower(Peek().text)));
   }
   bool Accept(TokenKind k) {
     if (At(k)) {
@@ -156,7 +147,7 @@ class Parser {
         if (!At(TokenKind::kIdentifier)) return Err("expected alias");
         item.alias = Peek().text;
         ++pos_;
-      } else if (At(TokenKind::kIdentifier) && !IsReserved(Lower(Peek().text))) {
+      } else if (AtAliasName()) {
         item.alias = Peek().text;
         ++pos_;
       }
@@ -202,7 +193,9 @@ class Parser {
       } while (Accept(TokenKind::kComma));
     }
     if (AcceptKeyword("limit")) {
-      if (!At(TokenKind::kIntLiteral)) return Err("expected LIMIT count");
+      if (!At(TokenKind::kIntLiteral) || Peek().int_value < 0) {
+        return Err("expected LIMIT count");
+      }
       sel->limit = Peek().int_value;
       ++pos_;
     }
@@ -285,7 +278,7 @@ class Parser {
       if (!At(TokenKind::kIdentifier)) return Err("expected alias");
       alias = Peek().text;
       ++pos_;
-    } else if (At(TokenKind::kIdentifier) && !IsReserved(Lower(Peek().text))) {
+    } else if (AtAliasName()) {
       alias = Peek().text;
       ++pos_;
     }
@@ -349,9 +342,8 @@ class Parser {
     }
     // [NOT] IN (...) / [NOT] BETWEEN / [NOT] LIKE
     bool neg = false;
-    if (AtKeyword("not") &&
-        (Lower(Peek(1).text) == "in" || Lower(Peek(1).text) == "between" ||
-         Lower(Peek(1).text) == "like")) {
+    if (AtKeyword("not") && (AtKeyword("in", 1) || AtKeyword("between", 1) ||
+                             AtKeyword("like", 1))) {
       neg = true;
       ++pos_;
     }
@@ -454,6 +446,13 @@ class Parser {
 
   Result<Expr::Ptr> ParseUnary() {
     if (Accept(TokenKind::kMinus)) {
+      // -9223372036854775808: the one integer literal whose magnitude has
+      // no positive int64 (the lexer hands it over as INT64_MIN).
+      if (At(TokenKind::kIntLiteral) &&
+          Peek().int_value == std::numeric_limits<int64_t>::min()) {
+        ++pos_;
+        return MakeIntLit(std::numeric_limits<int64_t>::min());
+      }
       auto inner = ParseUnary();
       if (!inner.ok()) return inner.status();
       return MakeUnary(UnaryOp::kNeg, std::move(inner).ValueOrDie());
@@ -466,6 +465,7 @@ class Parser {
     const Token& t = Peek();
     switch (t.kind) {
       case TokenKind::kIntLiteral: {
+        if (t.int_value < 0) return Err("integer literal out of range");
         ++pos_;
         return MakeIntLit(t.int_value);
       }
@@ -507,24 +507,30 @@ class Parser {
   Result<Expr::Ptr> ParseIdentifierExpr() {
     std::string first = Peek().text;
     std::string lower = Lower(first);
+    // A quoted identifier is a name whatever it spells.
+    static const std::string kNoKeyword;
+    const std::string& keyword = Peek().quoted ? kNoKeyword : lower;
 
-    if (lower == "null") {
+    if (keyword == "null") {
       ++pos_;
       return MakeLiteral(Value::Null());
     }
-    if (lower == "true") {
+    if (keyword == "true") {
       ++pos_;
       return MakeLiteral(Value::Bool(true));
     }
-    if (lower == "false") {
+    if (keyword == "false") {
       ++pos_;
       return MakeLiteral(Value::Bool(false));
     }
-    if (lower == "case") return ParseCase();
-    if (lower != "exists" && IsReserved(lower)) {
-      return Err("unexpected keyword '" + lower + "' in expression");
+    if (keyword == "case") return ParseCase();
+    // `if` is reserved for DROP TABLE IF EXISTS and is also the
+    // conditional function: before '(' it is the function.
+    const bool if_call = keyword == "if" && Peek(1).kind == TokenKind::kLParen;
+    if (keyword != "exists" && !if_call && IsReservedWord(keyword)) {
+      return Err("unexpected keyword '" + keyword + "' in expression");
     }
-    if (lower == "exists") {
+    if (keyword == "exists") {
       ++pos_;
       VDB_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "'('"));
       auto sel = ParseSelectStmt();

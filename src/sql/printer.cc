@@ -1,29 +1,67 @@
 #include "sql/printer.h"
 
-#include <cctype>
 #include <charconv>
+#include <cmath>
+#include <limits>
+
+#include "sql/lexer.h"
 
 namespace vdb::sql {
 
 namespace {
 
+bool IsAsciiLetter(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+
+/// True unless `ident` lexes back as the same bare identifier: a letter or
+/// '_' then letters, digits and '_', and no reserved word.
 bool NeedsQuote(const std::string& ident) {
   if (ident.empty()) return true;
-  if (!std::isalpha(static_cast<unsigned char>(ident[0])) && ident[0] != '_') {
-    return true;
-  }
+  if (!IsAsciiLetter(ident[0]) && ident[0] != '_') return true;
+  bool letters_only = true;
   for (char c : ident) {
-    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') return true;
+    if (IsAsciiLetter(c)) continue;
+    if (c != '_' && (c < '0' || c > '9')) return true;
+    letters_only = false;
   }
-  return false;
+  // Reserved words are two to eight letters; most names are not.
+  if (!letters_only || ident.size() < 2 || ident.size() > 8) return false;
+  std::string lower = ident;
+  for (char& c : lower) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+  return IsReservedWord(lower);
 }
 
 std::string Ident(const std::string& name, const PrintOptions& o) {
-  if (o.always_quote_identifiers || NeedsQuote(name)) {
-    return std::string(1, o.identifier_quote) + name +
-           std::string(1, o.identifier_quote);
+  if (!o.always_quote_identifiers && !NeedsQuote(name)) return name;
+  const char q = o.identifier_quote;
+  std::string out(1, q);
+  for (char c : name) {
+    if (c == q) out.push_back(q);  // the lexer reads a doubled quote as one
+    out.push_back(c);
   }
-  return name;
+  out.push_back(q);
+  return out;
+}
+
+/// A numeric literal's text. A negative value prints as a parenthesized
+/// negation, the form the parser reads it back as, so the text is stable
+/// under reprinting and never glues a '-' onto a preceding one ("--" starts
+/// a comment). INT64_MIN's magnitude is read back only after a '-', which
+/// the parser folds into the literal.
+std::string NumericLiteral(const Value& v) {
+  if (v.type() == TypeId::kDouble) {
+    const double d = v.AsDouble();
+    return std::signbit(d) && !std::isnan(d) ? "(-" + PrintDouble(-d) + ")"
+                                             : PrintDouble(d);
+  }
+  const int64_t i = v.AsInt();
+  if (i == std::numeric_limits<int64_t>::min()) {
+    return "(-9223372036854775808)";
+  }
+  return i < 0 ? "(-" + std::to_string(-i) + ")" : std::to_string(i);
 }
 
 std::string EscapeString(const std::string& s) {
@@ -75,7 +113,12 @@ std::string TableRefText(const TableRef& t, const PrintOptions& o) {
         case JoinType::kLeft: out += " left join "; break;
         case JoinType::kCross: out += " cross join "; break;
       }
-      out += TableRefText(*t.right, o);
+      // Joins chain to the left; a join on the right is parenthesized.
+      if (t.right->kind == TableRef::Kind::kJoin) {
+        out += "(" + TableRefText(*t.right, o) + ")";
+      } else {
+        out += TableRefText(*t.right, o);
+      }
       if (t.on) out += " on " + ExprText(*t.on, o);
       return out;
     }
@@ -89,8 +132,9 @@ std::string ExprText(const Expr& e, const PrintOptions& o) {
       if (e.literal.type() == TypeId::kString) {
         return EscapeString(e.literal.AsString());
       }
-      if (e.literal.type() == TypeId::kDouble) {
-        return PrintDouble(e.literal.AsDouble());
+      if (e.literal.type() == TypeId::kDouble ||
+          e.literal.type() == TypeId::kInt64) {
+        return NumericLiteral(e.literal);
       }
       return e.literal.ToString();
     case ExprKind::kColumnRef:
@@ -131,6 +175,10 @@ std::string ExprText(const Expr& e, const PrintOptions& o) {
       return out;
     }
     case ExprKind::kCase: {
+      // A CASE without a WHEN is its ELSE value (the grammar needs a WHEN).
+      if (e.case_whens.empty()) {
+        return e.case_else ? ExprText(*e.case_else, o) : "NULL";
+      }
       std::string out = "case";
       for (size_t i = 0; i < e.case_whens.size(); ++i) {
         out += " when " + ExprText(*e.case_whens[i], o) + " then " +
@@ -202,10 +250,14 @@ std::string SelectText(const SelectStmt& s, const PrintOptions& o) {
 }  // namespace
 
 std::string PrintDouble(double v) {
+  // Infinities overflow strtod to the same value; NaN is inf - inf (its
+  // sign and payload are not kept).
+  if (std::isnan(v)) return "(1e999 - 1e999)";
+  if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";
   char buf[32];
   auto res = std::to_chars(buf, buf + sizeof(buf), v);
   std::string out(buf, res.ptr);
-  // Integral values print without a fraction; nan and inf stay as is.
+  // Integral values print without a fraction.
   if (out.find_first_not_of("-0123456789") == std::string::npos) {
     out += ".0";
   }
@@ -224,15 +276,18 @@ std::string PrintStatement(const Statement& s, const PrintOptions& opts) {
   switch (s.kind) {
     case StatementKind::kSelect:
       return SelectText(*s.select, opts);
-    case StatementKind::kCreateTableAs:
-      return "create table " + std::string(1, opts.identifier_quote) +
-             s.table_name + std::string(1, opts.identifier_quote) + " as " +
+    case StatementKind::kCreateTableAs: {
+      PrintOptions quoted = opts;
+      quoted.always_quote_identifiers = true;
+      return "create table " + Ident(s.table_name, quoted) + " as " +
              SelectText(*s.select, opts);
+    }
     case StatementKind::kDropTable:
       return std::string("drop table ") + (s.if_exists ? "if exists " : "") +
-             s.table_name;
+             Ident(s.table_name, opts);
     case StatementKind::kInsertSelect:
-      return "insert into " + s.table_name + " " + SelectText(*s.select, opts);
+      return "insert into " + Ident(s.table_name, opts) + " " +
+             SelectText(*s.select, opts);
   }
   return "?";
 }

@@ -23,6 +23,7 @@ enum class TokenKind {
 struct Token {
   TokenKind kind = TokenKind::kEnd;
   std::string text;    // identifier (original case) or string literal body
+  bool quoted = false; // a quoted identifier: a name, never a keyword
   int64_t int_value = 0;
   double double_value = 0.0;
   size_t offset = 0;   // byte offset in the input, for error messages

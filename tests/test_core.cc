@@ -16,6 +16,7 @@
 #include "core/rewriter.h"
 #include "core/sample_planner.h"
 #include "core/verdict_context.h"
+#include "engine/aggregates.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
 #include "workload/queries.h"
@@ -255,6 +256,45 @@ TEST_F(VerdictE2E, DecomposesExtremePlusMeanLike) {
   for (size_t r = 0; r < rs.value().NumRows(); ++r) {
     int64_t g = rs.value().Get(r, 0).AsInt();
     EXPECT_DOUBLE_EQ(rs.value().GetDouble(r, 1), exact_mx[g]);
+  }
+
+  // The halves merge on typed keys: a double key, a NULL key and a
+  // two-column key each find their exact max.
+  ASSERT_TRUE(db_.Execute("create table keyed as select value, "
+                          "to_double(g10) / 4.0 as dg, case when g10 = 3 "
+                          "then NULL else g10 end as ng from big")
+                  .ok());
+  ASSERT_TRUE(ctx_->sample_builder().CreateUniformSample("keyed", 0.04).ok());
+  for (const std::string keys : {"dg", "ng", "ng, dg"}) {
+    const std::string sql = "select " + keys +
+                            ", max(value) as mx, avg(value) as a from keyed "
+                            "group by " + keys;
+    auto approx = ctx_->Execute(sql, &info);
+    ASSERT_TRUE(approx.ok()) << sql << ": " << approx.status().ToString();
+    EXPECT_TRUE(info.approximated) << sql << ": " << info.skip_reason;
+    ASSERT_EQ(approx.value().NumRows(), 10u) << sql;
+    const size_t nkeys = keys == "ng, dg" ? 2 : 1;
+    auto exact_rs = db_.Execute("select " + keys + ", max(value) as mx "
+                                "from keyed group by " + keys);
+    ASSERT_TRUE(exact_rs.ok());
+    size_t matched = 0, null_keys = 0;
+    for (size_t r = 0; r < approx.value().NumRows(); ++r) {
+      const Value mx = approx.value().Get(r, nkeys);
+      ASSERT_FALSE(mx.is_null()) << sql << " row " << r;
+      null_keys += approx.value().Get(r, 0).is_null() ? 1u : 0u;
+      for (size_t e = 0; e < exact_rs.value().NumRows(); ++e) {
+        bool same = true;
+        for (size_t k = 0; k < nkeys; ++k) {
+          same = same && engine::ValueGroupKey(approx.value().Get(r, k)) ==
+                             engine::ValueGroupKey(exact_rs.value().Get(e, k));
+        }
+        if (!same) continue;
+        EXPECT_EQ(mx.AsDouble(), exact_rs.value().GetDouble(e, nkeys)) << sql;
+        ++matched;
+      }
+    }
+    EXPECT_EQ(matched, 10u) << sql;
+    EXPECT_EQ(null_keys, keys == "dg" ? 0u : 1u) << sql;
   }
 }
 

@@ -74,11 +74,15 @@ TEST(StaircaseTest, UpperBoundsExactProbability) {
 
 TEST(StaircaseTest, CaseExprShape) {
   auto steps = BuildStaircase(5000, 20, 0.001);
-  auto e = StaircaseCaseExpr(steps, "strata_size");
-  std::string text = sql::PrintExpr(*e);
+  const std::string text = StaircaseCaseSql(steps, "strata_size");
   EXPECT_NE(text.find("case when"), std::string::npos);
   EXPECT_NE(text.find("strata_size"), std::string::npos);
   EXPECT_NE(text.find("else"), std::string::npos);
+  EXPECT_TRUE(sql::ParseExpression(text).ok()) << text;
+  // Every stratum within m: one step, which is its probability alone.
+  const std::string one = StaircaseCaseSql(BuildStaircase(10, 20, 0.001),
+                                           "strata_size");
+  EXPECT_EQ(one, "1.0");
 }
 
 TEST(StaircaseTest, MonteCarloMinimumGuarantee) {
@@ -185,6 +189,14 @@ TEST_F(BuilderTest, StratifiedSampleMinimumPerStratum) {
   }
   // delta = 0.001 per stratum; 100 strata -> ~0 starved expected.
   EXPECT_LE(starved, 2);
+}
+
+TEST_F(BuilderTest, StratifiedSampleWhoseStrataAllFitKeepsEveryRow) {
+  // One row per stratum: every stratum is within m, so the staircase has a
+  // single step (probability 1) and no CASE to print.
+  auto s = builder_->CreateStratifiedSample("t", {"id"}, 0.1);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  EXPECT_EQ(Count(s.value().sample_table), 50000);
 }
 
 TEST_F(BuilderTest, StratifiedProbColumnMatchesStaircase) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
@@ -159,6 +162,143 @@ TEST(PrinterTest, WindowSpec) {
   ASSERT_TRUE(sel.ok());
   EXPECT_NE(PrintSelect(*sel.value()).find("over (partition by g)"),
             std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Print/parse round trip: shapes the generated suite (test_roundtrip) found
+// printing as text that parses differently or not at all.
+// ---------------------------------------------------------------------------
+
+/// Print(Parse(text)) under `opts`.
+std::string Reprint(const std::string& text, const PrintOptions& opts = {}) {
+  auto st = ParseStatement(text);
+  EXPECT_TRUE(st.ok()) << text << ": " << st.status().ToString();
+  return st.ok() ? PrintStatement(*st.value(), opts) : "";
+}
+
+TEST(RoundTripTest, ReservedWordNamesPrintQuoted) {
+  SelectStmt s;
+  s.items.emplace_back(MakeColumnRef("on", "select"), "from");
+  s.from = MakeBaseTable("order", "on");
+  const std::string text = PrintSelect(s);
+  EXPECT_EQ(text, "select `on`.`select` as `from` from `order` as `on`");
+  EXPECT_EQ(Reprint(text), text);
+}
+
+TEST(RoundTripTest, QuotedKeywordsAreNames) {
+  auto sel = ParseSelect("select `null`, \"case\" `Limit` from `from`");
+  ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+  const SelectStmt& s = *sel.value();
+  ASSERT_EQ(s.items.size(), 2u);
+  EXPECT_EQ(s.items[0].expr->kind, ExprKind::kColumnRef);
+  EXPECT_EQ(s.items[0].expr->name, "null");
+  EXPECT_EQ(s.items[1].expr->name, "case");
+  EXPECT_EQ(s.items[1].alias, "Limit");
+  EXPECT_EQ(s.from->table_name, "from");
+}
+
+TEST(RoundTripTest, QuoteCharactersInNamesAreDoubled) {
+  SelectStmt s;
+  s.items.emplace_back(MakeColumnRef("", "a`b"), "c\"d");
+  s.from = MakeBaseTable("t");
+  const std::string text = PrintSelect(s);
+  EXPECT_EQ(text, "select `a``b` as `c\"d` from t");
+  EXPECT_EQ(Reprint(text), text);
+  PrintOptions redshift;
+  redshift.identifier_quote = '"';
+  const std::string dq = PrintSelect(s, redshift);
+  EXPECT_EQ(dq, "select \"a`b\" as \"c\"\"d\" from t");
+  EXPECT_EQ(Reprint(dq, redshift), dq);
+}
+
+TEST(RoundTripTest, NegativeLiteralsPrintAsNegations) {
+  EXPECT_EQ(PrintExpr(*MakeIntLit(-5)), "(-5)");
+  EXPECT_EQ(PrintExpr(*MakeDoubleLit(-0.0)), "(-0.0)");
+  // A negation of a negative literal must not print "--", a comment.
+  auto neg = MakeUnary(UnaryOp::kNeg, MakeIntLit(-5));
+  const std::string text = "select " + PrintExpr(*neg) + " as x";
+  EXPECT_EQ(text, "select (-(-5)) as x");
+  EXPECT_EQ(Reprint(text), text);
+  // INT64_MIN reads back only negated; its magnitude alone is out of range.
+  const auto min = MakeIntLit(std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(PrintExpr(*min), "(-9223372036854775808)");
+  auto e = ParseExpression(PrintExpr(*min));
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  ASSERT_EQ(e.value()->kind, ExprKind::kLiteral);
+  EXPECT_EQ(e.value()->literal.AsInt(), std::numeric_limits<int64_t>::min());
+  EXPECT_FALSE(ParseExpression("9223372036854775808").ok());
+  EXPECT_FALSE(ParseExpression("-9223372036854775809").ok());
+  EXPECT_FALSE(ParseStatement("select 1 limit 9223372036854775808").ok());
+}
+
+TEST(RoundTripTest, NonFiniteDoublesPrintAsExpressionsThatComputeThem) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(PrintDouble(inf), "1e999");
+  EXPECT_EQ(PrintExpr(*MakeDoubleLit(-inf)), "(-1e999)");
+  EXPECT_EQ(PrintDouble(std::nan("")), "(1e999 - 1e999)");
+  auto e = ParseExpression("1e999");
+  ASSERT_TRUE(e.ok());
+  EXPECT_EQ(e.value()->literal.AsDouble(), inf);
+  for (double v : {inf, -inf, std::nan("")}) {
+    const std::string text = "select " + PrintExpr(*MakeDoubleLit(v)) + " as x";
+    EXPECT_EQ(Reprint(text), text);
+  }
+}
+
+TEST(RoundTripTest, RightNestedJoinIsParenthesized) {
+  SelectStmt s;
+  s.items.emplace_back(MakeStar(), "");
+  s.from = MakeJoin(
+      JoinType::kLeft, MakeBaseTable("a"),
+      MakeJoin(JoinType::kInner, MakeBaseTable("b"), MakeBaseTable("c"),
+               MakeBinary(BinaryOp::kEq, MakeColumnRef("b", "k"),
+                          MakeColumnRef("c", "k"))),
+      MakeBinary(BinaryOp::kEq, MakeColumnRef("a", "k"),
+                 MakeColumnRef("b", "k")));
+  const std::string text = PrintSelect(s);
+  EXPECT_EQ(text,
+            "select * from a left join (b inner join c on (b.k = c.k)) on "
+            "(a.k = b.k)");
+  auto back = ParseSelect(text);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back.value()->from->kind, TableRef::Kind::kJoin);
+  EXPECT_EQ(back.value()->from->join_type, JoinType::kLeft);
+  EXPECT_EQ(back.value()->from->right->kind, TableRef::Kind::kJoin);
+  EXPECT_EQ(PrintSelect(*back.value()), text);
+}
+
+TEST(RoundTripTest, CaseWithoutWhenPrintsItsElse) {
+  Expr c(ExprKind::kCase);
+  c.case_else = MakeDoubleLit(1.0);
+  EXPECT_EQ(PrintExpr(c), "1.0");
+  c.case_else.reset();
+  EXPECT_EQ(PrintExpr(c), "NULL");
+}
+
+TEST(RoundTripTest, DdlTableNamesPrintQuotedWhenTheyMustBe) {
+  Statement drop;
+  drop.kind = StatementKind::kDropTable;
+  drop.if_exists = true;
+  drop.table_name = "New Table";
+  EXPECT_EQ(PrintStatement(drop), "drop table if exists `New Table`");
+  EXPECT_EQ(Reprint(PrintStatement(drop)), PrintStatement(drop));
+  Statement insert;
+  insert.kind = StatementKind::kInsertSelect;
+  insert.table_name = "select";
+  insert.select = std::make_unique<SelectStmt>();
+  insert.select->items.emplace_back(MakeIntLit(1), "");
+  EXPECT_EQ(PrintStatement(insert), "insert into `select` select 1");
+  EXPECT_EQ(Reprint(PrintStatement(insert)), PrintStatement(insert));
+}
+
+TEST(RoundTripTest, IfBeforeAParenIsTheConditionalFunction) {
+  auto e = ParseExpression("if(a > 1, 'x', 'y')");
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  EXPECT_EQ(e.value()->kind, ExprKind::kFunction);
+  EXPECT_EQ(e.value()->name, "if");
+  EXPECT_EQ(PrintExpr(*e.value()), "if((a > 1), 'x', 'y')");
+  // Elsewhere `if` stays a keyword.
+  EXPECT_FALSE(ParseExpression("if + 1").ok());
 }
 
 }  // namespace

@@ -151,14 +151,15 @@ TEST(VdbLintScopeTree, SyncSafeClassRequiresEveryMemberSynchronized) {
 
 // ---- unit layer: LintSource over in-memory sources -------------------------
 
-TEST(VdbLintUnit, RuleRegistryListsAllTwelveContracts) {
+TEST(VdbLintUnit, RuleRegistryListsAllThirteenContracts) {
   const std::vector<std::string>& names = RuleNames();
-  ASSERT_EQ(names.size(), 12u);
+  ASSERT_EQ(names.size(), 13u);
   for (const char* expected :
        {"rng-outside-random", "simd-outside-kernel-tu", "string-keyed-map",
         "raw-double-accumulate", "naked-size-narrowing", "naked-reserve",
         "unordered-iteration-in-result-path", "ungoverned-loop", "raw-mutex",
-        "mutable-shared-static", "row-interpreter-call", "serial-fork"}) {
+        "mutable-shared-static", "row-interpreter-call", "serial-fork",
+        "text-reparse"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "missing rule " << expected;
   }
@@ -444,6 +445,30 @@ TEST(VdbLintUnit, SerialForkFiresOnThreadCountComparedAgainstOne) {
   EXPECT_TRUE(LintOne("bench/bench_join.cc", src).ok());
 }
 
+TEST(VdbLintUnit, TextReparseFiresOnPrintedAstSentToAParser) {
+  const std::string src =
+      "Status Run(Connection* c, const sql::Statement& s, const Expr& e) {\n"
+      "  auto rs = c->Execute(sql::PrintStatement(s, opts));\n"
+      "  std::string text = sql::PrintSelect(*s.select);\n"
+      "  auto again = sql::ParseStatement(text);\n"
+      "  std::string where = \"x < \" + sql::PrintDouble(0.5);\n"
+      "  auto built = c->Execute(where);\n"
+      "  log.push_back(sql::PrintStatement(s, opts));\n"
+      "  const std::string name = sql::PrintExpr(e);\n"
+      "  return c->ExecuteAst(s).status();\n"
+      "}\n"
+      "Status Other(Connection* c) { return c->Execute(text).status(); }\n";
+  // The inline print and the printed local fire; a printed double, a
+  // logged print, a name, and a same-named variable of another function
+  // do not.
+  const Report r = LintOne("src/core/verdict_context.cc", src);
+  EXPECT_EQ(CountRule(r, "text-reparse"), 2u);
+  EXPECT_EQ(r.violations.size(), 2u);
+  // Tests and benches may compare text against its parse.
+  EXPECT_TRUE(LintOne("tests/test_roundtrip.cc", src).ok());
+  EXPECT_TRUE(LintOne("bench/bench_util.cc", src).ok());
+}
+
 TEST(VdbLintUnit, StatsTableCoversEveryRule) {
   const Report r = LintOne("src/engine/foo.cc", "int f() { return rand(); }\n");
   ASSERT_EQ(r.rule_stats.size(), RuleNames().size());
@@ -469,7 +494,7 @@ TEST(VdbLintFixtures, PassTreeIsCleanAndCountsSuppressions) {
   EXPECT_TRUE(r.ok()) << (r.violations.empty()
                               ? ""
                               : FormatDiagnostic(r.violations.front()));
-  EXPECT_EQ(r.files_scanned, 10u);
+  EXPECT_EQ(r.files_scanned, 11u);
   // suppressed.cc acknowledges three findings; engine/agg_table.cc two;
   // src/engine/ordered_result.cc, src/engine/morsel_path.cc and
   // engine/operators.cc one each.
@@ -478,7 +503,7 @@ TEST(VdbLintFixtures, PassTreeIsCleanAndCountsSuppressions) {
 
 TEST(VdbLintFixtures, FailTreeTriggersEveryRule) {
   const Report r = LintPaths({Fixture("fail")});
-  EXPECT_EQ(r.files_scanned, 12u);
+  EXPECT_EQ(r.files_scanned, 13u);
   EXPECT_EQ(CountRule(r, "rng-outside-random"), 5u);
   EXPECT_EQ(CountRule(r, "simd-outside-kernel-tu"), 3u);
   EXPECT_EQ(CountRule(r, "string-keyed-map"), 2u);
@@ -491,7 +516,8 @@ TEST(VdbLintFixtures, FailTreeTriggersEveryRule) {
   EXPECT_EQ(CountRule(r, "mutable-shared-static"), 2u);
   EXPECT_EQ(CountRule(r, "row-interpreter-call"), 2u);
   EXPECT_EQ(CountRule(r, "serial-fork"), 3u);
-  EXPECT_EQ(r.violations.size(), 31u);
+  EXPECT_EQ(CountRule(r, "text-reparse"), 3u);
+  EXPECT_EQ(r.violations.size(), 34u);
   EXPECT_EQ(r.suppressions_used, 0u);
 }
 
@@ -508,8 +534,8 @@ TEST(VdbLintFixtures, MultiFileScanSortsDiagnosticsByFileThenLine) {
 
 TEST(VdbLintFixtures, MixedRootsAggregateAcrossDirectories) {
   const Report r = LintPaths({Fixture("pass"), Fixture("fail")});
-  EXPECT_EQ(r.files_scanned, 22u);
-  EXPECT_EQ(r.violations.size(), 31u);
+  EXPECT_EQ(r.files_scanned, 24u);
+  EXPECT_EQ(r.violations.size(), 34u);
   EXPECT_EQ(r.suppressions_used, 8u);
 }
 

@@ -30,6 +30,7 @@
 #include "engine/table.h"
 #include "engine/vector_eval.h"
 #include "oracle/row_interpreter.h"
+#include "oracle/sql_gen.h"
 #include "sql/ast.h"
 #include "sql/printer.h"
 
@@ -45,291 +46,10 @@ using sql::UnaryOp;
 // Random table / expression generation
 // ---------------------------------------------------------------------------
 
-TablePtr MakeRandomTable(Rng* rng, size_t rows) {
-  auto t = std::make_shared<Table>();
-  t->AddColumn("i1", TypeId::kInt64);
-  t->AddColumn("i2", TypeId::kInt64);     // with NULLs
-  t->AddColumn("d1", TypeId::kDouble);
-  t->AddColumn("d2", TypeId::kDouble);    // with NULLs
-  t->AddColumn("s1", TypeId::kString);    // with NULLs
-  t->AddColumn("b1", TypeId::kBool);
-  t->AddColumn("n1", TypeId::kNull);      // every row NULL
-  static const char* kStrings[] = {"a", "ab", "abc", "ba", "x", ""};
-  for (size_t r = 0; r < rows; ++r) {
-    std::vector<Value> row;
-    row.push_back(Value::Int(rng->NextInRange(-6, 6)));
-    row.push_back(rng->NextBernoulli(0.25)
-                      ? Value::Null()
-                      : Value::Int(rng->NextInRange(-4, 4)));
-    row.push_back(
-        Value::Double(static_cast<double>(rng->NextInRange(-40, 40)) / 8.0));
-    row.push_back(rng->NextBernoulli(0.25)
-                      ? Value::Null()
-                      : Value::Double(
-                            static_cast<double>(rng->NextInRange(-20, 20)) /
-                            4.0));
-    row.push_back(rng->NextBernoulli(0.2)
-                      ? Value::Null()
-                      : Value::String(kStrings[rng->NextBounded(6)]));
-    row.push_back(Value::Bool(rng->NextBernoulli(0.5)));
-    row.push_back(Value::Null());
-    t->AppendRow(row);
-  }
-  return t;
-}
-
-class ExprGen {
- public:
-  explicit ExprGen(Rng* rng) : rng_(rng) {}
-
-  /// A random tree over the fuzz tables' columns, through the binder's
-  /// function-resolution step like every engine expression.
-  Expr::Ptr Gen(int depth) { return Resolved(Node(depth)); }
-  /// A random tree whose root is a scalar function call.
-  Expr::Ptr GenFunctionCall(int depth) {
-    return Resolved(GenFunction(depth));
-  }
-  /// A random concat call (see GenConcat).
-  Expr::Ptr GenConcatCall(int depth) { return Resolved(GenConcat(depth)); }
-
- private:
-  static Expr::Ptr Resolved(Expr::Ptr e) {
-    const Status st = ResolveFunctions(e.get());
-    EXPECT_TRUE(st.ok()) << st.ToString() << ": " << sql::PrintExpr(*e);
-    return e;
-  }
-
-  Expr::Ptr Node(int depth) {
-    if (depth <= 0 || rng_->NextBernoulli(0.25)) return GenLeaf();
-    switch (rng_->NextBounded(10)) {
-      case 0: return GenArith(depth);
-      case 1: return GenCompare(depth);
-      case 2: return GenLogic(depth);
-      case 3: return GenUnary(depth);
-      case 4: return GenCase(depth);
-      case 5: return GenIsNull(depth);
-      case 6: return GenInList(depth);
-      case 7: return GenBetween(depth);
-      case 8: return GenFunction(depth);
-      default: return GenLike(depth);
-    }
-  }
-
-  Expr::Ptr GenLeaf() {
-    // Bound column reference (the all-NULL n1 is drawn by concat only).
-    if (rng_->NextBernoulli(0.55)) return Col(rng_->NextBounded(6));
-    return GenLiteral();
-  }
-
-  Expr::Ptr GenLiteral() {
-    switch (rng_->NextBounded(5)) {
-      case 0: return sql::MakeIntLit(rng_->NextInRange(-5, 5));
-      case 1:
-        return sql::MakeDoubleLit(
-            static_cast<double>(rng_->NextInRange(-10, 10)) / 4.0);
-      case 2: {
-        static const char* kPool[] = {"a", "ab", "b", "%b%", "a_"};
-        return sql::MakeStringLit(kPool[rng_->NextBounded(5)]);
-      }
-      case 3: return sql::MakeLiteral(Value::Bool(rng_->NextBernoulli(0.5)));
-      default: return sql::MakeLiteral(Value::Null());
-    }
-  }
-
-  Expr::Ptr GenArith(int depth) {
-    static const BinaryOp kOps[] = {BinaryOp::kAdd, BinaryOp::kSub,
-                                    BinaryOp::kMul, BinaryOp::kDiv,
-                                    BinaryOp::kMod};
-    return sql::MakeBinary(kOps[rng_->NextBounded(5)], Node(depth - 1),
-                           Node(depth - 1));
-  }
-
-  Expr::Ptr GenCompare(int depth) {
-    static const BinaryOp kOps[] = {BinaryOp::kEq, BinaryOp::kNe,
-                                    BinaryOp::kLt, BinaryOp::kLe,
-                                    BinaryOp::kGt, BinaryOp::kGe};
-    return sql::MakeBinary(kOps[rng_->NextBounded(6)], Node(depth - 1),
-                           Node(depth - 1));
-  }
-
-  Expr::Ptr GenLogic(int depth) {
-    return sql::MakeBinary(
-        rng_->NextBernoulli(0.5) ? BinaryOp::kAnd : BinaryOp::kOr,
-        Node(depth - 1), Node(depth - 1));
-  }
-
-  Expr::Ptr GenUnary(int depth) {
-    return sql::MakeUnary(
-        rng_->NextBernoulli(0.5) ? UnaryOp::kNeg : UnaryOp::kNot,
-        Node(depth - 1));
-  }
-
-  Expr::Ptr GenCase(int depth) {
-    auto e = std::make_unique<Expr>(ExprKind::kCase);
-    const size_t whens = 1 + rng_->NextBounded(2);
-    for (size_t i = 0; i < whens; ++i) {
-      e->case_whens.push_back(Node(depth - 1));
-      e->case_thens.push_back(Node(depth - 1));
-    }
-    if (rng_->NextBernoulli(0.7)) e->case_else = Node(depth - 1);
-    return e;
-  }
-
-  Expr::Ptr GenIsNull(int depth) {
-    auto e = std::make_unique<Expr>(ExprKind::kIsNull);
-    e->args.push_back(Node(depth - 1));
-    e->negated = rng_->NextBernoulli(0.5);
-    return e;
-  }
-
-  Expr::Ptr GenInList(int depth) {
-    auto e = std::make_unique<Expr>(ExprKind::kInList);
-    e->args.push_back(Node(depth - 1));
-    const size_t items = 1 + rng_->NextBounded(3);
-    for (size_t i = 0; i < items; ++i) e->args.push_back(Node(depth - 1));
-    e->negated = rng_->NextBernoulli(0.5);
-    return e;
-  }
-
-  Expr::Ptr GenBetween(int depth) {
-    auto e = std::make_unique<Expr>(ExprKind::kBetween);
-    e->args.push_back(Node(depth - 1));
-    e->args.push_back(Node(depth - 1));
-    e->args.push_back(Node(depth - 1));
-    e->negated = rng_->NextBernoulli(0.5);
-    return e;
-  }
-
-  Expr::Ptr GenLike(int depth) {
-    static const char* kPatterns[] = {"a%", "%b", "%a%", "a_", "_", "%"};
-    return sql::MakeBinary(BinaryOp::kLike, Node(depth - 1),
-                           sql::MakeStringLit(kPatterns[rng_->NextBounded(6)]));
-  }
-
-  Expr::Ptr GenFunction(int depth) {
-    // Every ScalarFn id. rand-family calls are fair game: draws are
-    // row-addressed, so the batch kernels and the row interpreter produce
-    // identical values (each generated call gets its own site id).
-    switch (rng_->NextBounded(29)) {
-      case 0: return Call("abs", Arg(depth));
-      case 1: return Call("floor", Arg(depth));
-      case 2: return Call("coalesce", Arg(depth), Arg(depth));
-      case 3: return Call("if", Arg(depth), Arg(depth), Arg(depth));
-      case 4: return Call("length", Arg(depth));
-      case 5: return Call("verdict_hash", Arg(depth));
-      case 6: return Sited(Call("rand"));
-      case 7: return Sited(Call("rand_poisson"));
-      case 8: return Call("ceil", Arg(depth));
-      case 9: return Call("sqrt", Arg(depth));
-      case 10: return Call("greatest", Arg(depth), Arg(depth));
-      case 11: return Call("year", GenIntOperand());
-      case 12: return Call("month", GenIntOperand());
-      case 13: return Call("upper", Arg(depth));
-      case 14:
-        return rng_->NextBernoulli(0.5)
-                   ? Call("substr", Arg(depth), GenIntOperand())
-                   : Call("substr", Arg(depth), GenIntOperand(),
-                          GenIntOperand());
-      case 15: return Call("nullif", Arg(depth), Arg(depth));
-      case 16: return Call("exp", Arg(depth));
-      case 17: return Call("ln", Arg(depth));
-      case 18: return Call("power", Arg(depth), Arg(depth));
-      case 19: return Call("mod", GenBoundedOperand(), GenBoundedOperand());
-      case 20:
-        return rng_->NextBernoulli(0.5)
-                   ? Call("round", GenBoundedOperand())
-                   : Call("round", GenBoundedOperand(), GenBoundedOperand());
-      case 21: return Call("sign", Arg(depth));
-      case 22: return Call("least", Arg(depth), Arg(depth), Arg(depth));
-      case 23: return Call("crc32", Arg(depth));
-      case 24: return Call("hash64", Arg(depth));
-      case 25: return Call("lower", Arg(depth));
-      case 26: return Call("to_double", Arg(depth));
-      case 27: return Call("to_int", GenBoundedOperand());
-      default: return GenConcat(depth);
-    }
-  }
-
-  /// A call argument: often another call or a CASE, so call kernels run
-  /// over nested call and CASE lanes; otherwise any subtree.
-  Expr::Ptr Arg(int depth) {
-    if (depth > 1) {
-      switch (rng_->NextBounded(4)) {
-        case 0: return GenFunction(depth - 1);
-        case 1: return GenCase(depth - 1);
-        default: break;
-      }
-    }
-    return Node(depth - 1);
-  }
-
-  /// An integer-valued operand (int column or literal): the date functions'
-  /// yyyymmdd argument and substr's bounds. Doubles stay out — AsInt on an
-  /// out-of-range double is undefined behavior.
-  Expr::Ptr GenIntOperand() {
-    if (rng_->NextBernoulli(0.5)) return Col(rng_->NextBounded(2));  // i1, i2
-    static const int64_t kPool[] = {0, 1, 3, -2, 20240315, 19991231};
-    return sql::MakeIntLit(kPool[rng_->NextBounded(6)]);
-  }
-
-  /// A numeric operand for the ids that convert doubles to Int64 (mod,
-  /// round, to_int): an integer operand or a small double literal, never a
-  /// computed or column double that may be out of Int64 range.
-  Expr::Ptr GenBoundedOperand() {
-    if (rng_->NextBernoulli(0.5)) return GenIntOperand();
-    return sql::MakeDoubleLit(
-        static_cast<double>(rng_->NextInRange(-10, 10)) / 4.0);
-  }
-
-  /// concat over 1-4 arguments drawn from every column type (the all-NULL
-  /// column included), literals of every type, a CASE whose branches mix
-  /// int and string, and arbitrary subtrees.
-  Expr::Ptr GenConcat(int depth) {
-    std::vector<Expr::Ptr> argv;
-    const size_t arity = 1 + rng_->NextBounded(4);
-    for (size_t i = 0; i < arity; ++i) {
-      switch (rng_->NextBounded(4)) {
-        case 0: argv.push_back(Col(rng_->NextBounded(7))); break;
-        case 1: argv.push_back(GenLiteral()); break;
-        case 2: {
-          auto c = std::make_unique<Expr>(ExprKind::kCase);
-          c->case_whens.push_back(Node(depth - 1));
-          c->case_thens.push_back(rng_->NextBernoulli(0.5)
-                                      ? Col(0)
-                                      : sql::MakeIntLit(7));
-          c->case_else = rng_->NextBernoulli(0.5) ? Col(4)
-                                                  : sql::MakeStringLit("s");
-          argv.push_back(std::move(c));
-          break;
-        }
-        default: argv.push_back(Node(depth - 1)); break;
-      }
-    }
-    return sql::MakeFunction("concat", std::move(argv));
-  }
-
-  Expr::Ptr Col(size_t idx) {
-    static const char* kCols[] = {"i1", "i2", "d1", "d2", "s1", "b1", "n1"};
-    auto e = sql::MakeColumnRef("", kCols[idx]);
-    e->bound_column = static_cast<int>(idx);
-    return e;
-  }
-
-  Expr::Ptr Sited(Expr::Ptr e) {
-    e->rand_site = next_site_++;
-    return e;
-  }
-
-  template <typename... Args>
-  Expr::Ptr Call(std::string name, Args... args) {
-    std::vector<Expr::Ptr> argv;
-    (argv.push_back(std::move(args)), ...);
-    return sql::MakeFunction(std::move(name), std::move(argv));
-  }
-
-  Rng* rng_;
-  int next_site_ = 1;
-};
+// MakeRandomTable and ExprGen live in tests/oracle/sql_gen.h, shared with
+// the statement generator of test_roundtrip.
+using sqlgen::ExprGen;
+using sqlgen::MakeRandomTable;
 
 // ---------------------------------------------------------------------------
 // Comparison helpers

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -659,6 +660,86 @@ void RuleSerialFork(Ctx& ctx) {
   }
 }
 
+// --- text-reparse -----------------------------------------------------------
+//
+// The driver hands the engine the middleware's AST in process
+// (driver::Connection::ExecuteAst) and keeps the printed text only as the
+// log's record of what was sent. Printing an AST and sending the text back
+// through a parser is the round trip that hand-off removed: it costs a parse
+// per statement and runs a second copy of the statement beside the AST. A
+// call under src/ whose name starts with Execute or Parse may not take the
+// result of sql::PrintExpr / PrintSelect / PrintStatement, either inline or
+// through a variable the same function assigned it to. PrintDouble writes a
+// value into SQL being composed, not a parsed tree, and is not flagged.
+void RuleTextReparse(Ctx& ctx) {
+  static const char* kRule = "text-reparse";
+  if (!ctx.PathContains("src/")) return;
+  static const std::unordered_set<std::string> kPrinters = {
+      "PrintExpr", "PrintSelect", "PrintStatement"};
+  const std::vector<Token>& toks = ctx.src.tokens;
+  const Analysis& an = ctx.src;
+  auto is_print_call = [&](size_t k) {
+    return toks[k].kind == TokKind::kIdent && kPrinters.count(toks[k].text) &&
+           k + 1 < toks.size() && IsPunct(toks[k + 1], "(");
+  };
+  // The outermost function enclosing token k (lambdas share their
+  // function's variables), or -1 at file scope.
+  auto owner = [&](size_t k) {
+    int fn = -1;
+    for (int s = an.token_scope[k]; s > 0;
+         s = an.scopes[static_cast<size_t>(s)].parent) {
+      if (an.scopes[static_cast<size_t>(s)].kind == ScopeKind::kFunction) {
+        fn = s;
+      }
+    }
+    return fn;
+  };
+  // Variables assigned (`x = ...;` or `x += ...;`) an expression holding a
+  // printer call.
+  std::set<std::pair<int, std::string>> printed;
+  for (size_t k = 0; k + 2 < toks.size(); ++k) {
+    if (toks[k].kind != TokKind::kIdent) continue;
+    size_t rhs = 0;
+    if (IsPunct(toks[k + 1], "=") && !IsPunct(toks[k + 2], "=")) {
+      rhs = k + 2;
+    } else if (IsPunct(toks[k + 1], "+=")) {
+      rhs = k + 2;
+    } else {
+      continue;
+    }
+    for (size_t j = rhs; j < toks.size() && !IsPunct(toks[j], ";"); ++j) {
+      if (is_print_call(j)) {
+        printed.insert({owner(k), toks[k].text});
+        break;
+      }
+    }
+  }
+  for (size_t k = 0; k + 1 < toks.size(); ++k) {
+    const std::string& name = toks[k].text;
+    if (toks[k].kind != TokKind::kIdent || !IsPunct(toks[k + 1], "(") ||
+        (name.rfind("Execute", 0) != 0 && name.rfind("Parse", 0) != 0)) {
+      continue;
+    }
+    int depth = 0;
+    for (size_t j = k + 1; j < toks.size(); ++j) {
+      if (IsPunct(toks[j], "(")) ++depth;
+      if (IsPunct(toks[j], ")") && --depth == 0) break;
+      const bool names_printed =
+          toks[j].kind == TokKind::kIdent && j + 1 < toks.size() &&
+          !IsPunct(toks[j + 1], "(") &&
+          printed.count({owner(k), toks[j].text}) > 0;
+      if (is_print_call(j) || names_printed) {
+        ctx.Emit(kRule, toks[k].line,
+                 "'" + name + "' takes printed SQL text ('" + toks[j].text +
+                     "'); hand the AST over in process "
+                     "(driver::Connection::ExecuteAst) and keep the text "
+                     "for the log");
+        break;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Registry, meta checks, entry points
 // ---------------------------------------------------------------------------
@@ -721,6 +802,10 @@ const std::vector<RuleEntry>& Registry() {
        "No comparison of num_threads/max_threads against 1 under src/ "
        "outside common/thread_pool.*; one thread runs the same morsel path",
        RuleSerialFork},
+      {"text-reparse",
+       "No printed AST (PrintExpr/PrintSelect/PrintStatement) handed to an "
+       "Execute*/Parse* call under src/; the driver runs the AST in process",
+       RuleTextReparse},
   };
   return kRules;
 }

@@ -70,6 +70,13 @@
 //                           second copy of the operator's loop that drifts
 //                           (the serial join probe skipped its budget
 //                           charge).
+//   text-reparse            an Execute*( / Parse*( call under src/ taking
+//                           the result of sql::PrintExpr / PrintSelect /
+//                           PrintStatement, inline or through a variable
+//                           the same function assigned it to — the driver
+//                           runs the middleware's AST in process, and a
+//                           print-then-parse round trip is a second copy
+//                           of the statement beside it.
 //
 // Any diagnostic can be acknowledged in place with a trailing comment:
 //     ... code ...  // vdb-lint: allow(rule-name[, rule-name]) <rationale>

@@ -51,12 +51,14 @@ int main() {
       "select sum(case when reordered = 1 then price else 0.0 end) /"
       " sum(price) as reorder_share from order_products",
   };
+  int failed = 0;
   for (const char* sql : dashboard) {
     core::VerdictContext::ExecInfo info;
     auto rs = verdict.Execute(sql, &info);
     std::printf("\n>>> %s\n", sql);
     if (!rs.ok()) {
       std::printf("error: %s\n", rs.status().ToString().c_str());
+      ++failed;
       continue;
     }
     std::printf("[%s, max rel. error bound %.2f%%]\n%s",
@@ -64,5 +66,5 @@ int main() {
                 info.max_relative_error * 100.0,
                 rs.value().ToString(10).c_str());
   }
-  return 0;
+  return failed == 0 ? 0 : 1;
 }

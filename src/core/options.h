@@ -32,19 +32,11 @@ struct VerdictOptions {
   /// default: 10M rows; lowered for laptop-scale data).
   int64_t min_rows_for_sampling = 100'000;
 
-  /// Sample-planner heuristic: keep this many best candidates per join
-  /// level (Appendix E.2). <= 0 means exhaustive enumeration.
-  int planner_top_k = 10;
-
   /// Approximate queries must retain at least this many sample tuples per
   /// output group, else the planner declares AQP infeasible (matches the
   /// paper's behaviour on tq-3/8/15 whose grouping columns have extreme
   /// cardinality).
   int64_t min_tuples_per_group = 20;
-
-  /// Number of subsamples b; 0 = automatic (≈ sqrt(sample rows), rounded to
-  /// a perfect square so join sid-recombination is exact).
-  int subsample_count_override = 0;
 
   /// Threads per query for the in-process engine's morsel-driven parallel
   /// executor (scans, partial aggregation, join probe, sample

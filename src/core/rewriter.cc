@@ -48,24 +48,23 @@ Expr::Ptr WindowGroupTotal(const std::vector<Expr::Ptr>& group_protos) {
   return win;
 }
 
-/// How subsample ids are generated for the sampled relations of one query.
+/// How subsample ids are generated for one query: the rule the sample plan
+/// records (docs/INVARIANTS.md, "Subsample-id contract").
 struct SidPlan {
-  enum class Mode {
-    kRandomSingle,   // one sampled relation, sid = 1 + floor(rand()*b)
-    kHashBlock,      // sid from hash blocks of a universe column
-    kRecombine,      // two random-sid relations combined via h(i,j)
-  };
-  Mode mode = Mode::kRandomSingle;
-  std::vector<std::string> sampled_aliases;  // 1 or 2 entries
-  // kHashBlock:
-  std::string hash_alias;    // relation owning the hashed column
+  /// The sampled relation owning the sid: its `__vdb_sid` column, or the
+  /// hashed column of hash-block sids, and its `verdict_prob`.
+  std::string alias;
+  /// Empty: sid = 1 + floor(rand()*b) per sample row (§4.1). Set: sids are
+  /// hash blocks of alias.hash_column (§5.1).
   std::string hash_column;
+  /// Two hashed samples joined on their key: the same hash decides both
+  /// sides, so the joint inclusion probability is the constant tau.
+  bool universe_join = false;
   double tau = 1.0;          // effective universe ratio
   // Hash cut-off of the sampled rows: every row has verdict_hash < it, so
   // sids 1 + floor(hash * b / block_cutoff) stay within 1..b.
   double block_cutoff = 1.0;
-  // Probability expression mode: per-tuple product vs constant tau.
-  bool constant_prob = false;
+  uint64_t sample_rows = 0;  // rows of the largest sample; b follows it
 };
 
 /// Per-query rewrite state shared by the helpers.
@@ -81,59 +80,26 @@ struct RewriteCtx {
   /// relation's universe sample (DerivedUniverseSample).
   const std::vector<JoinEdge>* join_edges = nullptr;
 
-  /// Joint inclusion-probability expression for one tuple of the join.
+  /// Inclusion-probability expression for one tuple of the FROM.
   Expr::Ptr ProbExpr() const {
     if (complete_replica) return sql::MakeDoubleLit(1.0);
-    if (sid.constant_prob) return sql::MakeDoubleLit(sid.tau);
-    Expr::Ptr p;
-    for (const auto& alias : sid.sampled_aliases) {
-      auto term = Ref(alias, "verdict_prob");
-      p = p ? Bin(BinaryOp::kMul, std::move(p), std::move(term))
-            : std::move(term);
-    }
-    if (!p) p = sql::MakeDoubleLit(1.0);
-    return p;
+    if (sid.universe_join) return sql::MakeDoubleLit(sid.tau);
+    return Ref(sid.alias, "verdict_prob");
   }
 
   /// The subsample-id expression used in GROUP BY and the select list.
   Expr::Ptr SidExpr() const {
-    switch (sid.mode) {
-      case SidPlan::Mode::kRandomSingle:
-        return Ref(sid.sampled_aliases[0], "__vdb_sid");
-      case SidPlan::Mode::kHashBlock: {
-        // 1 + floor(verdict_hash(col) * (b / cutoff)); hash < cutoff on
-        // the sample, so the blocks are b equal slices of [0, cutoff).
-        auto h = Fn("verdict_hash", {});
-        h->args.push_back(Ref(sid.hash_alias, sid.hash_column));
-        auto scaled = Bin(BinaryOp::kMul, std::move(h),
-                          sql::MakeDoubleLit(
-                              static_cast<double>(b) /
-                              std::max(sid.block_cutoff, 1e-12)));
-        auto fl = Fn("floor", {});
-        fl->args.push_back(std::move(scaled));
-        return Bin(BinaryOp::kAdd, sql::MakeIntLit(1), std::move(fl));
-      }
-      case SidPlan::Mode::kRecombine: {
-        // h(i,j) = floor((i-1)/sb)*sb + floor((j-1)/sb) + 1, sb = sqrt(b)
-        // (Theorem 4).
-        int sb = static_cast<int>(std::lround(std::sqrt(b)));
-        auto block = [&](const std::string& alias) {
-          auto fl = Fn("floor", {});
-          fl->args.push_back(
-              Bin(BinaryOp::kDiv,
-                  Bin(BinaryOp::kSub, Ref(alias, "__vdb_sid"),
-                      sql::MakeIntLit(1)),
-                  sql::MakeIntLit(sb)));
-          return fl;
-        };
-        auto lhs = Bin(BinaryOp::kMul, block(sid.sampled_aliases[0]),
-                       sql::MakeIntLit(sb));
-        auto sum = Bin(BinaryOp::kAdd, std::move(lhs),
-                       block(sid.sampled_aliases[1]));
-        return Bin(BinaryOp::kAdd, std::move(sum), sql::MakeIntLit(1));
-      }
-    }
-    return sql::MakeIntLit(1);
+    if (sid.hash_column.empty()) return Ref(sid.alias, "__vdb_sid");
+    // 1 + floor(verdict_hash(col) * (b / cutoff)); hash < cutoff on the
+    // sample, so the blocks are b equal slices of [0, cutoff).
+    auto h = Fn("verdict_hash", {});
+    h->args.push_back(Ref(sid.alias, sid.hash_column));
+    auto scaled = Bin(BinaryOp::kMul, std::move(h),
+                      sql::MakeDoubleLit(static_cast<double>(b) /
+                                         std::max(sid.block_cutoff, 1e-12)));
+    auto fl = Fn("floor", {});
+    fl->args.push_back(std::move(scaled));
+    return Bin(BinaryOp::kAdd, sql::MakeIntLit(1), std::move(fl));
   }
 };
 
@@ -435,9 +401,7 @@ Status SubstituteSamples(TableRef* ref, const RewriteCtx& ctx) {
         return Status::Ok();
       }
       const auto& sample = it->second.sample;
-      bool needs_random_sid =
-          ctx.sid.mode != SidPlan::Mode::kHashBlock;
-      if (needs_random_sid) {
+      if (ctx.sid.hash_column.empty()) {
         auto inner = std::make_unique<SelectStmt>();
         inner->items.emplace_back(sql::MakeStar(), "");
         // 1 + floor(rand() * b): Query 3 with every tuple kept (default
@@ -487,64 +451,37 @@ double BlockCutoff(const sampling::SampleInfo& s) {
   return s.hash_cutoff > 0.0 ? s.hash_cutoff : s.ratio;
 }
 
-/// Decides the sid-generation strategy from the plan and query class.
-Result<SidPlan> MakeSidPlan(const QueryClass& qc, const SamplePlan& plan) {
+/// Reads the sid rule the planner recorded in `plan`; b follows the
+/// largest sample of every sampled relation.
+Result<SidPlan> MakeSidPlan(const SamplePlan& plan) {
   SidPlan sp;
+  int sampled = 0;
   for (const auto& [alias, choice] : plan.choices) {
-    if (choice.sampled) sp.sampled_aliases.push_back(alias);
+    if (!choice.sampled) continue;
+    const double cutoff = BlockCutoff(choice.sample);
+    if (sampled++ == 0) {
+      sp.alias = alias;
+      sp.tau = choice.sample.ratio;
+      sp.block_cutoff = cutoff;
+    } else {
+      sp.tau = std::min(sp.tau, choice.sample.ratio);
+      sp.block_cutoff = std::min(sp.block_cutoff, cutoff);
+    }
+    sp.sample_rows = std::max(sp.sample_rows, choice.sample.sample_rows);
   }
-  if (sp.sampled_aliases.empty()) {
+  if (sampled == 0) {
     return Status::Internal("rewriter invoked without samples");
   }
-  if (sp.sampled_aliases.size() == 1) {
-    const auto& choice = plan.choices.at(sp.sampled_aliases[0]);
-    if (qc.has_count_distinct &&
-        choice.sample.type == sampling::SampleType::kHashed) {
-      sp.mode = SidPlan::Mode::kHashBlock;
-      sp.hash_alias = sp.sampled_aliases[0];
-      sp.hash_column = choice.sample.columns[0];
-      sp.tau = choice.sample.ratio;
-      sp.block_cutoff = BlockCutoff(choice.sample);
-      sp.constant_prob = false;  // per-tuple prob column still valid
-    } else {
-      sp.mode = SidPlan::Mode::kRandomSingle;
-    }
-    return sp;
+  // Random sids serve one sample; two samples must be universe-joined.
+  if (sampled > (plan.universe_alias.empty() ? 1 : 2)) {
+    return Status::Internal(
+        "sample plan reads more samples than its sid rule allows");
   }
-  // Two sampled relations.
-  const auto& a = plan.choices.at(sp.sampled_aliases[0]);
-  const auto& b = plan.choices.at(sp.sampled_aliases[1]);
-  bool both_hashed = a.sample.type == sampling::SampleType::kHashed &&
-                     b.sample.type == sampling::SampleType::kHashed;
-  if (both_hashed) {
-    // Universe join: both sides kept tuples whose join-key hash < tau; the
-    // hash blocks of the key partition the join output directly, and the
-    // joint inclusion probability is min(tau_a, tau_b) (not a product — the
-    // same hash decides both sides).
-    for (const auto& e : qc.join_edges) {
-      auto matches = [&](const std::string& la, const std::string& lb,
-                         const std::string& ca, const std::string& cb) {
-        return la == sp.sampled_aliases[0] && lb == sp.sampled_aliases[1] &&
-               a.sample.columns.size() == 1 && b.sample.columns.size() == 1 &&
-               a.sample.columns[0] == ca && b.sample.columns[0] == cb;
-      };
-      if (matches(e.left_alias, e.right_alias, e.left_column,
-                  e.right_column) ||
-          matches(e.right_alias, e.left_alias, e.right_column,
-                  e.left_column)) {
-        sp.mode = SidPlan::Mode::kHashBlock;
-        sp.hash_alias = sp.sampled_aliases[0];
-        sp.hash_column = a.sample.columns[0];
-        sp.tau = std::min(a.sample.ratio, b.sample.ratio);
-        sp.block_cutoff =
-            std::min(BlockCutoff(a.sample), BlockCutoff(b.sample));
-        sp.constant_prob = true;
-        return sp;
-      }
-    }
+  if (!plan.universe_alias.empty()) {
+    sp.alias = plan.universe_alias;
+    sp.hash_column = plan.universe_column;
+    sp.universe_join = sampled == 2;
   }
-  // Independent samples joined: Theorem 4 recombination.
-  sp.mode = SidPlan::Mode::kRecombine;
   return sp;
 }
 
@@ -566,13 +503,7 @@ Result<RewriteResult> BuildRewrite(const SelectStmt& original, RewriteCtx& ctx,
 }  // namespace
 
 int AqpRewriter::ChooseB(uint64_t sample_rows) const {
-  if (options_.subsample_count_override > 0) {
-    int k = static_cast<int>(
-        std::lround(std::sqrt(options_.subsample_count_override)));
-    return std::max(2, k) * std::max(2, k);
-  }
-  // Default ns = n^(1/2)  =>  b = n^(1/2); as a perfect square, b = k^2 with
-  // k = n^(1/4).
+  // Default ns = n^(1/2)  =>  b = n^(1/2), taken as k^2 with k = n^(1/4).
   double k = std::sqrt(std::sqrt(static_cast<double>(std::max<uint64_t>(
       sample_rows, 16))));
   int ki = std::clamp(static_cast<int>(std::lround(k)), 3, 40);
@@ -584,17 +515,11 @@ Result<RewriteResult> AqpRewriter::RewriteFlat(const SelectStmt& original,
                                                const SamplePlan& plan) {
   RewriteCtx ctx;
   ctx.plan = &plan;
-  auto sid = MakeSidPlan(qc, plan);
+  auto sid = MakeSidPlan(plan);
   if (!sid.ok()) return sid.status();
   ctx.sid = std::move(sid).ValueOrDie();
   ctx.join_edges = &qc.join_edges;
-
-  uint64_t sample_rows = 0;
-  for (const auto& alias : ctx.sid.sampled_aliases) {
-    sample_rows = std::max(sample_rows,
-                           plan.choices.at(alias).sample.sample_rows);
-  }
-  ctx.b = ChooseB(sample_rows);
+  ctx.b = ChooseB(ctx.sid.sample_rows);
   for (const auto& g : original.group_by) {
     ctx.group_protos.push_back(g->Clone());
   }
@@ -615,31 +540,21 @@ Result<RewriteResult> AqpRewriter::RewriteNested(
   //    per (inner groups, sid) estimates named by the inner aliases.
   RewriteCtx ictx;
   ictx.plan = &plan_inner;
-  auto sid = MakeSidPlan(qc_inner, plan_inner);
+  auto sid = MakeSidPlan(plan_inner);
   if (!sid.ok()) return sid.status();
   ictx.sid = std::move(sid).ValueOrDie();
   ictx.join_edges = &qc_inner.join_edges;
-  uint64_t sample_rows = 0;
-  for (const auto& alias : ictx.sid.sampled_aliases) {
-    sample_rows = std::max(sample_rows,
-                           plan_inner.choices.at(alias).sample.sample_rows);
-  }
-  ictx.b = ChooseB(sample_rows);
+  ictx.b = ChooseB(ictx.sid.sample_rows);
   if (inner_group_hint > 0) {
     // Keep >= ~5 sample tuples per (group, sid) cell on average.
     constexpr int64_t kMinCellTuples = 5;
-    int64_t b_max = static_cast<int64_t>(sample_rows) /
+    int64_t b_max = static_cast<int64_t>(ictx.sid.sample_rows) /
                     (inner_group_hint * kMinCellTuples);
     if (b_max < 4) {
       return Status::Unsupported(
           "nested AQP infeasible: inner grouping too fine for the sample");
     }
     ictx.b = static_cast<int>(std::min<int64_t>(ictx.b, b_max));
-    if (ictx.sid.mode == SidPlan::Mode::kRecombine) {
-      int k = std::max(
-          2, static_cast<int>(std::sqrt(static_cast<double>(ictx.b))));
-      ictx.b = k * k;  // Theorem 4 needs a perfect square
-    }
   }
   for (const auto& g : inner.group_by) ictx.group_protos.push_back(g->Clone());
 
@@ -659,8 +574,7 @@ Result<RewriteResult> AqpRewriter::RewriteNested(
   octx.plan = &empty_plan;
   octx.complete_replica = true;
   octx.b = ictx.b;
-  octx.sid.mode = SidPlan::Mode::kRandomSingle;
-  octx.sid.sampled_aliases = {t_alias};
+  octx.sid.alias = t_alias;
   for (const auto& g : outer->group_by) octx.group_protos.push_back(g->Clone());
 
   auto result = BuildRewrite(*outer, octx, /*variational_table_mode=*/false);
@@ -764,7 +678,7 @@ Result<RewriteResult> BuildRewrite(const SelectStmt& original, RewriteCtx& ctx,
   if (ctx.complete_replica) {
     // Propagate tuple-level subsample sizes from the variational table.
     auto ss = Fn("sum", {});
-    ss->args.push_back(Ref(ctx.sid.sampled_aliases[0], "__vdb_ssize"));
+    ss->args.push_back(Ref(ctx.sid.alias, "__vdb_ssize"));
     inner->items.emplace_back(std::move(ss), "__vdb_ssize");
   } else {
     auto cs = Fn("count", {});

@@ -13,14 +13,14 @@
 //         group by g..., <sid expr>) as __vdb_vt
 //   group by g...
 //
-// Subsample ids come from (a) `1 + floor(rand()*b)` for uniform/stratified
-// samples (§4.2, Query 3) — rand() is row-addressed (common/random.h), so
+// Subsample ids follow the rule the sample plan records (docs/INVARIANTS.md,
+// "Subsample-id contract"): (a) `1 + floor(rand()*b)` for the one sampled
+// relation (§4.1, Query 3) — rand() is row-addressed (common/random.h), so
 // the sid assignment is a pure function of the sample row and the query
 // seed, and the rewritten query runs fully on the vectorized
-// morsel-parallel substrate — (b) hash blocks of the universe column for
-// hashed samples (count-distinct and universe joins), or (c) the
-// recombination function h(i,j) of Theorem 4 when two independently-sampled
-// relations are joined.
+// morsel-parallel substrate — or (b) hash blocks of the universe column for
+// hashed samples (count-distinct and universe joins, §5.1). A plan that
+// reads two samples without a universe column is rejected as Internal.
 
 #ifndef VDB_CORE_REWRITER_H_
 #define VDB_CORE_REWRITER_H_
@@ -49,8 +49,7 @@ struct RewrittenColumn {
 struct RewriteResult {
   std::unique_ptr<sql::SelectStmt> rewritten;
   std::vector<RewrittenColumn> columns;
-  int b = 0;                    // number of subsamples
-  double effective_ratio = 1.0;
+  int b = 0;  // number of subsamples
 };
 
 class AqpRewriter {
@@ -78,9 +77,8 @@ class AqpRewriter {
                                       int64_t inner_group_hint = 0);
 
   /// Chooses the number of subsamples b for a sample of `sample_rows` rows:
-  /// the paper's default ns = n^(1/2) implies b = n / ns = n^(1/2); b is
-  /// rounded to a perfect square so the join recombination h(i,j) of
-  /// Theorem 4 partitions exactly.
+  /// the paper's default ns = n^(1/2) implies b = n / ns = n^(1/2), taken as
+  /// k^2 for k = round(n^(1/4)) in [3, 40]. No sid rule needs a square b.
   int ChooseB(uint64_t sample_rows) const;
 
  private:

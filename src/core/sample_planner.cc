@@ -10,6 +10,10 @@ namespace {
 using sampling::SampleInfo;
 using sampling::SampleType;
 
+/// Heuristic pruning (Appendix E.2): each relation keeps the base table plus
+/// at most this many samples, the best by ratio.
+constexpr size_t kPlannerTopK = 10;
+
 /// One candidate choice for a relation during enumeration.
 struct Candidate {
   const SampleInfo* sample = nullptr;  // null => base table
@@ -76,17 +80,12 @@ Result<SamplePlan> SamplePlanner::Plan(
         rc.cands.push_back(c);
       }
     }
-    // Heuristic pruning (Appendix E.2): keep the base table plus the top-k
-    // samples by sqrt(ratio).
-    if (options_.planner_top_k > 0 &&
-        static_cast<int>(rc.cands.size()) > options_.planner_top_k + 1) {
+    if (rc.cands.size() > kPlannerTopK + 1) {
       std::sort(rc.cands.begin() + 1, rc.cands.end(),
                 [](const Candidate& a, const Candidate& b) {
                   return a.ratio > b.ratio;
                 });
-      stats_.candidates_pruned += static_cast<int>(rc.cands.size()) - 1 -
-                                  options_.planner_top_k;
-      rc.cands.resize(static_cast<size_t>(1 + options_.planner_top_k));
+      rc.cands.resize(1 + kPlannerTopK);
     }
     rels.push_back(std::move(rc));
   }
@@ -104,12 +103,19 @@ Result<SamplePlan> SamplePlanner::Plan(
     for (size_t i = 0; i < rels.size(); ++i) {
       if (rels[i].cands[pick[i]].sample != nullptr) sampled.push_back(i);
     }
-    if (sampled.size() > 2) return;  // sid recombination handles two samples
+    // Two sampled relations only as a universe join (below): no plan joins
+    // independently drawn samples.
+    if (sampled.size() > 2) return;
 
     double effective = 1.0;
     double advantage = 1.0;
+    // The relation whose hash column the sids are blocks of (§5.1);
+    // rels.size() when sids are drawn by rand() (§4.1).
+    size_t universe = rels.size();
     if (sampled.size() == 1) {
       effective = rels[sampled[0]].cands[pick[sampled[0]]].ratio;
+      // Under count(distinct x) the sample is hashed on x (filtered above).
+      if (qc.has_count_distinct) universe = sampled[0];
     } else if (sampled.size() == 2) {
       const auto& ra = rels[sampled[0]];
       const auto& rb = rels[sampled[1]];
@@ -134,6 +140,9 @@ Result<SamplePlan> SamplePlanner::Plan(
       if (!joined_on_hash_col) return;
       // Universe-joined hashed samples retain min(r_a, r_b) of the join.
       effective = std::min(sa->ratio, sb->ratio);
+      // Either side's key gives the same blocks; take the first alias in
+      // `choices` order.
+      universe = ra.rel->alias < rb.rel->alias ? sampled[0] : sampled[1];
     }
 
     // Per-table I/O budget check (§2.4): every table above the sampling
@@ -221,7 +230,11 @@ Result<SamplePlan> SamplePlanner::Plan(
         }
         plan.choices[ch.alias] = std::move(ch);
       }
-      plan.effective_ratio = effective;
+      if (universe < rels.size()) {
+        plan.universe_alias = rels[universe].rel->alias;
+        plan.universe_column =
+            rels[universe].cands[pick[universe]].sample->columns[0];
+      }
       plan.score = score;
       plan.io_cost = io_cost;
       best = std::move(plan);

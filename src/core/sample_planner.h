@@ -27,9 +27,14 @@ struct RelationChoice {
 
 struct SamplePlan {
   std::map<std::string, RelationChoice> choices;  // keyed by alias
-  /// Effective sampling ratio of the dominant sampled relation(s): min of
-  /// hashed ratios for universe-joins, product/ratio otherwise.
-  double effective_ratio = 1.0;
+  /// The subsample-id rule, decided here only (docs/INVARIANTS.md,
+  /// "Subsample-id contract"). Empty: the one sampled relation draws
+  /// sid = 1 + floor(rand()*b) (§4.1). Set: sids are hash blocks of
+  /// universe_alias.universe_column (§5.1), for a lone sample hashed on the
+  /// count-distinct column or for two hashed samples joined on their hash
+  /// columns; universe_alias is then the first sampled alias of `choices`.
+  std::string universe_alias;
+  std::string universe_column;
   double score = 0.0;
   /// Total tuples the rewritten query will read.
   double io_cost = 0.0;
@@ -40,7 +45,6 @@ struct SamplePlan {
 
 struct PlannerStats {
   int candidates_enumerated = 0;
-  int candidates_pruned = 0;
 };
 
 class SamplePlanner {

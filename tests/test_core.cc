@@ -309,6 +309,39 @@ TEST_F(VerdictE2E, HacFallsBackToExact) {
   ctx_->options().min_accuracy = 0.0;
 }
 
+TEST_F(VerdictE2E, WithoutErrorColumnsResultsKeepTheUserColumns) {
+  // §2.4: legacy applications read approximate results unchanged.
+  ctx_->options().include_error_columns = false;
+  for (const auto& [sql, names] :
+       std::vector<std::pair<std::string, std::vector<std::string>>>{
+           {"select g10, count(*) as c, avg(value) as a from big group by g10",
+            {"g10", "c", "a"}},
+           {"select g10, max(value) as mx, avg(value) as a from big"
+            " group by g10",
+            {"g10", "mx", "a"}}}) {
+    SCOPED_TRACE(sql);
+    VerdictContext::ExecInfo info;
+    auto answer = ctx_->ExecuteApprox(sql, &info);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_TRUE(info.approximated) << info.skip_reason;
+    EXPECT_EQ(answer.value().result.names, names);
+    EXPECT_EQ(answer.value().result.NumRows(), 10u);
+    // The error is still measured, only not returned as a column.
+    EXPECT_GT(answer.value().max_relative_error, 0.0);
+    EXPECT_GT(info.max_relative_error, 0.0);
+  }
+
+  // The accuracy contract still reads the stripped errors.
+  ctx_->options().min_accuracy = 0.9999;
+  VerdictContext::ExecInfo info;
+  auto rs = ctx_->Execute("select avg(value) as a from big", &info);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_TRUE(info.exact_rerun);
+  EXPECT_EQ(rs.value().names, std::vector<std::string>{"a"});
+  EXPECT_DOUBLE_EQ(rs.value().GetDouble(0, 0),
+                   Exact("select avg(value) as a from big"));
+}
+
 TEST_F(VerdictE2E, HacTreatsUnmeasurableGroupsConservatively) {
   // A group whose sample contains exactly ONE tuple lands in exactly one
   // subsample, so its stderr is NULL (stddev over one estimate) and its
@@ -790,6 +823,99 @@ TEST_F(VerdictJoinE2E, HashBlockSidsStayWithinB) {
     EXPECT_GE(rs.value().Get(0, 0).AsInt(), 1);
     EXPECT_LE(rs.value().Get(0, 1).AsInt(), info.subsamples);
   }
+}
+
+/// Plans `sql` as ExecuteApprox does (join edges qualified, base row
+/// counts from the catalog, no group hint) over the given samples.
+Result<SamplePlan> PlanOver(const engine::Database& db,
+                            const VerdictOptions& opts,
+                            std::vector<sampling::SampleInfo> samples,
+                            const std::string& sql) {
+  auto sel = sql::ParseSelect(sql);
+  if (!sel.ok()) return sel.status();
+  QueryClass qc = ClassifyQuery(*sel.value());
+  QualifyJoinEdges(&qc, db.catalog());
+  std::map<std::string, uint64_t> base_rows;
+  for (const auto& r : qc.relations) {
+    base_rows[r.alias] = db.catalog().GetTable(r.base_table)->num_rows();
+  }
+  SamplePlanner planner(opts, std::move(samples));
+  return planner.Plan(qc, base_rows);
+}
+
+TEST_F(VerdictJoinE2E, PlannerRecordsTheUniverseColumn) {
+  auto samples = ctx_->sample_catalog().SamplesFor("");
+  ASSERT_TRUE(samples.ok());
+  // Two hashed samples joined on their hash column: hash blocks of the
+  // first alias in `choices` order.
+  auto join = PlanOver(db_, ctx_->options(), samples.value(),
+                       "select sum(f.v * d.w) as s from fact f inner join dim"
+                       " d on f.k = d.k");
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  EXPECT_EQ(join.value().sampled_relations, 2);
+  EXPECT_EQ(join.value().universe_alias, "d");
+  EXPECT_EQ(join.value().universe_column, "k");
+
+  // count(distinct k) over the sample hashed on k.
+  auto distinct = PlanOver(db_, ctx_->options(), samples.value(),
+                           "select count(distinct k) as d from fact");
+  ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+  EXPECT_EQ(distinct.value().sampled_relations, 1);
+  EXPECT_EQ(distinct.value().universe_alias, "fact");
+  EXPECT_EQ(distinct.value().universe_column, "k");
+}
+
+TEST_F(VerdictJoinE2E, NoPlanReadsTwoUniformSamples) {
+  ASSERT_TRUE(ctx_->sample_builder().CreateUniformSample("fact", 0.1).ok());
+  ASSERT_TRUE(ctx_->sample_builder().CreateUniformSample("dim", 0.1).ok());
+  auto samples = ctx_->sample_catalog().SamplesFor("");
+  ASSERT_TRUE(samples.ok());
+  std::vector<sampling::SampleInfo> uniform;
+  for (const auto& s : samples.value()) {
+    if (s.type == sampling::SampleType::kUniform) uniform.push_back(s);
+  }
+  ASSERT_EQ(uniform.size(), 2u);
+  for (const char* query :
+       {"select sum(f.v * d.w) as s from fact f inner join dim d"
+        " on f.k = d.k",
+        "select count(*) as c from fact f inner join dim d on f.k = d.k"
+        " where d.w > 0.5"}) {
+    SCOPED_TRACE(query);
+    auto plan = PlanOver(db_, ctx_->options(), uniform, query);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_LT(plan.value().sampled_relations, 2);
+    EXPECT_TRUE(plan.value().universe_alias.empty());
+  }
+}
+
+TEST_F(VerdictJoinE2E, RewriterRejectsTwoSamplesWithoutAUniverseColumn) {
+  ASSERT_TRUE(ctx_->sample_builder().CreateUniformSample("fact", 0.1).ok());
+  ASSERT_TRUE(ctx_->sample_builder().CreateUniformSample("dim", 0.1).ok());
+  auto samples = ctx_->sample_catalog().SamplesFor("");
+  ASSERT_TRUE(samples.ok());
+  const std::string sql =
+      "select sum(f.v * d.w) as s from fact f inner join dim d on f.k = d.k";
+  auto sel = sql::ParseSelect(sql);
+  ASSERT_TRUE(sel.ok());
+  QueryClass qc = ClassifyQuery(*sel.value());
+  QualifyJoinEdges(&qc, db_.catalog());
+  // A hand-built plan no planner makes: independently drawn samples joined.
+  SamplePlan plan;
+  for (const auto& s : samples.value()) {
+    if (s.type != sampling::SampleType::kUniform) continue;
+    RelationChoice choice;
+    choice.alias = s.base_table == "fact" ? "f" : "d";
+    choice.sample = s;
+    choice.sampled = true;
+    plan.choices[choice.alias] = choice;
+    ++plan.sampled_relations;
+  }
+  ASSERT_EQ(plan.sampled_relations, 2);
+  AqpRewriter rewriter(ctx_->options());
+  auto rewritten = rewriter.RewriteFlat(*sel.value(), qc, plan);
+  ASSERT_FALSE(rewritten.ok());
+  EXPECT_EQ(rewritten.status().code(), StatusCode::kInternal)
+      << rewritten.status().ToString();
 }
 
 // ---------------------------------------------------------------------------
